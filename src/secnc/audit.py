@@ -349,7 +349,7 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
     out = set()
     for u, c in zip(msgs, words.tolist()):
         diff = [F.sub(a, b) for a, b in zip(y, c)]
-        if la.rank(F.base, la.expand(F, diff)) <= t:
+        if la.vector_rank(F, diff) <= t:
             out.add(u)
     return out
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import fileio
 from .audit import reliability_audit, secrecy_audit
-from .errors import BudgetExceededError, ParameterError, ValidationError
+from .errors import (BudgetExceededError, InconsistentSystemError, ParameterError,
+                     SingularMatrixError, UnderdeterminedSystemError, ValidationError)
 from . import linalg as la
 from .network import (
     iter_exhaustive_realizations,
@@ -327,7 +328,8 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"secnc: rejected ({e.reason}): {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ParameterError as e:
+    except (ParameterError, SingularMatrixError, InconsistentSystemError,
+            UnderdeterminedSystemError) as e:
         print(f"secnc: rejected: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

@@ -13,6 +13,11 @@ basis {1, x, ..., x^{m-1}}.
 For table-friendly fields (q^m <= 2^16) multiplication, inversion and
 the Frobenius map go through precomputed exp/log tables keyed by a
 primitive element; larger fields fall back to polynomial arithmetic.
+
+Both fields supply the row operations of the `linalg` elimination
+kernel, scale_row and sub_scaled_row (dst - f*src), with no method call
+per entry: GF(q) reduces mod q inline, a table-backed GF(q^m) gathers
+exp[log f + log y].
 """
 
 from __future__ import annotations
@@ -175,6 +180,15 @@ class PrimeField:
 
     def pow(self, a, e):
         return pow(a, e, self.q) if e >= 0 else pow(self.inv(a), -e, self.q)
+
+    def scale_row(self, s, row):
+        q = self.q
+        return [(s * x) % q for x in row]
+
+    def sub_scaled_row(self, dst, f, src):
+        """dst - f * src, entrywise."""
+        q = self.q
+        return [(x - f * y) % q for x, y in zip(dst, src)]
 
     def elements(self):
         return range(self.q)
@@ -361,6 +375,26 @@ class ExtField:
             return self._exp[(self._log[a] * pow(self.q, i, n1)) % n1]
         return self._pow_raw(a, pow(self.q, i, n1))
 
+    # -- row operations (see the module docstring) -----------------------
+
+    def scale_row(self, s: int, row) -> list[int]:
+        if self._exp is None or s == 0:
+            return [self.mul(s, x) for x in row]
+        exp, log, ls = self._exp, self._log, self._log[s]
+        return [exp[ls + log[x]] if x else 0 for x in row]
+
+    def sub_scaled_row(self, dst, f: int, src) -> list[int]:
+        """dst - f * src, entrywise."""
+        if self._exp is None:
+            return [self.sub(x, self.mul(f, y)) for x, y in zip(dst, src)]
+        if f == 0:
+            return list(dst)
+        exp, log, lf = self._exp, self._log, self._log[f]
+        if self.q == 2:
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(dst, src)]
+        sub = self.sub
+        return [sub(x, exp[lf + log[y]]) if y else x for x, y in zip(dst, src)]
+
     # -- row-vector view -------------------------------------------------
 
     def as_row(self, a: int) -> tuple[int, ...]:
@@ -447,8 +481,3 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(q={self.q}, m={self.m}, modulus={self.modulus})"
-
-
-def field_from_config(q: int, m: int, modulus=None) -> ExtField:
-    """Build the extension field described by a scheme parameter file."""
-    return ExtField(q, m, modulus)

@@ -2,8 +2,9 @@
 
 Matrices over the base field are numpy integer arrays (entries reduced
 mod q); matrices over the extension field are lists of lists of packed
-field elements.  Elimination is written once against the field protocol
-(add/sub/mul/inv/zero/one) and works for both.
+field elements.  Every elimination runs one kernel, `_rref_in_place`,
+written against the field protocol of `gf` (inv and the row operations
+scale_row / sub_scaled_row); only GF(2) rank packs rows into bitmasks.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -24,10 +25,13 @@ from .errors import (
     SingularMatrixError,
     UnderdeterminedSystemError,
 )
+from .gf import PrimeField
 
 
 def to_lists(M) -> list[list[int]]:
-    return [[int(x) for x in row] for row in M]
+    if isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype.kind in "iu":
+        return M.tolist()  # Python ints, without a call per entry
+    return [list(map(int, row)) for row in M]
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -51,27 +55,36 @@ def dims(M) -> tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# Elimination, generic over the field protocol
+# Elimination: one kernel, row operations supplied by the field
 # ----------------------------------------------------------------------
 
-def _rref_in_place(field, M: list[list[int]]) -> list[int]:
-    """Reduce M to RREF; returns the pivot column list."""
+def _rref_in_place(field, M: list[list[int]], cols: int | None = None) -> list[int]:
+    """Reduce M to RREF, pivoting in its first `cols` columns (default all).
+
+    Row operations apply to whole rows, so columns past `cols` carry
+    along whatever was appended to M.  Returns the pivot column list.
+    """
     rows = len(M)
-    cols = len(M[0]) if rows else 0
+    if cols is None:
+        cols = len(M[0]) if rows else 0
+    scale_row, sub_scaled_row = field.scale_row, field.sub_scaled_row
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if M[i][c] != field.zero), None)
-        if pr is None:
+        for pr in range(r, rows):
+            if M[pr][c]:
+                break
+        else:
             continue
         M[r], M[pr] = M[pr], M[r]
         s = field.inv(M[r][c])
-        if s != field.one:
-            M[r] = [field.mul(s, x) for x in M[r]]
+        if s != 1:
+            M[r] = scale_row(s, M[r])
+        pivot = M[r]
         for i in range(rows):
-            if i != r and M[i][c] != field.zero:
-                f = M[i][c]
-                M[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(M[i], M[r])]
+            f = M[i][c]
+            if f and i != r:
+                M[i] = sub_scaled_row(M[i], f, pivot)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -81,8 +94,7 @@ def _rref_in_place(field, M: list[list[int]]) -> list[int]:
 
 def rref(field, M) -> tuple[list[list[int]], list[int]]:
     M = to_lists(M)
-    pivots = _rref_in_place(field, M)
-    return M, pivots
+    return M, _rref_in_place(field, M)
 
 
 def rank(field, M) -> int:
@@ -92,32 +104,22 @@ def rank(field, M) -> int:
     return len(_rref_in_place(field, M))
 
 
+def vector_rank(F, v) -> int:
+    """Rank over GF(q) of expand(F, v): the rank weight of v over GF(q^m)."""
+    if F.q == 2:
+        return rank_gf2(v)  # an element int already is its row bitmask
+    return rank(F.base, expand(F, v))
+
+
 def row_reduce_transform(field, M) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Returns (E, R, pivots) with E square invertible and E @ M = R in RREF."""
+    """Returns (E, R, pivots) with E square invertible and E @ M = R in RREF.
+
+    Reduces [M | I], pivoting in M only; the right block records E.
+    """
     M = to_lists(M)
-    rows = len(M)
-    aug = [M[i] + [field.one if j == i else field.zero for j in range(rows)]
-           for i in range(rows)]
-    cols = len(M[0]) if rows else 0
-    # eliminate on the left block only; the right block records the transform
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if aug[i][c] != field.zero), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        s = field.inv(aug[r][c])
-        if s != field.one:
-            aug[r] = [field.mul(s, x) for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != field.zero:
-                f = aug[i][c]
-                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    cols = len(M[0]) if M else 0
+    aug = [row + e for row, e in zip(M, identity(len(M), field.one))]
+    pivots = _rref_in_place(field, aug, cols)
     E = [row[cols:] for row in aug]
     R = [row[:cols] for row in aug]
     return E, R, pivots
@@ -139,18 +141,15 @@ def rref_solve(field, A, Y):
     rows, cols = dims(A)
     if len(Yl) != rows:
         raise ParameterError(f"rhs has {len(Yl)} rows, expected {rows}")
-    ycols = len(Yl[0]) if Yl and Yl[0] else 0
     aug = [A[i] + Yl[i] for i in range(rows)]
-    _, R, pivots = row_reduce_transform(field, aug)
+    pivots = _rref_in_place(field, aug)
     if any(p >= cols for p in pivots):
         raise InconsistentSystemError("A X = Y has no solution")
     if len(pivots) < cols:
         raise UnderdeterminedSystemError(
             f"solution space has dimension {cols - len(pivots)}"
         )
-    X = zeros(cols, ycols)
-    for r, c in enumerate(pivots):
-        X[c] = R[r][cols:]
+    X = [row[cols:] for row in aug[:cols]]  # the pivots are 0..cols-1
     return [row[0] for row in X] if vector_rhs else X
 
 
@@ -159,10 +158,7 @@ def inverse(field, A) -> list[list[int]]:
     n, c = dims(A)
     if n != c:
         raise ParameterError("inverse requires a square matrix")
-    E, _, pivots = row_reduce_transform(field, A)
-    if len(pivots) != n:
-        raise SingularMatrixError(f"matrix has rank {len(pivots)} < {n}")
-    return E
+    return left_inverse(field, A)
 
 
 def left_inverse(field, A) -> list[list[int]]:
@@ -231,13 +227,6 @@ def matvec(field, A, v) -> list[int]:
     return [row[0] for row in matmul(field, A, [[int(x)] for x in v])]
 
 
-def mat_add(field, A, B) -> list[list[int]]:
-    A, B = to_lists(A), to_lists(B)
-    if dims(A) != dims(B):
-        raise ParameterError("dimension mismatch")
-    return [[field.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(field, A, B) -> list[list[int]]:
     A, B = to_lists(A), to_lists(B)
     if dims(A) != dims(B):
@@ -260,22 +249,26 @@ def contract(F, M) -> list[int]:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[1] != F.m:
         raise ParameterError(f"expected an n x {F.m} matrix, got shape {M.shape}")
-    return [F.from_row([int(d) for d in row]) for row in M]
+    if ((M < 0) | (M >= F.q)).any():
+        raise ParameterError(f"entries must be digits of GF({F.q})")
+    weights = [F.q ** i for i in range(F.m)]  # Python ints: no overflow
+    return [int(x) for x in M.astype(object) @ weights]
 
 
 def fq_matvec_fqm(F, A, v) -> list[int]:
     """Apply a base-field matrix A to a vector over GF(q^m).
 
     Base-field scalars embed into GF(q^m) as the constant polynomials,
-    which are exactly the packed values < q.
+    which are exactly the packed values < q.  expand(A v) = A expand(v).
     """
+    q, add, mul = F.q, F.add, F.mul
     out = []
     for row in A:
         acc = 0
         for a, x in zip(row, v):
-            a = int(a) % F.q
+            a = int(a) % q
             if a and x:
-                acc = F.add(acc, F.mul(a, x))
+                acc = add(acc, x if a == 1 else mul(a, x))
         out.append(acc)
     return out
 
@@ -301,14 +294,7 @@ def pack_row_gf2(row) -> int:
 
 def rank_fq(M, q: int) -> int:
     """Rank over GF(q) for prime q; packed fast path when q = 2."""
-    M = to_lists(M)
-    if not M:
-        return 0
-    if q == 2:
-        return rank_gf2([pack_row_gf2(row) for row in M])
-    from .gf import PrimeField
-
-    return len(_rref_in_place(PrimeField(q), M))
+    return rank(PrimeField(q), M)
 
 
 def rank_gf2(rows) -> int:
@@ -366,10 +352,6 @@ def random_full_rank(field, rows: int, cols: int, rng) -> np.ndarray:
         M = random_matrix(field, rows, cols, rng)
         if rank(field, M) == target:
             return M
-
-
-def all_vectors(q: int, n: int):
-    return itertools.product(range(q), repeat=n)
 
 
 def iter_rref_full_row_rank(q: int, r: int, c: int):

@@ -58,15 +58,6 @@ class DecodeOutcome:
         return DecodeOutcome(False, None, None, reason)
 
 
-def linearized_eval(F: ExtField, coeffs, z: int) -> int:
-    """Evaluate sum_i coeffs[i] * z^(q^i)."""
-    acc = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            acc = F.add(acc, F.mul(c, F.frobenius(z, i)))
-    return acc
-
-
 class GabidulinCode:
     """[n, k] Gabidulin code over GF(q^m) with evaluation points g.
 
@@ -87,7 +78,7 @@ class GabidulinCode:
         g = [F.check(int(x)) for x in g]
         if len(g) != n:
             raise ParameterError(f"expected {n} evaluation points, got {len(g)}")
-        if la.rank(F.base, la.expand(F, g)) != n:
+        if la.vector_rank(F, g) != n:
             raise ParameterError(
                 "evaluation points must be linearly independent over the base field"
             )
@@ -195,7 +186,7 @@ class GabidulinCode:
             return DecodeOutcome.failure("no codeword within rank radius")
         c = self.encode(u)
         residual = [F.sub(a, b) for a, b in zip(y, c)]
-        r = la.rank(F.base, la.expand(F, residual))
+        r = la.vector_rank(F, residual)
         if r > t:
             return DecodeOutcome.failure("no codeword within rank radius")
         return DecodeOutcome.success(u, r)
@@ -320,7 +311,7 @@ def code_min_rank_distance(code: GabidulinCode,
     for u, c in code.iter_codewords(budget):
         if all(x == 0 for x in u):
             continue
-        r = la.rank(F.base, la.expand(F, c))
+        r = la.vector_rank(F, c)
         if best is None or r < best:
             best = r
     return best

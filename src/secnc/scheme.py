@@ -91,8 +91,7 @@ def _complete_transform(F: ExtField, G0, n: int):
         for lead, b in basis:
             x = row[lead]
             if x:
-                f = F.div(x, b[lead])
-                row = [F.sub(r, F.mul(f, v)) for r, v in zip(row, b)]
+                row = F.sub_scaled_row(row, F.div(x, b[lead]), b)
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             return False
@@ -133,7 +132,6 @@ class SchemeInstance:
         self.broken = broken
         self._G0t = la.transpose(self.G0)
         self._msg_inv = None
-        self._Tinv = None
 
     # -- encoding ---------------------------------------------------------
 
@@ -185,8 +183,9 @@ class SchemeInstance:
                 f"observation must be {A.shape[0]} x {p.m}, got {Y.shape}"
             )
         Aplus = la.left_inverse(self.F.base, A)
-        Yr = (np.asarray(Aplus, dtype=np.int64) @ Y) % p.q
-        out = self.code.decode(la.contract(self.F, Yr), p.t)
+        # expand commutes with base-field maps: A+ acts on the packets
+        y = la.fq_matvec_fqm(self.F, Aplus, la.contract(self.F, Y))
+        out = self.code.decode(y, p.t)
         if not out.ok:
             return out
         return DecodeOutcome.success(out.message[: p.k], out.error_rank)
@@ -219,11 +218,6 @@ class SchemeInstance:
         if la.matvec(self.F, self._G0t, u) != [int(v) for v in x]:
             return None
         return u
-
-    def transform_inverse(self):
-        if self._Tinv is None:
-            self._Tinv = la.inverse(self.F, self.T)
-        return self._Tinv
 
     def __repr__(self):
         p = self.params
@@ -326,7 +320,7 @@ def proposition1_check(F: ExtField, T, k: int,
         if not any(u):
             continue
         c = la.matvec(F, rowsT, list(u))
-        r = la.rank(F.base, la.expand(F, c))
+        r = la.vector_rank(F, c)
         if best is None or r < best:
             best = r
             if best == 1:

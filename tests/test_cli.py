@@ -142,6 +142,17 @@ def test_decode_with_explicit_transfer(cfg, msg, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decode_rank_deficient_transfer_is_rejected(cfg, tmp_path, capsys):
+    ypath, apath = str(tmp_path / "y.txt"), str(tmp_path / "A.txt")
+    (tmp_path / "y.txt").write_text("1010\n0110\n0001\n1111\n")
+    A = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]  # rank 3
+    fileio.write_matrix(apath, A, 2)
+    assert main(["decode", "--config", cfg, "--payload", ypath,
+                 "--transfer", apath]) == 2
+    err = capsys.readouterr().err
+    assert "secnc: rejected:" in err and "Traceback" not in err
+
+
 def test_decode_erasure_path(cfg, msg, tmp_path, capsys):
     payload = str(tmp_path / "x.txt")
     assert main(["encode", "--config", cfg, "--message", msg,

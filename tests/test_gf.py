@@ -196,3 +196,19 @@ def test_primitive_element_generates(f8):
         seen.add(v)
         v = f8.mul(v, f8.primitive)
     assert seen == set(f8.nonzero_elements())
+
+
+ROW_OP_FIELDS = [PrimeField(2), PrimeField(5), ExtField(2, 4), ExtField(3, 2),
+                 ExtField(2, 17)]  # the last has no exp/log tables
+
+
+@pytest.mark.parametrize("field", ROW_OP_FIELDS, ids=repr)
+def test_row_operations_match_scalar_operations(field):
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        dst, src = ([int(x) for x in rng.integers(0, field.order, size=6)]
+                    for _ in range(2))
+        for f in (0, 1, int(rng.integers(1, field.order))):
+            assert field.scale_row(f, src) == [field.mul(f, y) for y in src]
+            assert field.sub_scaled_row(dst, f, src) == [
+                field.sub(x, field.mul(f, y)) for x, y in zip(dst, src)]

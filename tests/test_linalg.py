@@ -222,3 +222,67 @@ def test_gf2_rank_bounds(bits):
     r = la.rank_gf2(rows)
     assert 0 <= r <= 3
     assert (r == 0) == all(x == 0 for x in rows)
+
+
+# ----------------------------------------------------------------------
+# Properties of the elimination kernel over prime and extension fields
+# ----------------------------------------------------------------------
+
+KERNEL_FIELDS = [F2, F3, PrimeField(5), ExtField(2, 4), ExtField(3, 2)]
+
+
+@st.composite
+def field_and_matrix(draw, min_rows=1, max_rows=5, max_cols=6, tall=False):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    rows = draw(st.integers(min_rows, max_rows))
+    cols = draw(st.integers(1, rows if tall else max_cols))
+    entries = st.integers(0, field.order - 1)
+    M = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return field, M
+
+
+def _product(field, A, B):
+    if isinstance(field, PrimeField):
+        return ((np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64))
+                % field.q).tolist()
+    return la.matmul(field, A, B)
+
+
+@given(field_and_matrix())
+@settings(max_examples=150, deadline=None)
+def test_row_reduce_transform_properties(fm):
+    field, M = fm
+    rows, cols = len(M), len(M[0])
+    E, R, pivots = la.row_reduce_transform(field, M)
+    assert la.rank(field, E) == rows
+    assert _product(field, E, M) == R
+    # R is in RREF at the returned pivots
+    assert pivots == sorted(set(pivots)) and all(p < cols for p in pivots)
+    for r, p in enumerate(pivots):
+        assert all(x == 0 for x in R[r][:p]) and R[r][p] == 1
+        assert all(R[i][p] == 0 for i in range(rows) if i != r)
+    assert all(x == 0 for row in R[len(pivots):] for x in row)
+
+
+@given(field_and_matrix(tall=True))
+@settings(max_examples=100, deadline=None)
+def test_left_inverse_is_a_left_inverse(fm):
+    field, A = fm
+    cols = len(A[0])
+    if la.rank(field, A) < cols:
+        with pytest.raises(SingularMatrixError):
+            la.left_inverse(field, A)
+        return
+    B = la.left_inverse(field, A)
+    assert _product(field, B, A) == la.identity(cols)
+
+
+@given(st.sampled_from([ExtField(2, 4), ExtField(3, 2), ExtField(3, 3)]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_vector_rank_is_rank_of_expansion(F, data):
+    v = data.draw(st.lists(st.integers(0, F.order - 1), min_size=1, max_size=5))
+    want = la.rank(F.base, la.expand(F, v))
+    assert la.vector_rank(F, v) == want
+    assert want == len(la.rref(F.base, la.expand(F, v))[1])

@@ -281,3 +281,29 @@ def test_broken_instance_shape(inst):
         b.coherent_decode(la.expand(b.F, X), np.eye(4, dtype=int))
     with pytest.raises(ParameterError):
         build_broken_instance(SchemeParams(2, 4, 4, 1, 0, 2))
+
+
+def test_coherent_decode_matches_brute_force_at_odd_characteristic():
+    # P2 = (3,4,4,1,1,1): random full-rank 5 x 4 transfers over GF(3),
+    # injections D Z of rank <= 1, each decode checked against the
+    # nearest-codeword oracle on the same left-inverted observation
+    from secnc.audit import brute_force_decode
+
+    inst = build_instance(SchemeParams(q=3, m=4, n=4, t=1, mu=1, k=1))
+    F = inst.F
+    rng = np.random.default_rng(53)
+    for trial in range(8):
+        S = [int(rng.integers(0, F.order))]
+        V = [int(rng.integers(0, F.order))]
+        X = inst.encode(S, force_v=V)
+        A = la.random_full_rank(F.base, 5, 4, rng)
+        D = rng.integers(0, 3, size=(5, 1)) * (trial % 4 != 0)  # some clean
+        Z = rng.integers(0, 3, size=(1, 4))
+        Y = (A @ la.expand(F, X) + D @ Z) % 3
+        out = inst.coherent_decode(Y, A)
+        B = np.array(la.left_inverse(F.base, A))
+        assert ((B @ A) % 3 == np.eye(4, dtype=np.int64)).all()
+        oracle = brute_force_decode(inst.code, la.contract(F, (B @ Y) % 3), 1)
+        assert oracle == {(S[0], V[0])}
+        assert out.ok and out.message == tuple(S)
+        assert out.error_rank == la.rank_fq((B @ D @ Z) % 3, 3)
