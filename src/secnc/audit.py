@@ -181,6 +181,8 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
+        if samples < 1:
+            raise ParameterError(f"samples must be >= 1, got {samples}")
         n_taps = samples if rows else 1
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
@@ -263,6 +265,9 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             rank_counts[out.error_rank] += 1
 
     if mode == "exhaustive":
+        if random_transfers < 0:
+            raise ParameterError(
+                f"random_transfers must be >= 0, got {random_transfers}")
         n_pairs = F.order ** (p.k + p.mu)
         n_err_sq = la.count_rank_at_most(q, n, m, t)
         N = n + t
@@ -291,6 +296,8 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
+        if trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {trials}")
         if trials > budget:
             raise BudgetExceededError(trials, budget, "reliability trials")
         from .network import sample_realization, transmit
@@ -341,7 +348,7 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
             hits = ((diffs == 0) | (diffs == mx)).all(axis=1)
         else:
             hits = np.fromiter(
-                (la.rank_gf2_at_most(row, t) for row in diffs.tolist()),
+                (la.rank_gf2(row) <= t for row in diffs.tolist()),
                 dtype=bool,
                 count=len(msgs),
             )

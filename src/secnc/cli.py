@@ -53,12 +53,19 @@ def _read_input(fn, *args, what: str):
         return fn(*args)
     except OSError as e:
         raise UsageError(f"cannot read {what}: {e}") from None
-    except ParameterError as e:
+    except (ParameterError, UnicodeDecodeError) as e:
         raise UsageError(f"malformed {what}: {e}") from None
 
 
 def _load_config(args):
     return _read_input(fileio.read_config, args.config, what="config file")
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _resolve_seed(args, config_seed):
@@ -177,6 +184,8 @@ def cmd_simulate(args) -> int:
         for real in gen:
             run(S, X, real)
     else:
+        if args.trials < 1:
+            raise ParameterError(f"trials must be >= 1, got {args.trials}")
         seed = _resolve_seed(args, config_seed)
         rng = np.random.default_rng(seed)
         if args.trials > args.budget:
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True,
                         help="JSON scheme parameters (q, m, n, t, mu, k)")
         if seeded:
-            sp.add_argument("--seed", type=int, default=None,
+            sp.add_argument("--seed", type=_seed, default=None,
                             help="64-bit RNG seed; omitted = entropy, printed")
 
     sp = sub.add_parser("params", help="validate parameters, print summary")

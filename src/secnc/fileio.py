@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ParameterError
-from .gf import ExtField
+from .gf import ExtField, parse_digits
 from .scheme import SchemeParams
 
 
@@ -28,10 +28,7 @@ def strip_lines(text: str) -> list[str]:
 
 
 def _parse_digit_line(line: str, q: int, expected: int) -> list[int]:
-    if q <= 10 and " " not in line and "\t" not in line:
-        digits = [int(c) for c in line]
-    else:
-        digits = [int(tok) for tok in line.split()]
+    digits = parse_digits(line, q)
     if len(digits) != expected:
         raise ParameterError(
             f"expected {expected} digits on line {line!r}, got {len(digits)}"
@@ -70,6 +67,11 @@ def write_packets(path, xs, F: ExtField) -> None:
 
 # -- matrix files ------------------------------------------------------
 
+def _is_header(line: str) -> bool:
+    head = line.split()
+    return len(head) == 2 and all(tok.isascii() and tok.isdigit() for tok in head)
+
+
 def parse_matrix_block(lines: list[str], q: int):
     """Consume one "rows cols" header plus rows from the line list.
 
@@ -77,12 +79,10 @@ def parse_matrix_block(lines: list[str], q: int):
     """
     if not lines:
         raise ParameterError("expected a matrix header line, found end of file")
-    head = lines.pop(0).split()
-    if len(head) != 2 or not all(tok.isdigit() for tok in head):
-        raise ParameterError(f"bad matrix header {' '.join(head)!r}")
-    rows, cols = int(head[0]), int(head[1])
-    if rows < 0 or cols < 0:
-        raise ParameterError("matrix dimensions must be nonnegative")
+    head = lines.pop(0)
+    if not _is_header(head):
+        raise ParameterError(f"bad matrix header {' '.join(head.split())!r}")
+    rows, cols = map(int, head.split())
     if len(lines) < rows:
         raise ParameterError(f"matrix body truncated: {len(lines)} of {rows} rows")
     body = [
@@ -124,9 +124,7 @@ def read_matrix_or_packets(path, F: ExtField):
     """
     with open(path) as fh:
         lines = strip_lines(fh.read())
-    if lines and len(lines[0].split()) == 2 and all(
-        tok.isdigit() for tok in lines[0].split()
-    ):
+    if lines and _is_header(lines[0]):
         return parse_matrix_block(lines, F.q)
     from . import linalg as la
 
@@ -150,17 +148,28 @@ def parse_config(text: str):
     extra = set(raw) - set(required) - {"modulus", "g", "seed"}
     if extra:
         raise ParameterError(f"config has unknown fields: {', '.join(sorted(extra))}")
+
+    def integer(field, v):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParameterError(
+                f"config field {field!r} must be an integer, got {v!r}")
+        return v
+
+    def integers(field):
+        if field not in raw:
+            return None
+        if not isinstance(raw[field], list):
+            raise ParameterError(f"config field {field!r} must be a list of integers")
+        return tuple(integer(field, x) for x in raw[field])
+
     params = SchemeParams(
-        q=int(raw["q"]),
-        m=int(raw["m"]),
-        n=int(raw["n"]),
-        t=int(raw["t"]),
-        mu=int(raw["mu"]),
-        k=int(raw["k"]),
-        modulus=tuple(int(c) for c in raw["modulus"]) if "modulus" in raw else None,
-        g=tuple(int(x) for x in raw["g"]) if "g" in raw else None,
+        **{f: integer(f, raw[f]) for f in required},
+        modulus=integers("modulus"),
+        g=integers("g"),
     )
-    seed = int(raw["seed"]) if "seed" in raw else None
+    seed = integer("seed", raw["seed"]) if "seed" in raw else None
+    if seed is not None and seed < 0:
+        raise ParameterError(f"config seed must be nonnegative, got {seed}")
     return params, seed
 
 

@@ -138,6 +138,17 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
     raise ParameterError(f"no irreducible polynomial of degree {m} over GF({q})")
 
 
+def parse_digits(text: str, q: int) -> list[int]:
+    """The base-q digits on a line of text: one per character when q <= 10
+    and the line has no inner whitespace, else whitespace-separated."""
+    text = text.strip()
+    spaced = q > 10 or any(c.isspace() for c in text)
+    tokens = text.split() if spaced else list(text)
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ParameterError(f"non-digit token on line {text!r}")
+    return [int(tok) for tok in tokens]
+
+
 # ----------------------------------------------------------------------
 # Fields
 # ----------------------------------------------------------------------
@@ -426,12 +437,7 @@ class ExtField:
         return " ".join(str(d) for d in row)
 
     def parse_element(self, text: str) -> int:
-        text = text.strip()
-        if self.q <= 10 and " " not in text:
-            digits = [int(c) for c in text]
-        else:
-            digits = [int(tok) for tok in text.split()]
-        return self.from_row(digits)
+        return self.from_row(parse_digits(text, self.q))
 
     # -- enumeration and dense tables ------------------------------------
 

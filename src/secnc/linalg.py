@@ -4,7 +4,9 @@ Matrices over the base field are numpy integer arrays (entries reduced
 mod q); matrices over the extension field are lists of lists of packed
 field elements.  Every elimination runs one kernel, `_rref_in_place`,
 written against the field protocol of `gf` (inv and the row operations
-scale_row / sub_scaled_row); only GF(2) rank packs rows into bitmasks.
+scale_row / sub_scaled_row); only GF(2) rank packs rows into bitmasks,
+in `rank_gf2`.  Every matrix-vector product, base-field maps applied to
+packets included, runs `matvec`.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -224,7 +226,25 @@ def matmul(field, A, B) -> list[list[int]]:
 
 
 def matvec(field, A, v) -> list[int]:
-    return [row[0] for row in matmul(field, A, [[int(x)] for x in v])]
+    """A v over `field`.  A base-field A applies to packets as is: its
+    entries < q are the constant polynomials, and expand(A v) = A expand(v).
+    """
+    if isinstance(A, np.ndarray):
+        A = A.tolist()
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    cols = len(A[0]) if A else 0
+    if cols != len(v):
+        raise ParameterError(f"cannot multiply {len(A)}x{cols} by {len(v)}x1")
+    add, mul = field.add, field.mul
+    out = []
+    for row in A:
+        acc = field.zero
+        for a, x in zip(row, v):
+            if a and x:
+                acc = add(acc, x if a == 1 else mul(a, x))
+        out.append(acc)
+    return out
 
 
 def mat_sub(field, A, B) -> list[list[int]]:
@@ -253,24 +273,6 @@ def contract(F, M) -> list[int]:
         raise ParameterError(f"entries must be digits of GF({F.q})")
     weights = [F.q ** i for i in range(F.m)]  # Python ints: no overflow
     return [int(x) for x in M.astype(object) @ weights]
-
-
-def fq_matvec_fqm(F, A, v) -> list[int]:
-    """Apply a base-field matrix A to a vector over GF(q^m).
-
-    Base-field scalars embed into GF(q^m) as the constant polynomials,
-    which are exactly the packed values < q.  expand(A v) = A expand(v).
-    """
-    q, add, mul = F.q, F.add, F.mul
-    out = []
-    for row in A:
-        acc = 0
-        for a, x in zip(row, v):
-            a = int(a) % q
-            if a and x:
-                acc = add(acc, x if a == 1 else mul(a, x))
-        out.append(acc)
-    return out
 
 
 def rank_distance(field, X, Y) -> int:
@@ -312,25 +314,6 @@ def rank_gf2(rows) -> int:
                 break
             row ^= piv
     return r
-
-
-def rank_gf2_at_most(rows, t: int) -> bool:
-    """True iff the GF(2) bitmask matrix has rank <= t; stops early."""
-    pivots = {}
-    r = 0
-    for row in rows:
-        row = int(row)
-        while row:
-            hb = row.bit_length() - 1
-            piv = pivots.get(hb)
-            if piv is None:
-                r += 1
-                if r > t:
-                    return False
-                pivots[hb] = row
-                break
-            row ^= piv
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -383,28 +366,17 @@ def iter_full_col_rank(q: int, rows: int, r: int):
         yield [[] for _ in range(rows)]
         return
 
-    def reduce_vec(v, basis):
-        v = list(v)
-        for lead, b in basis:
-            x = v[lead]
-            if x:
-                inv = pow(b[lead], q - 2, q)
-                f = (x * inv) % q
-                v = [(vi - f * bi) % q for vi, bi in zip(v, b)]
-        return v
+    field = PrimeField(q)
 
-    def walk(cols, basis):
+    def walk(cols):
         if len(cols) == r:
             yield [[col[i] for col in cols] for i in range(rows)]
             return
         for cand in itertools.product(range(q), repeat=rows):
-            red = reduce_vec(cand, basis)
-            lead = next((i for i, x in enumerate(red) if x), None)
-            if lead is None:
-                continue
-            yield from walk(cols + [list(cand)], basis + [(lead, red)])
+            if rank(field, cols + [cand]) > len(cols):
+                yield from walk(cols + [list(cand)])
 
-    yield from walk([], [])
+    yield from walk([])
 
 
 def iter_rank_exactly(q: int, rows: int, cols: int, r: int):

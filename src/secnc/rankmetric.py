@@ -29,7 +29,7 @@ from .errors import (
     ParameterError,
     UnderdeterminedSystemError,
 )
-from .gf import ExtField
+from .gf import ExtField, PrimeField
 
 # Cap on exhaustive codeword/pair enumeration; callers may raise it.
 DEFAULT_ENUM_BUDGET = 1 << 20
@@ -91,6 +91,7 @@ class GabidulinCode:
         self.moore = [list(g)]
         for _ in range(n - 1):
             self.moore.append([F.frobenius(x) for x in self.moore[-1]])
+        self._Gt = la.transpose(self.moore[:k])
         self._H = None
         self._table = None
 
@@ -118,15 +119,7 @@ class GabidulinCode:
         u = [self.F.check(int(x)) for x in u]
         if len(u) != self.k:
             raise ParameterError(f"message length {len(u)} != k = {self.k}")
-        F = self.F
-        out = []
-        for j in range(self.n):
-            acc = 0
-            for i in range(self.k):
-                if u[i]:
-                    acc = F.add(acc, F.mul(u[i], self.moore[i][j]))
-            out.append(acc)
-        return out
+        return la.matvec(self.F, self._Gt, u)
 
     def iter_codewords(self, budget: int = DEFAULT_ENUM_BUDGET):
         total = self.F.order ** self.k
@@ -239,8 +232,7 @@ class GabidulinCode:
         if len(y_prime) != ar:
             raise ParameterError(f"received word length {len(y_prime)} != {ar}")
         # (A' G^T) u = y' over the extension field; A' embeds entrywise
-        Gt = la.transpose(self.generator_matrix())
-        M = la.matmul(F, A_prime, Gt)
+        M = la.matmul(F, A_prime, self._Gt)
         try:
             u = la.rref_solve(F, M, y_prime)
         except InconsistentSystemError:
@@ -263,32 +255,19 @@ def singleton_bound(n: int, m: int, d: int, q: int) -> int:
     return q ** (max(n, m) * (min(n, m) - d + 1))
 
 
-def min_rank_distance_exhaustive(matrices, q: int, *, linear: bool = False,
+def min_rank_distance_exhaustive(matrices, q: int, *,
                                  budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Exact minimum rank distance over all distinct pairs.
 
-    `matrices` is a sequence of equal-shape base-field matrices.  With
-    `linear=True` the set is assumed closed under subtraction and the
-    minimum is taken over the ranks of its nonzero members.  Refuses
-    (rather than samples) when the required rank computations exceed
-    the budget.
+    `matrices` is a sequence of equal-shape base-field matrices.  The
+    pairwise oracle for `min_rank_weight`: it assumes no linearity.
+    Refuses (rather than samples) when the required rank computations
+    exceed the budget.
     """
-    from .gf import PrimeField
-
     mats = [la.to_lists(M) for M in matrices]
     if len(mats) < 2:
         raise ParameterError("need at least two matrices")
     field = PrimeField(q)
-    if linear:
-        needed = len(mats)
-        if needed > budget:
-            raise BudgetExceededError(needed, budget, "rank computations")
-        ranks = [
-            la.rank(field, M) for M in mats if any(any(x for x in r) for r in M)
-        ]
-        if not ranks:
-            raise ParameterError("all matrices are zero")
-        return min(ranks)
     needed = len(mats) * (len(mats) - 1) // 2
     if needed > budget:
         raise BudgetExceededError(needed, budget, "pairwise rank computations")
@@ -303,15 +282,25 @@ def min_rank_distance_exhaustive(matrices, q: int, *, linear: bool = False,
     return best
 
 
+def min_rank_weight(F: ExtField, rows, budget: int = DEFAULT_ENUM_BUDGET):
+    """Least rank weight of a nonzero vector in the span of `rows`, by
+    enumeration stopping at weight 1; None when the span is zero.
+    """
+    total = F.order ** len(rows)
+    if total > budget:
+        raise BudgetExceededError(total, budget, "codeword enumeration")
+    cols = la.transpose(rows)
+    best = None
+    for u in itertools.product(range(F.order), repeat=len(rows)):
+        r = la.vector_rank(F, la.matvec(F, cols, u))
+        if r and (best is None or r < best):
+            best = r
+            if best == 1:
+                break
+    return best
+
+
 def code_min_rank_distance(code: GabidulinCode,
                            budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Minimum rank distance of a Gabidulin code by full enumeration."""
-    F = code.F
-    best = None
-    for u, c in code.iter_codewords(budget):
-        if all(x == 0 for x in u):
-            continue
-        r = la.vector_rank(F, c)
-        if best is None or r < best:
-            best = r
-    return best
+    return min_rank_weight(code.F, code.generator_matrix(), budget)

@@ -16,16 +16,16 @@ catch misuse across runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg as la
-from .errors import BudgetExceededError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .gf import ExtField
-from .rankmetric import DEFAULT_ENUM_BUDGET, DecodeOutcome, GabidulinCode
+from .rankmetric import (DEFAULT_ENUM_BUDGET, DecodeOutcome, GabidulinCode,
+                         min_rank_weight)
 
 
 @dataclass(frozen=True)
@@ -84,32 +84,14 @@ def _complete_transform(F: ExtField, G0, n: int):
     index order, so encoder and decoder derive the same T from the
     parameters alone.
     """
-    basis = []  # echelonized rows (lead position, row)
-
-    def try_add(row):
-        row = list(row)
-        for lead, b in basis:
-            x = row[lead]
-            if x:
-                row = F.sub_scaled_row(row, F.div(x, b[lead]), b)
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is None:
-            return False
-        basis.append((lead, row))
-        return True
-
-    for row in G0:
-        if not try_add(row):
-            raise ParameterError("generator rows are linearly dependent")
-    completion = []
-    for i in range(n):
-        if len(basis) == n:
-            break
-        e = [0] * n
-        e[i] = 1
-        if try_add(e):
-            completion.append(e)
-    Tt = completion + [list(r) for r in G0]
+    k0 = len(G0)
+    # a column of [G0^T | I] is a pivot exactly when it is independent of
+    # the columns before it, so the pivots past k0 are the greedy picks
+    eye = la.identity(n)
+    _, pivots = la.rref(F, [col + e for col, e in zip(la.transpose(G0), eye)])
+    if pivots[:k0] != list(range(k0)):
+        raise ParameterError("generator rows are linearly dependent")
+    Tt = [eye[p - k0] for p in pivots[k0:]] + [list(r) for r in G0]
     return la.transpose(Tt)
 
 
@@ -184,7 +166,7 @@ class SchemeInstance:
             )
         Aplus = la.left_inverse(self.F.base, A)
         # expand commutes with base-field maps: A+ acts on the packets
-        y = la.fq_matvec_fqm(self.F, Aplus, la.contract(self.F, Y))
+        y = la.matvec(self.F, Aplus, la.contract(self.F, Y))
         out = self.code.decode(y, p.t)
         if not out.ok:
             return out
@@ -310,19 +292,5 @@ def proposition1_check(F: ExtField, T, k: int,
         raise ParameterError("no rows left to check when k = n")
     if k == 0:
         return True, 1
-    rows = la.transpose(T)[k:]
-    total = F.order ** len(rows)
-    if total > budget:
-        raise BudgetExceededError(total, budget, "coset codeword enumeration")
-    best = None
-    rowsT = la.transpose(rows)
-    for u in itertools.product(range(F.order), repeat=len(rows)):
-        if not any(u):
-            continue
-        c = la.matvec(F, rowsT, list(u))
-        r = la.vector_rank(F, c)
-        if best is None or r < best:
-            best = r
-            if best == 1:
-                break
+    best = min_rank_weight(F, la.transpose(T)[k:], budget)
     return best == k + 1, best

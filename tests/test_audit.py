@@ -205,3 +205,13 @@ def test_noncoherent_oracle_budget(inst):
 def test_brute_force_decode_validates_length(inst):
     with pytest.raises(ParameterError):
         brute_force_decode(inst.code, [0, 0, 0], 1)
+
+
+def test_counts_that_check_nothing_are_rejected(inst):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError):
+        secrecy_audit(inst, mode="sampled", rng=rng, samples=0)
+    with pytest.raises(ParameterError):
+        reliability_audit(inst, mode="sampled", rng=rng, trials=0)
+    with pytest.raises(ParameterError):
+        reliability_audit(inst, rng=rng, random_transfers=-1)

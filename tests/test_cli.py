@@ -161,7 +161,7 @@ def test_decode_erasure_path(cfg, msg, tmp_path, capsys):
     inst = build_instance(params)
     X = fileio.read_packets(payload, inst.F)
     Ap = [[1, 0, 0, 0], [0, 1, 0, 0]]
-    y = la.fq_matvec_fqm(inst.F, Ap, X)
+    y = la.matvec(inst.F, Ap, X)
     ypath, apath = str(tmp_path / "y.txt"), str(tmp_path / "A.txt")
     fileio.write_packets(ypath, y, inst.F)
     fileio.write_matrix(apath, Ap, 2)
@@ -276,3 +276,84 @@ def test_config_seed_used_when_flag_absent(tmp_path, msg, capsys):
     assert first.err == ""  # seed came from the config, nothing to announce
     assert main(["encode", "--config", str(path), "--message", msg]) == 0
     assert capsys.readouterr().out == first.out
+
+
+# ------------------------------------------------- malformed input, counts
+
+P0 = {"q": 2, "m": 3, "n": 3, "t": 1, "mu": 0, "k": 1}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", "abc"), ("q", None), ("modulus", 5), ("g", "ab"), ("seed", "x"),
+    ("seed", -5),
+])
+def test_malformed_config_field_is_usage_error(tmp_path, msg, capsys, field,
+                                               value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, field: value}))
+    assert main(["encode", "--config", str(path), "--message", msg]) == 1
+    assert "malformed config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, transfer", [
+    ("zzzz\n", None),
+    ("1010\n0101\n1111\n0000\n", "4 4\n10a0\n0100\n0010\n0001\n"),
+    (b"\xff\xfe\n", None),
+    ("1010\n0101\n1111\n0000\n", "² 4\n1000\n"),
+], ids=["packet-letters", "matrix-letters", "not-utf8", "header-superscript"])
+def test_malformed_file_content_is_usage_error(cfg, tmp_path, capsys, payload,
+                                               transfer):
+    ypath = tmp_path / "y.txt"
+    if isinstance(payload, bytes):
+        ypath.write_bytes(payload)
+    else:
+        ypath.write_text(payload, encoding="utf-8")
+    argv = ["decode", "--config", cfg, "--payload", str(ypath)]
+    if transfer is not None:
+        apath = tmp_path / "A.txt"
+        apath.write_text(transfer, encoding="utf-8")
+        argv += ["--transfer", str(apath)]
+    assert main(argv) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_usage_error(cfg, capsys):
+    assert main(["simulate", "--config", cfg, "--seed", "-5",
+                 "--trials", "2"]) == 1
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_encode_force_v_non_digits_is_rejected(cfg, msg, capsys):
+    assert main(["encode", "--config", cfg, "--message", msg,
+                 "--force-v", "zz"]) == 2
+    assert "secnc: rejected:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def p0cfg(tmp_path):
+    path = tmp_path / "p0.json"
+    path.write_text(json.dumps(P0))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "-3"],
+    ["audit", "secrecy", "--mode", "sampled", "--samples", "-1"],
+    ["audit", "reliability", "--mode", "sampled", "--trials", "-1"],
+    ["audit", "reliability", "--transfers", "-1"],
+], ids=["simulate-trials", "secrecy-samples", "reliability-trials",
+        "reliability-transfers"])
+def test_counts_that_check_nothing_are_rejected(cfg, p0cfg, capsys, argv):
+    config = p0cfg if "reliability" in argv else cfg
+    assert main(argv + ["--config", config, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "secnc: rejected:" in captured.err
+    assert "verdict=pass" not in captured.out
+
+
+def test_zero_random_transfers_stay_valid_and_unseeded(p0cfg, capsys):
+    assert main(["audit", "reliability", "--config", p0cfg,
+                 "--transfers", "0"]) == 0
+    captured = capsys.readouterr()
+    assert "cases=400 failures=0" in captured.out  # 8 payloads x 50 errors
+    assert "seed=" not in captured.err

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,14 +154,14 @@ def test_expand_commutes_with_base_field_maps():
     for _ in range(30):
         v = [int(x) for x in rng.integers(0, 8, size=4)]
         A = rng.integers(0, 2, size=(3, 4))
-        lhs = la.expand(F8, la.fq_matvec_fqm(F8, A, v))
+        lhs = la.expand(F8, la.matvec(F8, A, v))
         rhs = (A @ la.expand(F8, v)) % 2
         assert (lhs == rhs).all()
     G9 = ExtField(3, 2)
     for _ in range(30):
         v = [int(x) for x in rng.integers(0, 9, size=3)]
         A = rng.integers(0, 3, size=(2, 3))
-        lhs = la.expand(G9, la.fq_matvec_fqm(G9, A, v))
+        lhs = la.expand(G9, la.matvec(G9, A, v))
         rhs = (A @ la.expand(G9, v)) % 3
         assert (lhs == rhs).all()
 
@@ -286,3 +288,17 @@ def test_vector_rank_is_rank_of_expansion(F, data):
     want = la.rank(F.base, la.expand(F, v))
     assert la.vector_rank(F, v) == want
     assert want == len(la.rref(F.base, la.expand(F, v))[1])
+
+
+@pytest.mark.parametrize("q, rows, r", [
+    (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (5, 2, 2), (3, 2, 1),
+])
+def test_iter_full_col_rank_is_ordered_distinct_and_full_rank(q, rows, r):
+    mats = list(la.iter_full_col_rank(q, rows, r))
+    assert len(mats) == la.count_full_col_rank(q, rows, r)
+    cols = [tuple(zip(*M)) for M in mats]
+    assert cols == sorted(set(cols))  # lexicographic in the columns, no repeats
+    # full column rank: no nonzero x has M x = 0
+    xs = np.array(list(itertools.product(range(q), repeat=r))[1:]).T
+    for M in mats:
+        assert ((np.array(M) @ xs) % q).any(axis=0).all()

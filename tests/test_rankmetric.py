@@ -13,6 +13,7 @@ from secnc.rankmetric import (
     GabidulinCode,
     code_min_rank_distance,
     min_rank_distance_exhaustive,
+    min_rank_weight,
     singleton_bound,
 )
 
@@ -126,7 +127,7 @@ def test_subcode_of_consecutive_rows_distance(F16):
                 acc = F16.add(acc, F16.mul(u[i], sub[i][j]))
             w.append(acc)
         words.append(la.expand(F16, w))
-    assert min_rank_distance_exhaustive(words, 2, linear=True) == 3
+    assert min_rank_distance_exhaustive(words, 2) == 3
 
 
 def test_decode_clean_and_all_rank_one_errors(F16, code42):
@@ -194,7 +195,7 @@ def test_erasure_decode_exhaustive_all_full_rank_maps(F16, code42):
     for Ap in la.iter_full_rank(2, 2, 4):
         count += 1
         for u, c in cws.items():
-            y = la.fq_matvec_fqm(F16, Ap, c)
+            y = la.matvec(F16, Ap, c)
             out = code42.erasure_decode(Ap, y, 2)
             assert out.ok and out.message == u
     assert count == 210
@@ -204,7 +205,7 @@ def test_erasure_inconsistency_detected(F16, code42):
     # 3 equations, 2 unknowns: corrupting y' lands outside the image
     Ap = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     c = code42.encode((5, 12))
-    y = la.fq_matvec_fqm(F16, Ap, c)
+    y = la.matvec(F16, Ap, c)
     ok = code42.erasure_decode(Ap, y, 1)
     assert ok.ok and ok.message == (5, 12)
     bad = None
@@ -249,3 +250,20 @@ def test_brute_force_decode_radius_zero(code42):
     c2 = list(c)
     c2[3] ^= 2
     assert brute_force_decode(code42, c2, 0) == set()
+
+
+def test_min_rank_weight_agrees_with_pairwise_oracle():
+    rng = np.random.default_rng(29)
+    for F in (ExtField(2, 3), ExtField(3, 2)):
+        for _ in range(4):
+            rows = rng.integers(0, F.order, size=(2, 3)).tolist()
+            words = {
+                tuple(la.matvec(F, la.transpose(rows), u))
+                for u in itertools.product(range(F.order), repeat=2)
+            }
+            mats = [la.expand(F, w) for w in sorted(words)]
+            assert min_rank_weight(F, rows) == min_rank_distance_exhaustive(mats, F.q)
+    assert min_rank_weight(ExtField(2, 3), [[0, 0, 0]]) is None
+    with pytest.raises(BudgetExceededError) as ei:
+        min_rank_weight(ExtField(2, 3), [[1, 0, 0], [0, 1, 0]], budget=10)
+    assert ei.value.needed == 64

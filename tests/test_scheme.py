@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnc import linalg as la
 from secnc.errors import BudgetExceededError, ParameterError, ValidationError
 from secnc.gf import ExtField
 from secnc.scheme import (
     SchemeParams,
+    _complete_transform,
     build_broken_instance,
     build_instance,
     coset_decode,
@@ -307,3 +310,28 @@ def test_coherent_decode_matches_brute_force_at_odd_characteristic():
         assert oracle == {(S[0], V[0])}
         assert out.ok and out.message == tuple(S)
         assert out.error_rank == la.rank_fq((B @ D @ Z) % 3, 3)
+
+
+@given(st.sampled_from([ExtField(2, 4), ExtField(3, 2)]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_complete_transform_is_the_greedy_completion(F, data):
+    n = data.draw(st.integers(1, 4))
+    k0 = data.draw(st.integers(1, n))
+    G0 = data.draw(st.lists(
+        st.lists(st.integers(0, F.order - 1), min_size=n, max_size=n),
+        min_size=k0, max_size=k0))
+    with pytest.raises(ParameterError):
+        _complete_transform(F, G0 + [G0[0]], n)  # a repeated row
+    if la.rank(F, G0) < k0:
+        with pytest.raises(ParameterError):
+            _complete_transform(F, G0, n)
+        return
+    T = _complete_transform(F, G0, n)
+    assert la.rank(F, T) == n
+    Tt = la.transpose(T)
+    assert Tt[n - k0:] == G0
+    # e_i is picked exactly when it lies outside span(G0, e_0, ..., e_{i-1})
+    eye = la.identity(n)
+    picked = [eye[i] for i in range(n)
+              if la.rank(F, G0 + eye[: i + 1]) > la.rank(F, G0 + eye[:i])]
+    assert Tt[: n - k0] == picked
