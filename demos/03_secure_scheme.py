@@ -26,7 +26,7 @@ print("secret:", S, "-> payload:", X)
 # same payload, resampled randomness: the wire never looks the same twice
 print("payload under fresh V:", inst.encode(S, rng=rng))
 
-real = sample_realization(params, N=5, rng=rng, mode="random")
+real = sample_realization(params, N=5, rng=rng)
 res = transmit(inst.F, X, real)
 print("channel: A is 5x4, one injected packet, eavesdropper taps", real.B.tolist())
 

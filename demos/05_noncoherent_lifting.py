@@ -26,7 +26,7 @@ rng = np.random.default_rng(14)
 
 S = [12]
 X = inst.encode(S, rng=rng)
-real = sample_realization(params, N=5, rng=rng, mode="random", lifted=True)
+real = sample_realization(params, N=5, rng=rng, lifted=True)
 res = transmit_lifted(inst.F, X, real)
 print("received 5x8 matrix, transfer matrix unknown to the decoder:")
 print(res.Y)

@@ -305,7 +305,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
         for _ in range(trials):
             S = [int(x) for x in rng.integers(0, F.order, size=p.k)]
             X = inst.encode(S, rng=rng)
-            real = sample_realization(p, n + t, rng, "random")
+            real = sample_realization(p, n + t, rng)
             res = transmit(F, X, real)
             run_case(real.A, res.Y, tuple(S), lambda: "sampled")
         exhaustive = False

@@ -194,8 +194,7 @@ def cmd_simulate(args) -> int:
         for _ in range(args.trials):
             S = [int(v) for v in rng.integers(0, F.order, size=params.k)]
             X = inst.encode(S, rng=rng)
-            real = sample_realization(params, N, rng, "random",
-                                      lifted=args.noncoherent)
+            real = sample_realization(params, N, rng, lifted=args.noncoherent)
             run(S, X, real)
 
     elapsed = time.monotonic() - start

@@ -67,43 +67,22 @@ def write_packets(path, xs, F: ExtField) -> None:
 
 # -- matrix files ------------------------------------------------------
 
-def _is_header(line: str) -> bool:
-    head = line.split()
-    return len(head) == 2 and all(tok.isascii() and tok.isdigit() for tok in head)
-
-
-def parse_matrix_block(lines: list[str], q: int):
-    """Consume one "rows cols" header plus rows from the line list.
-
-    Returns the matrix; the consumed lines are removed from `lines`.
-    """
+def parse_matrix(text: str, q: int):
+    """A "rows cols" header line, then exactly `rows` digit lines."""
+    lines = strip_lines(text)
     if not lines:
         raise ParameterError("expected a matrix header line, found end of file")
-    head = lines.pop(0)
-    if not _is_header(head):
-        raise ParameterError(f"bad matrix header {' '.join(head.split())!r}")
-    rows, cols = map(int, head.split())
-    if len(lines) < rows:
-        raise ParameterError(f"matrix body truncated: {len(lines)} of {rows} rows")
-    body = [
-        _parse_digit_line(lines.pop(0), q, cols) for _ in range(rows)
-    ]
-    return np.array(body, dtype=np.int64).reshape(rows, cols)
-
-
-def format_matrix(M, q: int) -> str:
-    M = np.asarray(M)
-    out = [f"{M.shape[0]} {M.shape[1]}"]
-    out.extend(format_digits(row, q) for row in M)
-    return "\n".join(out) + "\n"
-
-
-def parse_matrix(text: str, q: int):
-    lines = strip_lines(text)
-    M = parse_matrix_block(lines, q)
-    if lines:
-        raise ParameterError(f"{len(lines)} trailing lines after the matrix body")
-    return M
+    head = lines[0].split()
+    if not (len(head) == 2 and all(tok.isascii() and tok.isdigit() for tok in head)):
+        raise ParameterError(f"bad matrix header {' '.join(head)!r}")
+    rows, cols = map(int, head)
+    body = lines[1:]
+    if len(body) < rows:
+        raise ParameterError(f"matrix body truncated: {len(body)} of {rows} rows")
+    M = [_parse_digit_line(line, q, cols) for line in body[:rows]]
+    if len(body) > rows:
+        raise ParameterError(f"{len(body) - rows} trailing lines after the matrix body")
+    return np.array(M, dtype=np.int64).reshape(rows, cols)
 
 
 def read_matrix(path, q: int):
@@ -112,23 +91,10 @@ def read_matrix(path, q: int):
 
 
 def write_matrix(path, M, q: int) -> None:
+    M = np.asarray(M)
+    lines = [f"{M.shape[0]} {M.shape[1]}"] + [format_digits(row, q) for row in M]
     with open(path, "w") as fh:
-        fh.write(format_matrix(M, q))
-
-
-def read_matrix_or_packets(path, F: ExtField):
-    """Matrix file if the first line is a header, else a packet file.
-
-    Packet files expand to an n x m base-field matrix, so either form
-    describes an observation.
-    """
-    with open(path) as fh:
-        lines = strip_lines(fh.read())
-    if lines and _is_header(lines[0]):
-        return parse_matrix_block(lines, F.q)
-    from . import linalg as la
-
-    return la.expand(F, [F.parse_element(line) for line in lines])
+        fh.write("\n".join(lines) + "\n")
 
 
 # -- scheme parameter files (JSON) -------------------------------------

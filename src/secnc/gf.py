@@ -31,6 +31,11 @@ from .errors import ParameterError
 # Largest field order for which exp/log tables are built.
 TABLE_LIMIT = 1 << 16
 
+# Largest field order a field may be built with.  Larger orders are
+# refused before the primality test and the irreducible search, whose
+# cost grows with the order.
+FIELD_LIMIT = 1 << 20
+
 # Monic irreducible polynomials over GF(2), degree 1..16, as coefficient
 # tuples lowest degree first.  These are the usual primitive polynomials
 # (x^4+x+1 -> (1,1,0,0,1), etc.); all are re-validated at field build.
@@ -52,6 +57,15 @@ DEFAULT_MODULI_GF2 = {
     15: (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     16: (1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1),
 }
+
+
+def _check_order(q: int, m: int = 1) -> None:
+    """Refuse GF(q^m) when q^m > FIELD_LIMIT, without computing a huge q^m."""
+    if q < 2 or m < 1:
+        return  # rejected by the caller's own checks
+    if q > FIELD_LIMIT or m >= FIELD_LIMIT.bit_length() or q ** m > FIELD_LIMIT:
+        raise ParameterError(
+            f"field GF({q}^{m}) exceeds the largest supported order {FIELD_LIMIT}")
 
 
 def is_prime(n: int) -> bool:
@@ -157,6 +171,7 @@ class PrimeField:
     """GF(q) for prime q.  Elements are ints in [0, q)."""
 
     def __init__(self, q: int):
+        _check_order(q)
         if not is_prime(q):
             raise ParameterError(f"base field order {q} is not prime")
         self.q = q
@@ -221,6 +236,7 @@ class ExtField:
     """
 
     def __init__(self, q: int, m: int, modulus=None):
+        _check_order(q, m)
         if not is_prime(q):
             raise ParameterError(f"base field order {q} is not prime")
         if m < 1:

@@ -10,6 +10,9 @@ For noncoherent operation the source sends the lifted matrix [I | X].
 The received header block then *is* an effective transfer matrix:
 Y_p = Y_h Xbar + D Z' with rank(D Z') <= rank(D) <= t, so the decoder
 never needs to learn A itself.
+
+Realizations are drawn at random (`sample_realization`) or enumerated
+exhaustively with A = I (`iter_exhaustive_realizations`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
 from . import linalg as la
 from .errors import (
     BudgetExceededError,
@@ -26,8 +28,8 @@ from .errors import (
     ParameterError,
     UnderdeterminedSystemError,
 )
-from .gf import ExtField
-from .rankmetric import DecodeOutcome
+from .gf import ExtField, PrimeField
+from .rankmetric import DEFAULT_ENUM_BUDGET, DecodeOutcome
 from .scheme import SchemeInstance
 
 # Cap on exhaustive realization enumeration (error matrices x taps).
@@ -80,26 +82,16 @@ class ChannelRealization:
         return self.A.shape[0]
 
     def effective_error(self) -> np.ndarray:
-        if self.D.shape[1] == 0:
-            return np.zeros((self.N, self.Z.shape[1]), dtype=np.int64)
         return (self.D @ self.Z) % self.q
 
     @staticmethod
     def from_effective_error(q: int, A, E, B) -> "ChannelRealization":
         """Factor an effective error E = D Z through its rank."""
         E = np.asarray(E, dtype=np.int64) % q
-        from .gf import PrimeField
-
-        field = PrimeField(q)
-        R, pivots = la.rref(field, E)
+        R, pivots = la.rref(PrimeField(q), E)
         r = len(pivots)
-        D = E[:, pivots] if r else np.zeros((E.shape[0], 0), dtype=np.int64)
-        Z = (
-            np.array(R[:r], dtype=np.int64)
-            if r
-            else np.zeros((0, E.shape[1]), dtype=np.int64)
-        )
-        return ChannelRealization(q, np.asarray(A), D, Z, np.asarray(B))
+        Z = np.array(R[:r], dtype=np.int64).reshape(r, E.shape[1])
+        return ChannelRealization(q, np.asarray(A), E[:, pivots], Z, np.asarray(B))
 
 
 @dataclass(frozen=True)
@@ -108,20 +100,25 @@ class TransmissionResult:
     W: np.ndarray
 
 
+def _send(real: ChannelRealization, M) -> TransmissionResult:
+    """Destination and eavesdropper views of the base-field rows M."""
+    if real.n != M.shape[0]:
+        raise ParameterError(
+            f"payload has {M.shape[0]} packets, channel carries {real.n}"
+        )
+    if real.Z.shape[1] != M.shape[1]:
+        raise ParameterError(
+            f"injected packets are {real.Z.shape[1]} symbols wide, expected "
+            f"{M.shape[1]}"
+        )
+    Y = (real.A @ M + real.effective_error()) % real.q
+    W = (real.B @ M) % real.q
+    return TransmissionResult(Y, W)
+
+
 def transmit(F: ExtField, X, real: ChannelRealization) -> TransmissionResult:
     """Destination and eavesdropper views of one payload transmission."""
-    Xbar = la.expand(F, X)
-    if real.n != Xbar.shape[0]:
-        raise ParameterError(
-            f"payload has {Xbar.shape[0]} packets, channel carries {real.n}"
-        )
-    if real.Z.shape[1] != F.m:
-        raise ParameterError(
-            f"injected packets are {real.Z.shape[1]} symbols wide, expected {F.m}"
-        )
-    Y = (real.A @ Xbar + real.effective_error()) % real.q
-    W = (real.B @ Xbar) % real.q
-    return TransmissionResult(Y, W)
+    return _send(real, la.expand(F, X))
 
 
 def lift(F: ExtField, X) -> np.ndarray:
@@ -131,63 +128,34 @@ def lift(F: ExtField, X) -> np.ndarray:
 
 
 def transmit_lifted(F: ExtField, X, real: ChannelRealization) -> TransmissionResult:
-    M = lift(F, X)
-    if real.n != M.shape[0]:
-        raise ParameterError(
-            f"payload has {M.shape[0]} packets, channel carries {real.n}"
-        )
-    if real.Z.shape[1] != M.shape[1]:
-        raise ParameterError(
-            f"injected packets are {real.Z.shape[1]} symbols wide, expected "
-            f"{M.shape[1]} for lifted transmission"
-        )
-    Y = (real.A @ M + real.effective_error()) % real.q
-    W = (real.B @ M) % real.q
-    return TransmissionResult(Y, W)
+    """The views of one transmission of [I | X]."""
+    return _send(real, lift(F, X))
 
 
-def sample_realization(params, N: int, rng, mode: str = "random", *,
-                       lifted: bool = False, num_errors: int | None = None,
-                       path=None, budget: int = DEFAULT_REALIZATION_BUDGET):
-    """Draw (or enumerate, or load) a channel realization.
-
-    mode "random" samples A full-rank and uniform D, Z, B; mode
-    "exhaustive-iterate" returns a generator over every effective error
-    of rank <= t paired with every full-rank B (A = I); mode "fixed"
-    loads the four matrices from `path`.
-    """
+def sample_realization(params, N: int, rng, *, lifted: bool = False,
+                       num_errors: int | None = None) -> ChannelRealization:
+    """Draw A full-rank N x n, D, Z uniform with num_errors (default t)
+    injected packets, and B full-rank mu x n."""
     q, n, m = params.q, params.n, params.m
     cols = n + m if lifted else m
     if N < n:
         raise ParameterError(f"N = {N} must be at least n = {n}")
-    if mode == "random":
-        from .gf import PrimeField
-
-        field = PrimeField(q)
-        tp = params.t if num_errors is None else num_errors
-        if tp > params.t:
-            raise ParameterError(f"num_errors = {tp} exceeds t = {params.t}")
-        A = la.random_full_rank(field, N, n, rng)
-        D = la.random_matrix(field, N, tp, rng)
-        Z = la.random_matrix(field, tp, cols, rng)
-        B = (
-            la.random_full_rank(field, params.mu, n, rng)
-            if params.mu
-            else np.zeros((0, n), dtype=np.int64)
-        )
-        return ChannelRealization(q, A, D, Z, B)
-    if mode == "exhaustive-iterate":
-        return iter_exhaustive_realizations(params, N=N, lifted=lifted,
-                                            budget=budget)
-    if mode == "fixed":
-        if path is None:
-            raise ParameterError("fixed mode needs a realization file path")
-        return load_realization(path, q)
-    raise ParameterError(f"unknown adversary mode {mode!r}")
+    field = PrimeField(q)
+    tp = params.t if num_errors is None else num_errors
+    if tp > params.t:
+        raise ParameterError(f"num_errors = {tp} exceeds t = {params.t}")
+    A = la.random_full_rank(field, N, n, rng)
+    D = la.random_matrix(field, N, tp, rng)
+    Z = la.random_matrix(field, tp, cols, rng)
+    B = (
+        la.random_full_rank(field, params.mu, n, rng)
+        if params.mu
+        else np.zeros((0, n), dtype=np.int64)
+    )
+    return ChannelRealization(q, A, D, Z, B)
 
 
-def iter_exhaustive_realizations(params, N: int | None = None, *,
-                                 lifted: bool = False,
+def iter_exhaustive_realizations(params, *, lifted: bool = False,
                                  budget: int = DEFAULT_REALIZATION_BUDGET):
     """Every (effective error of rank <= t) x (full-rank B), with A = I.
 
@@ -197,8 +165,6 @@ def iter_exhaustive_realizations(params, N: int | None = None, *,
     decoder premultiplies by a left inverse anyway.
     """
     q, n, m, t, mu = params.q, params.n, params.m, params.t, params.mu
-    if N is not None and N != n:
-        raise ParameterError("exhaustive enumeration uses a square channel (N = n)")
     cols = n + m if lifted else m
     n_errors = la.count_rank_at_most(q, n, cols, t)
     n_taps = la.count_rank_exactly(q, mu, n, mu) if mu else 1
@@ -216,24 +182,6 @@ def iter_exhaustive_realizations(params, N: int | None = None, *,
             yield ChannelRealization.from_effective_error(q, A, E, B)
 
 
-def save_realization(path, real: ChannelRealization) -> None:
-    with open(path, "w") as fh:
-        fh.write("# channel realization: A, D, Z, B\n")
-        for M in (real.A, real.D, real.Z, real.B):
-            fh.write(fileio.format_matrix(M, real.q))
-
-
-def load_realization(path, q: int) -> ChannelRealization:
-    with open(path) as fh:
-        lines = fileio.strip_lines(fh.read())
-    mats = []
-    for _ in range(4):
-        mats.append(fileio.parse_matrix_block(lines, q))
-    if lines:
-        raise ParameterError(f"{len(lines)} trailing lines after the B block")
-    return ChannelRealization(q, *mats)
-
-
 # ----------------------------------------------------------------------
 # Noncoherent decoding
 # ----------------------------------------------------------------------
@@ -245,10 +193,15 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     promise satisfies rank(Y_p - Y_h expand(x)) <= t, and under the
     promise exactly one codeword does (two would force a codeword
     difference of rank < d through the full-rank A).  The search runs
-    over candidate column spaces U of the error, dimension up to t:
-    projecting Y onto the complement of U removes the error, leaving a
-    clean (possibly rank-deficient) coherent system solved directly or
-    by erasure decoding.
+    over candidate column spaces U of the error (r x N in RREF, r <= t).
+    Y_p - Y_h expand(G0^T u) has its columns in the row space of U
+    exactly when Y_h G0^T u + U^T w = y_p for some w over GF(q^m): one
+    linear system per candidate, in the unknowns (u, w).  It fixes u
+    exactly when rank(P Y_h) >= k + mu for rows P annihilating U (the
+    channel with U projected out, error-free but possibly rank-deficient),
+    because a codeword that channel erases has rank <= n - rank(P Y_h) < d.
+    Refuses before the search when it would visit more than
+    DEFAULT_ENUM_BUDGET candidates.
     """
     p = inst.params
     F = inst.F
@@ -259,39 +212,23 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     N = Y.shape[0]
     if N < n:
         raise ParameterError(f"observation has {N} < n = {n} rows")
+    needed = sum(la.gaussian_binomial(N, r, q) for r in range(t + 1))
+    if needed > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(needed, DEFAULT_ENUM_BUDGET,
+                                  "candidate error spaces")
     Yh, Yp = Y[:, :n], Y[:, n:]
-    base = F.base
+    G0t = la.transpose(inst.G0)
+    YhG = la.matmul(F, Yh, G0t)
+    yp = la.contract(F, Yp)
     found = {}
     for r in range(t + 1):
         for U in la.iter_rref_full_row_rank(q, r, N):
-            if r == 0:
-                P = np.eye(N, dtype=np.int64)
-            else:
-                comp = la.null_space(base, U)
-                P = np.array(comp, dtype=np.int64)
-            A2 = (P @ Yh) % q
-            rhs = (P @ Yp) % q
-            rk = la.rank_fq(A2, q)
-            if rk == n:
-                try:
-                    Xbar = la.rref_solve(base, A2, rhs)
-                except (InconsistentSystemError, UnderdeterminedSystemError):
-                    continue
-                u = inst.message_of_codeword(la.contract(F, Xbar))
-                if u is not None:
-                    found.setdefault(tuple(u[: p.k]), tuple(u))
-            else:
-                rho = n - rk
-                if rho > n - (p.k + p.mu):
-                    continue
-                E2, R2, _ = la.row_reduce_transform(base, A2)
-                reduced = (np.array(E2, dtype=np.int64) @ rhs) % q
-                if reduced[rk:].any():
-                    continue  # y outside the image of this projection
-                out = inst.code.erasure_decode(R2[:rk], la.contract(F, reduced[:rk]),
-                                               rho)
-                if out.ok:
-                    found.setdefault(tuple(out.message[: p.k]), out.message)
+            M = [YhG[i] + [row[i] for row in U] for i in range(N)]
+            try:
+                u = la.rref_solve(F, M, yp)[: p.k + p.mu]
+            except (InconsistentSystemError, UnderdeterminedSystemError):
+                continue
+            found.setdefault(tuple(u[: p.k]), tuple(u))
     if not found:
         return DecodeOutcome.failure("no message consistent with <= t injections")
     if len(found) > 1:
@@ -299,6 +236,6 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
             f"{len(found)} distinct messages consistent; promise violated"
         )
     (S, u), = found.items()
-    Xbar = la.expand(F, la.matvec(F, la.transpose(inst.G0), list(u)))
+    Xbar = la.expand(F, la.matvec(F, G0t, list(u)))
     err = la.rank_fq((Yp - (Yh @ Xbar)) % q, q)
     return DecodeOutcome.success(S, err)

@@ -185,14 +185,15 @@ class GabidulinCode:
         return DecodeOutcome.success(u, r)
 
     def _divide_left(self, v, nn):
-        """Solve V o f = N for f of q-degree < k; None if it does not divide."""
+        """f of q-degree < k from the top k coefficients of V o f = N; None
+        when V is zero.  Exact whenever a codeword lies within the radius;
+        otherwise decode's re-encode check rejects f."""
         F = self.F
         tau = max((i for i, x in enumerate(v) if x), default=None)
         if tau is None:
             return None
         lead_inv = F.inv(v[tau])
         f = [0] * self.k
-        nn = list(nn) + [0] * (self.k + tau - len(nn))
         for d in range(self.k - 1, -1, -1):
             acc = nn[d + tau]
             for l in range(d + 1, min(self.k, d + tau + 1)):
@@ -200,14 +201,6 @@ class GabidulinCode:
                 if v[i] and f[l]:
                     acc = F.sub(acc, F.mul(v[i], F.frobenius(f[l], i)))
             f[d] = F.frobenius(F.mul(acc, lead_inv), (F.m - tau) % F.m)
-        # confirm exact division: composition must reproduce N
-        comp = [0] * (tau + self.k)
-        for i in range(tau + 1):
-            for l in range(self.k):
-                if v[i] and f[l]:
-                    comp[i + l] = F.add(comp[i + l], F.mul(v[i], F.frobenius(f[l], i)))
-        if comp != nn[: tau + self.k]:
-            return None
         return f
 
     def erasure_decode(self, A_prime, y_prime, rho: int) -> DecodeOutcome:

@@ -187,7 +187,7 @@ def test_noncoherent_oracle_matches_decoder(inst):
     for _ in range(15):
         S = [int(x) for x in rng.integers(0, 16, size=p.k)]
         X = inst.encode(S, rng=rng)
-        real = sample_realization(p, p.n + p.t, rng, "random", lifted=True)
+        real = sample_realization(p, p.n + p.t, rng, lifted=True)
         res = transmit_lifted(inst.F, X, real)
         out = noncoherent_decode(inst, res.Y)
         oracle = noncoherent_consistency_oracle(inst, res.Y)

@@ -1,6 +1,7 @@
 """Command line behavior: round trips, determinism, exit code contract."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_decode_noncoherent_path(cfg, msg, tmp_path, capsys):
     inst = build_instance(params)
     X = fileio.read_packets(payload, inst.F)
     rng = np.random.default_rng(77)
-    real = sample_realization(params, 5, rng, "random", lifted=True)
+    real = sample_realization(params, 5, rng, lifted=True)
     res = transmit_lifted(inst.F, X, real)
     ypath = str(tmp_path / "ylift.txt")
     fileio.write_matrix(ypath, res.Y, 2)
@@ -357,3 +358,30 @@ def test_zero_random_transfers_stay_valid_and_unseeded(p0cfg, capsys):
     captured = capsys.readouterr()
     assert "cases=400 failures=0" in captured.out  # 8 payloads x 50 errors
     assert "seed=" not in captured.err
+
+
+@pytest.mark.parametrize("config", [
+    {"q": 4294967291, "m": 1, "n": 1, "t": 0, "mu": 0, "k": 1},
+    {"q": 2305843009213693951, "m": 1, "n": 1, "t": 0, "mu": 0, "k": 1},
+    {**CFG, "q": 7, "m": 40},
+], ids=["q-2^32-5", "q-2^61-1", "q7-m40"])
+def test_oversized_field_is_refused_at_once(tmp_path, capsys, config):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    start = time.monotonic()
+    assert main(["params", "--config", str(path)]) == 2
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert "largest supported order" in err and "Traceback" not in err
+
+
+def test_noncoherent_walk_over_budget_is_exit_4(cfg, tmp_path, capsys):
+    # 21 received rows at t = 1: 2^21 candidate error spaces
+    ypath = tmp_path / "ylift.txt"
+    fileio.write_matrix(str(ypath), np.random.default_rng(5).integers(0, 2, (21, 8)), 2)
+    start = time.monotonic()
+    assert main(["decode", "--config", cfg, "--payload", str(ypath),
+                 "--noncoherent"]) == 4
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert "secnc: refused:" in err and "Traceback" not in err

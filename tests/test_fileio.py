@@ -66,16 +66,17 @@ def test_empty_matrix_blocks():
     assert fileio.parse_matrix("0 4\n", 2).shape == (0, 4)
 
 
-def test_read_matrix_or_packets_detects_header(tmp_path, F16):
-    # either spelling of an observation yields the same base-field matrix
-    mpath = tmp_path / "m.txt"
-    mpath.write_text("2 4\n1010\n0101\n")
-    M = fileio.read_matrix_or_packets(str(mpath), F16)
-    assert M.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
-    ppath = tmp_path / "p.txt"
-    ppath.write_text("1010\n0101\n")  # packets 5 and 10, digits low first
-    P = fileio.read_matrix_or_packets(str(ppath), F16)
-    assert P.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
+def test_matrix_errors_name_the_fault():
+    cases = [
+        ("# only a comment\n", "expected a matrix header line, found end of file"),
+        ("2  x\n", "bad matrix header '2 x'"),
+        ("2 3\n101\n", "matrix body truncated: 1 of 2 rows"),
+        ("1 3\n101\n111\n000\n", "2 trailing lines after the matrix body"),
+        ("1 3\n1x1\n111\n", "non-digit token"),  # rows are read first
+    ]
+    for text, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            fileio.parse_matrix(text, 2)
 
 
 def test_config_parsing_and_rejections():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from secnc.errors import ParameterError
 from secnc.gf import (
     DEFAULT_MODULI_GF2,
+    FIELD_LIMIT,
     ExtField,
     PrimeField,
     find_irreducible,
@@ -143,6 +144,20 @@ def test_field_construction_rejects_bad_modulus():
         ExtField(4, 2)                      # base order not prime
     with pytest.raises(ParameterError):
         ExtField(2, 0)
+
+
+def test_fields_beyond_the_limit_are_refused_before_any_search():
+    assert FIELD_LIMIT == 1 << 20
+    for build in (lambda: PrimeField(1048583),      # the first prime > 2^20
+                  lambda: PrimeField(2 ** 61 - 1),
+                  lambda: ExtField(4294967291, 1),
+                  lambda: ExtField(2, 21),
+                  lambda: ExtField(3, 13),          # 1,594,323
+                  lambda: ExtField(7, 10 ** 18)):
+        with pytest.raises(ParameterError, match="largest supported order"):
+            build()
+    assert PrimeField(1048573).order == 1048573     # the last prime < 2^20
+    assert ExtField(1048573, 1).order == 1048573
 
 
 def test_prime_field():

@@ -1,4 +1,4 @@
-import os
+import itertools
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from secnc.network import (
     ChannelRealization,
     iter_exhaustive_realizations,
     lift,
-    load_realization,
     noncoherent_decode,
     sample_realization,
-    save_realization,
     transmit,
     transmit_lifted,
 )
@@ -47,7 +45,7 @@ def test_transmit_identity_channel(inst):
 
 def test_transmit_zero_payload_shows_only_error(inst):
     rng = np.random.default_rng(3)
-    real = sample_realization(PARAMS, 5, rng, "random")
+    real = sample_realization(PARAMS, 5, rng)
     res = transmit(inst.F, [0, 0, 0, 0], real)
     assert (res.Y == real.effective_error()).all()
     assert (res.W == 0).all()
@@ -56,7 +54,7 @@ def test_transmit_zero_payload_shows_only_error(inst):
 def test_effective_error_rank_bound(inst):
     rng = np.random.default_rng(5)
     for _ in range(40):
-        real = sample_realization(PARAMS, 6, rng, "random")
+        real = sample_realization(PARAMS, 6, rng)
         E = real.effective_error()
         assert la.rank_fq(E, 2) <= min(real.D.shape[1], la.rank_fq(real.Z, 2))
         assert la.rank_fq(E, 2) <= PARAMS.t
@@ -106,32 +104,14 @@ def test_exhaustive_realization_enumeration():
         list(iter_exhaustive_realizations(PARAMS, budget=100))
 
 
-def test_sample_realization_modes(inst, tmp_path):
+def test_sample_realization_modes(inst):
     rng = np.random.default_rng(13)
-    real = sample_realization(PARAMS, 6, rng, "random")
+    real = sample_realization(PARAMS, 6, rng)
     assert real.A.shape == (6, 4) and la.rank_fq(real.A, 2) == 4
     assert real.D.shape == (6, 1) and real.Z.shape == (1, 4)
     assert real.B.shape == (1, 4)
     with pytest.raises(ParameterError):
-        sample_realization(PARAMS, 3, rng, "random")
-    with pytest.raises(ParameterError):
-        sample_realization(PARAMS, 4, rng, "oracle")
-    with pytest.raises(ParameterError):
-        sample_realization(PARAMS, 4, rng, "fixed")
-    path = os.path.join(tmp_path, "real.txt")
-    save_realization(path, real)
-    loaded = sample_realization(PARAMS, 6, rng, "fixed", path=path)
-    assert (loaded.A == real.A).all() and (loaded.Z == real.Z).all()
-
-
-def test_realization_file_round_trip(tmp_path, inst):
-    rng = np.random.default_rng(17)
-    real = sample_realization(PARAMS, 5, rng, "random", lifted=True)
-    path = os.path.join(tmp_path, "real.txt")
-    save_realization(path, real)
-    again = load_realization(path, 2)
-    for name in ("A", "D", "Z", "B"):
-        assert (getattr(again, name) == getattr(real, name)).all()
+        sample_realization(PARAMS, 3, rng)
 
 
 def test_lift(inst):
@@ -177,7 +157,7 @@ def test_noncoherent_single_injection(inst):
     for trial in range(150):
         s = int(rng.integers(0, 16))
         X = inst.encode([s], rng=rng)
-        real = sample_realization(PARAMS, 4, rng, "random", lifted=True)
+        real = sample_realization(PARAMS, 4, rng, lifted=True)
         res = transmit_lifted(inst.F, X, real)
         out = noncoherent_decode(inst, res.Y)
         assert out.ok and out.message == (s,), (trial, s)
@@ -197,6 +177,66 @@ def test_noncoherent_rectangular_and_header_corruption(inst):
         res = transmit_lifted(inst.F, X, real)
         out = noncoherent_decode(inst, res.Y)
         assert out.ok and out.message == (s,), (trial, s)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_noncoherent_rank_deficient_header_still_decodes(q):
+    # D Z_h = -A e_j e_j^T zeroes header column j: Y_h = A + D Z_h has rank
+    # n - 1, one injection within the promise
+    inst = build_instance(SchemeParams(q=q, m=4, n=4, t=1, mu=1, k=1))
+    F, n, N = inst.F, 4, 5
+    rng = np.random.default_rng(37 + q)
+    for trial in range(12):
+        S = [int(rng.integers(0, F.order))]
+        X = inst.encode(S, rng=rng)
+        A = la.random_full_rank(F.base, N, n, rng)
+        j = int(rng.integers(0, n))
+        Z = np.zeros((1, n + 4), dtype=np.int64)
+        Z[0, j] = 1
+        Z[0, n:] = rng.integers(0, q, size=4)
+        real = ChannelRealization(q, A, -A[:, [j]], Z, np.zeros((0, n), dtype=int))
+        Y = transmit_lifted(F, X, real).Y
+        assert la.rank_fq(Y[:, :n], q) == n - 1
+        out = noncoherent_decode(inst, Y)
+        assert out.ok and out.message == tuple(S), (trial, S)
+        assert out.error_rank <= 1
+
+
+@pytest.mark.parametrize("params", [(2, 4, 4, 1, 1, 1), (3, 4, 4, 1, 1, 1),
+                                    (5, 3, 3, 1, 0, 1)])
+def test_noncoherent_success_explains_the_observation(params):
+    # beyond the promise and on garbage the decoder may fail, but a
+    # success must name a codeword [S; V] with
+    # rank(Y_p - Y_h expand(G0^T [S; V])) == error_rank <= t
+    q, m, n, t, mu, k = params
+    inst = build_instance(SchemeParams(*params))
+    F, N = inst.F, n + 1
+    G0t = la.transpose(inst.G0)
+    rng = np.random.default_rng(41 + q)
+    successes = 0
+    for trial in range(120):
+        S = [int(x) for x in rng.integers(0, F.order, size=k)]
+        A = la.random_full_rank(F.base, N, n, rng)
+        kind = trial % 4  # rank t+1, rank t+2, garbage, header zeroed + rank t
+        r = (t + 1, t + 2, 0, t)[kind]
+        E = rng.integers(0, q, size=(N, r)) @ rng.integers(0, q, size=(r, n + m))
+        if kind == 3:
+            # t injections plus one that zeroes a header column
+            E[:, :n] -= np.outer(A[:, 0], np.eye(n, dtype=np.int64)[0])
+        Y = (A @ lift(F, inst.encode(S, rng=rng)) + E) % q
+        if kind == 2:
+            Y = rng.integers(0, q, size=(N, n + m))
+        out = noncoherent_decode(inst, Y)
+        if not out.ok:
+            continue
+        successes += 1
+        assert out.error_rank <= t
+        ranks = set()
+        for V in itertools.product(range(F.order), repeat=mu):
+            Xbar = la.expand(F, la.matvec(F, G0t, list(out.message) + list(V)))
+            ranks.add(la.rank_fq((Y[:, n:] - Y[:, :n] @ Xbar) % q, q))
+        assert out.error_rank in ranks, trial
+    assert successes >= 3
 
 
 def test_noncoherent_rejects_bad_shapes(inst):
