@@ -8,10 +8,21 @@ count vectors across messages, before any floating-point arithmetic;
 a report of 0 means identical distributions, not a small number.
 
 The reliability audit replays every effective error of rank at most t
-against every (S, V) and records decode failures.  Brute-force oracles
-(nearest codeword; explanation consistency for lifted transmissions)
-anchor the efficient decoders: the oracles share no algorithmic
-machinery with them beyond field arithmetic.
+against every (S, V) and records decode failures.  Every mode builds
+stacks of received words, un-mixes each with a left inverse of its
+transfer computed once per transfer, and decodes them in enumeration
+order, a bounded chunk at a time, through `GabidulinCode.decode_stack`;
+what the scalar `coherent_decode` would report for each case comes out
+in the same order.  Both audits take their payloads from one stacked
+product G0^T u over the whole (S, V) grid.
+
+Brute-force oracles (nearest codeword; explanation consistency for
+lifted transmissions) anchor the efficient decoders: the oracles share
+no algorithmic machinery with them beyond field arithmetic and the
+base-field rank.  The odd-q nearest-codeword search ranks its
+differences with `linalg._rref_stack`, which the stack decoder also
+uses; it is checked against the scalar `decode`, which shares no stack
+code, and `decode_stack` is checked against `decode` directly.
 
 Entropy unit: bits throughout; one packet is m*log2(q) bits.
 """
@@ -27,10 +38,14 @@ import numpy as np
 
 from . import linalg as la
 from .errors import BudgetExceededError, InconsistentSystemError, ParameterError
-from .rankmetric import DEFAULT_ENUM_BUDGET, GabidulinCode
+from .rankmetric import DECODE_FAILURE, DEFAULT_ENUM_BUDGET, GabidulinCode
 from .scheme import SchemeInstance
 
 DEFAULT_AUDIT_BUDGET = 1 << 22
+
+# Cases decoded (or codewords compared) per stack: bounds the memory of
+# a stack whatever the budget admits.
+_CHUNK = 1 << 14
 
 
 # ----------------------------------------------------------------------
@@ -149,16 +164,29 @@ class ReliabilityReport:
 # ----------------------------------------------------------------------
 
 def _payload_table(inst: SchemeInstance):
-    """All q^(m(k+mu)) payload expansions, indexed by the (S, V) stack."""
-    p = inst.params
-    F = inst.F
-    payloads = []
-    s_index = []
-    for u in itertools.product(range(F.order), repeat=p.k + p.mu):
-        S, V = u[: p.k], u[p.k:]
-        payloads.append(la.expand(F, inst.encode(S, force_v=V)))
-        s_index.append(S)
-    return np.stack(payloads), s_index
+    """All q^(m(k+mu)) payload expansions, indexed by the (S, V) grid in
+    itertools.product order, and the S of each.
+
+    One stacked product over GF(q): expand(g u) = expand(u) M_g, where
+    row i of M_g expands g x^i, so expand(G0^T u) is expand(u) times the
+    block matrix of the M_g for the entries g of G0.
+    """
+    p, F = inst.params, inst.F
+    ku = p.k + p.mu
+    U = np.stack(np.unravel_index(np.arange(F.order ** ku), (F.order,) * ku),
+                 axis=1).astype(np.int64)
+    basis = [F.q ** i for i in range(F.m)]
+    W = la.expand(F, [[[F.mul(g, x) for g in row] for x in basis] for row in inst.G0])
+    payloads = la.expand(F, U).reshape(len(U), -1) @ W.reshape(ku * F.m, -1) % F.q
+    return payloads.reshape(len(U), p.n, F.m), [tuple(S) for S in U[:, : p.k].tolist()]
+
+
+def _view_keys(views, q: int):
+    """One int64 per view, equal exactly when the views are equal."""
+    flat = views.reshape(len(views), -1)
+    if q ** flat.shape[1] < 1 << 63:
+        return flat @ q ** np.arange(flat.shape[1], dtype=np.int64)
+    return np.unique(flat, axis=0, return_inverse=True)[1].ravel()
 
 
 def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
@@ -206,19 +234,15 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
     records = []
     for B in taps:
-        views = (np.einsum("rn,unc->urc", B, payloads) % q) if rows else (
-            np.zeros((len(payloads), 0, payloads.shape[2]), dtype=np.int64)
-        )
-        per_s = {}
-        joint = Counter()
-        for i, S in enumerate(s_index):
-            w = views[i].tobytes()
-            per_s.setdefault(S, Counter())[w] += 1
-            joint[(S, w)] += 1
-        first = next(iter(per_s.values()))
-        if all(c == first for c in per_s.values()):
+        views = np.matmul(B, payloads) % q
+        # each message's views, sorted: equal rows are equal conditionals
+        keys = np.sort(_view_keys(views, q).reshape(inst.F.order ** p.k, -1), axis=1)
+        if (keys == keys[0]).all():
             leak = 0.0  # identical conditionals: exactly zero, no floats involved
         else:
+            joint = Counter()
+            for S, w in zip(s_index, views):
+                joint[(S, w.tobytes())] += 1
             leak = mutual_information_from_joint(joint)
         records.append((_matrix_id(B, q), leak))
     return SecrecyReport(
@@ -247,22 +271,28 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
+    if inst.code is None:
+        raise ParameterError("this instance has no decodable outer code")
     exemplars = []
     rank_counts = Counter()
     failures = 0
     cases = 0
 
-    def run_case(A, Y, S, tag_fn):
+    def check(Y, S, tag):
+        """Decode the un-mixed words Y (B, n, m) of the messages S (B, k);
+        tag(j) names case j of the stack."""
         nonlocal failures, cases
-        cases += 1
-        out = inst.coherent_decode(Y, A)
-        if not out.ok or out.message != tuple(S):
-            failures += 1
-            if len(exemplars) < 5:
-                got = out.message if out.ok else repr(out.reason)
-                exemplars.append(f"{tag_fn()} S={S} got={got}")
-        else:
-            rank_counts[out.error_rank] += 1
+        ok, msgs, ranks = inst.code.decode_stack(la.contract(F, Y), t)
+        good = ok & (msgs[:, : p.k] == S).all(axis=1)
+        bad = np.flatnonzero(~good)
+        cases += len(good)
+        failures += len(bad)
+        for j in bad[: 5 - len(exemplars)]:
+            got = tuple(msgs[j, : p.k].tolist()) if ok[j] else repr(DECODE_FAILURE)
+            exemplars.append(f"{tag(j)} S={tuple(S[j].tolist())} got={got}")
+        for r, c in enumerate(np.bincount(ranks[good]).tolist()):
+            if c:
+                rank_counts[r] += c
 
     if mode == "exhaustive":
         if random_transfers < 0:
@@ -278,20 +308,18 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
         if rng is None and random_transfers:
             raise ParameterError("the random-transfer phase needs an rng")
         payloads, s_index = _payload_table(inst)
-        I = np.eye(n, dtype=np.int64)
-        for E in la.iter_rank_at_most(q, n, m, t):
-            En = np.array(E, dtype=np.int64)
-            for i, S in enumerate(s_index):
-                run_case(I, (payloads[i] + En) % q, S,
-                         lambda: f"A=I E={_matrix_id(En, q)}")
+        msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
+        for Es, e, w in _grid(la.iter_rank_at_most(q, n, m, t), n_pairs):
+            check((payloads[w] + Es[e]) % q, msgs[w],
+                  lambda j: f"A=I E={_matrix_id(Es[e[j]], q)}")
         for j in range(random_transfers):
             A = la.random_full_rank(F.base, N, n, rng)
             uidx = int(rng.integers(0, len(payloads)))
-            S = s_index[uidx]
-            for E in la.iter_rank_at_most(q, N, m, t):
-                En = np.array(E, dtype=np.int64)
-                Y = (A @ payloads[uidx] + En) % q
-                run_case(A, Y, S, lambda: f"A#{j} E={_matrix_id(En, q)}")
+            Aplus = np.array(la.left_inverse(F.base, A), dtype=np.int64)
+            X = A @ payloads[uidx]
+            for Es, e, _ in _grid(la.iter_rank_at_most(q, N, m, t), 1):
+                check(Aplus @ ((X + Es) % q) % q, msgs[[uidx] * len(e)],
+                      lambda i: f"A#{j} E={_matrix_id(Es[i], q)}")
         exhaustive = True
     elif mode == "sampled":
         if rng is None:
@@ -302,12 +330,18 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise BudgetExceededError(trials, budget, "reliability trials")
         from .network import sample_realization, transmit
 
-        for _ in range(trials):
+        words, msgs = [], []
+        for trial in range(trials):
             S = [int(x) for x in rng.integers(0, F.order, size=p.k)]
             X = inst.encode(S, rng=rng)
             real = sample_realization(p, n + t, rng)
-            res = transmit(F, X, real)
-            run_case(real.A, res.Y, tuple(S), lambda: "sampled")
+            Aplus = np.array(la.left_inverse(F.base, real.A), dtype=np.int64)
+            words.append(Aplus @ transmit(F, X, real).Y % q)
+            msgs.append(S)
+            if len(words) == _CHUNK or trial == trials - 1:
+                check(np.array(words), np.array(msgs, dtype=np.int64),
+                      lambda j: "sampled")
+                words, msgs = [], []
         exhaustive = False
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
@@ -319,6 +353,18 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
         exemplars=tuple(exemplars),
         error_rank_counts=tuple(sorted(rank_counts.items())),
     )
+
+
+def _grid(errors, n_words: int):
+    """The (error, word) grid, error-major, in chunks of at most _CHUNK
+    cases: (Es, e, w), e and w indexing the errors Es and the words."""
+    per = max(1, _CHUNK // n_words)
+    while block := list(itertools.islice(errors, per)):
+        Es = np.array(block, dtype=np.int64)
+        for lo in range(0, len(Es) * n_words, _CHUNK):
+            e, w = np.divmod(np.arange(lo, min(lo + _CHUNK, len(Es) * n_words)),
+                             n_words)
+            yield Es, e, w
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +399,13 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
                 count=len(msgs),
             )
         return {msgs[i] for i in np.nonzero(hits)[0]}
+    # digit-wise differences y - c, ranked over GF(q) a chunk at a time
+    ey = la.expand(F, y)
     out = set()
-    for u, c in zip(msgs, words.tolist()):
-        diff = [F.sub(a, b) for a, b in zip(y, c)]
-        if la.vector_rank(F, diff) <= t:
-            out.add(u)
+    for lo in range(0, len(msgs), _CHUNK):
+        diffs = (ey - la.expand(F, words[lo : lo + _CHUNK])) % F.q
+        _, _, ranks = la._rref_stack(F.base, diffs)
+        out.update(msgs[lo + i] for i in np.flatnonzero(ranks <= t).tolist())
     return out
 
 

@@ -18,6 +18,19 @@ Both fields supply the row operations of the `linalg` elimination
 kernel, scale_row and sub_scaled_row (dst - f*src), with no method call
 per entry: GF(q) reduces mod q inline, a table-backed GF(q^m) gathers
 exp[log f + log y].
+
+Both also supply vector operations on int64 arrays of elements, for the
+stack-shaped kernel `linalg._rref_stack` and the stack decoder:
+vmul, vsub, vneg and vinv (and vfrobenius on GF(q^m)), with numpy
+broadcasting.  GF(q) reduces mod q and inverts through a table; a
+table-backed GF(q^m) gathers from numpy copies of its exp/log tables,
+built on first use, where log 0 points into a zero-filled tail of exp so
+a product is one gather, the lookup-table technique of the `galois`
+library (https://github.com/mhostetter/galois).  Sums are XOR when
+q = 2 and digit-wise mod q otherwise.  A GF(q^m) without tables
+(`vectorised` is False) has no vector operations.  They carry other
+names than the scalar operations so that counts of those stay counts of
+scalar calls.
 """
 
 from __future__ import annotations
@@ -178,6 +191,7 @@ class PrimeField:
         self.order = q
         self.zero = 0
         self.one = 1
+        self._np_inv = None
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -215,6 +229,26 @@ class PrimeField:
         """dst - f * src, entrywise."""
         q = self.q
         return [(x - f * y) % q for x, y in zip(dst, src)]
+
+    # -- vector operations (see the module docstring) ---------------------
+
+    def vmul(self, a, b):
+        return (a * b) % self.q
+
+    def vsub(self, a, b):
+        return (a - b) % self.q
+
+    def vneg(self, a):
+        return (-a) % self.q
+
+    def vinv(self, a):
+        if self._np_inv is None:
+            q = self.q
+            self._np_inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)],
+                                    dtype=np.int64)
+        if not np.all(a):
+            raise ZeroDivisionError("0 has no inverse")
+        return self._np_inv[a]
 
     def elements(self):
         return range(self.q)
@@ -274,6 +308,9 @@ class ExtField:
         self.primitive = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
+        self._np_exp = None  # numpy copies for the vector operations
+        self._np_log = None
+        self._np_qpow = None
         self._np_mul = None
         self._np_add = None
 
@@ -421,6 +458,61 @@ class ExtField:
             return [x ^ exp[lf + log[y]] if y else x for x, y in zip(dst, src)]
         sub = self.sub
         return [sub(x, exp[lf + log[y]]) if y else x for x, y in zip(dst, src)]
+
+    # -- vector operations (see the module docstring) ---------------------
+
+    @property
+    def vectorised(self) -> bool:
+        return self._exp is not None
+
+    def _vector_tables(self):
+        """(exp, log): exp has a zero tail from 2(order-1) on, log[0] points
+        into it, so exp[log a + log b] is a * b for zeros too."""
+        if self._np_exp is None:
+            if self._exp is None:
+                raise ParameterError(
+                    f"GF({self.q}^{self.m}) has no tables for vector operations")
+            n1 = self.order - 1
+            exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+            exp[: 2 * n1] = self._exp[: 2 * n1]
+            log = np.array(self._log, dtype=np.int64)
+            log[0] = 2 * n1
+            self._np_qpow = np.array([pow(self.q, i, n1) for i in range(self.m)],
+                                     dtype=np.int64)
+            self._np_exp, self._np_log = exp, log
+        return self._np_exp, self._np_log
+
+    def vmul(self, a, b):
+        exp, log = self._vector_tables()
+        return exp[log[a] + log[b]]
+
+    def vinv(self, a):
+        exp, log = self._vector_tables()
+        if not np.all(a):
+            raise ZeroDivisionError("0 has no inverse")
+        n1 = self.order - 1
+        return exp[(n1 - log[a]) % n1]
+
+    def vfrobenius(self, a, i):
+        """a^(q^i) entrywise; i an int or an int array broadcast against a."""
+        exp, log = self._vector_tables()
+        n1 = self.order - 1
+        e = (log[a] * self._np_qpow[np.asarray(i) % self.m]) % n1
+        return np.where(a != 0, exp[e], 0)
+
+    def vsub(self, a, b):
+        if self.q == 2:
+            return a ^ b
+        q = self.q
+        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+        w = 1
+        for _ in range(self.m):
+            out += ((a // w - b // w) % q) * w
+            w *= q
+        return out
+
+    def vneg(self, a):
+        return self.vsub(0, a)
 
     # -- row-vector view -------------------------------------------------
 

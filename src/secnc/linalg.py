@@ -5,7 +5,9 @@ mod q); matrices over the extension field are lists of lists of packed
 field elements.  Every elimination runs one kernel, `_rref_in_place`,
 written against the field protocol of `gf` (inv and the row operations
 scale_row / sub_scaled_row); only GF(2) rank packs rows into bitmasks,
-in `rank_gf2`.  Every matrix-vector product, base-field maps applied to
+in `rank_gf2`.  Stacks of matrices, as int64 arrays of shape (B, R, C),
+are reduced together by `_rref_stack` with the fields' vector
+operations.  Every matrix-vector product, base-field maps applied to
 packets included, runs `matvec`.
 
 The expand/contract pair identifies a length-n column vector over
@@ -92,6 +94,36 @@ def _rref_in_place(field, M: list[list[int]], cols: int | None = None) -> list[i
         if r == rows:
             break
     return pivots
+
+
+def _rref_stack(field, M):
+    """Reduce every matrix of the (B, R, C) stack M to RREF at once.
+
+    Returns (reduced stack, pivot mask (B, C), ranks (B,)); matrix b of
+    the result equals what `_rref_in_place` makes of M[b].
+    """
+    M = np.array(M, dtype=np.int64)
+    B, R, C = M.shape
+    pivots = np.zeros((B, C), dtype=bool)
+    r = np.zeros(B, dtype=np.int64)  # the next pivot row of each matrix
+    rows = np.arange(R)
+    for c in range(C):
+        # first row at or below r[b] with a nonzero entry in column c
+        cand = (M[:, :, c] != 0) & (rows >= r[:, None])
+        hit = np.flatnonzero(cand.any(axis=1))
+        if not len(hit):
+            continue
+        top, pr = r[hit], cand[hit].argmax(axis=1)
+        pivot = M[hit, pr]
+        M[hit, pr] = M[hit, top]
+        pivot = field.vmul(field.vinv(pivot[:, c])[:, None], pivot)
+        M[hit, top] = pivot
+        f = M[hit, :, c]
+        f[np.arange(len(hit)), top] = 0
+        M[hit] = field.vsub(M[hit], field.vmul(f[:, :, None], pivot[:, None, :]))
+        pivots[hit, c] = True
+        r[hit] += 1
+    return M, pivots, r
 
 
 def rref(field, M) -> tuple[list[list[int]], list[int]]:
@@ -259,20 +291,22 @@ def mat_sub(field, A, B) -> list[list[int]]:
 # ----------------------------------------------------------------------
 
 def expand(F, v) -> np.ndarray:
-    """Column vector over GF(q^m) -> n x m matrix over GF(q)."""
-    return np.array([F.as_row(int(x)) for x in v], dtype=np.int64).reshape(
-        len(v), F.m
-    )
+    """Column vector over GF(q^m) -> n x m matrix over GF(q); a stack of
+    vectors (..., n) -> (..., n, m)."""
+    v = np.asarray(v, dtype=np.int64)
+    return (v[..., None] // F.q ** np.arange(F.m, dtype=np.int64)) % F.q
 
 
-def contract(F, M) -> list[int]:
+def contract(F, M):
+    """The inverse of expand: a list for one n x m matrix, an int64 array
+    (..., n) for a stack (..., n, m).  Exact in int64: q^m <= FIELD_LIMIT."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[1] != F.m:
+    if M.ndim < 2 or M.shape[-1] != F.m:
         raise ParameterError(f"expected an n x {F.m} matrix, got shape {M.shape}")
     if ((M < 0) | (M >= F.q)).any():
         raise ParameterError(f"entries must be digits of GF({F.q})")
-    weights = [F.q ** i for i in range(F.m)]  # Python ints: no overflow
-    return [int(x) for x in M.astype(object) @ weights]
+    x = M.astype(np.int64) @ F.q ** np.arange(F.m, dtype=np.int64)
+    return x.tolist() if M.ndim == 2 else x
 
 
 def rank_distance(field, X, Y) -> int:
@@ -388,13 +422,9 @@ def iter_rank_exactly(q: int, rows: int, cols: int, r: int):
     if r == 0:
         yield [[0] * cols for _ in range(rows)]
         return
-    rrefs = list(iter_rref_full_row_rank(q, r, cols))
+    rrefs = np.array(list(iter_rref_full_row_rank(q, r, cols)), dtype=np.int64)
     for C in iter_full_col_rank(q, rows, r):
-        for R in rrefs:
-            yield [
-                [sum(C[i][k] * R[k][j] for k in range(r)) % q for j in range(cols)]
-                for i in range(rows)
-            ]
+        yield from (np.array(C, dtype=np.int64) @ rrefs % q).tolist()
 
 
 def iter_rank_at_most(q: int, rows: int, cols: int, t: int):

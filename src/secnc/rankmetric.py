@@ -12,7 +12,17 @@ q-degree <= t and N has q-degree <= t + k - 1.  When y is within rank
 distance t of a codeword f(g), every nonzero solution satisfies
 N = V o f, so the message polynomial f falls out of symbolic left
 division.  The final re-encode check rejects anything outside the
-promised radius, so a wrong message is never returned silently.
+promised radius, so a wrong message is never returned silently.  This
+is the Welch-Berlekamp-like reconstruction of P. Loidreau, "A
+Welch-Berlekamp like algorithm for decoding Gabidulin codes" (WCC 2005).
+
+`decode` handles one word with scalar field operations; `decode_stack`
+takes the same steps on a whole (B, n) stack of words with the fields'
+vector operations and `linalg._rref_stack`, for the exhaustive audits.
+Every nonzero interpolation solution yields the same message when a
+codeword lies within the radius, and the re-encode check settles the
+rest, so the two agree row for row; the scalar decoder stays as the
+cross-check of the stack one.
 """
 
 from __future__ import annotations
@@ -33,6 +43,9 @@ from .gf import ExtField, PrimeField
 
 # Cap on exhaustive codeword/pair enumeration; callers may raise it.
 DEFAULT_ENUM_BUDGET = 1 << 20
+
+# The reason of every failed error decode.
+DECODE_FAILURE = "no codeword within rank radius"
 
 
 @dataclass(frozen=True)
@@ -157,11 +170,7 @@ class GabidulinCode:
         y = [F.check(int(v)) for v in y]
         if len(y) != self.n:
             raise ParameterError(f"received word length {len(y)} != n = {self.n}")
-        if t < 0 or 2 * t > self.n - self.k:
-            raise ParameterError(
-                f"t = {t} exceeds the unique-decoding radius (2t <= n-k = "
-                f"{self.n - self.k})"
-            )
+        self._check_radius(t)
         # interpolation system: V(y_j) = N(g_j), unknowns (v_0..v_t,
         # n_0..n_{k+t-1}) as one homogeneous row per position
         rows = []
@@ -171,18 +180,88 @@ class GabidulinCode:
             rows.append(row)
         sol = la.kernel_vector(F, rows)
         if sol is None:
-            return DecodeOutcome.failure("no codeword within rank radius")
+            return DecodeOutcome.failure(DECODE_FAILURE)
         v = sol[: t + 1]
         nn = sol[t + 1 :]
         u = self._divide_left(v, nn)
         if u is None:
-            return DecodeOutcome.failure("no codeword within rank radius")
+            return DecodeOutcome.failure(DECODE_FAILURE)
         c = self.encode(u)
         residual = [F.sub(a, b) for a, b in zip(y, c)]
         r = la.vector_rank(F, residual)
         if r > t:
-            return DecodeOutcome.failure("no codeword within rank radius")
+            return DecodeOutcome.failure(DECODE_FAILURE)
         return DecodeOutcome.success(u, r)
+
+    def _check_radius(self, t: int) -> None:
+        if t < 0 or 2 * t > self.n - self.k:
+            raise ParameterError(
+                f"t = {t} exceeds the unique-decoding radius (2t <= n-k = "
+                f"{self.n - self.k})"
+            )
+
+    def decode_stack(self, Y, t: int):
+        """`decode` of every row of the (B, n) array Y of received words.
+
+        Returns (ok, messages, error_ranks): bool (B,), int64 (B, k) and
+        int64 (B,) arrays; a row that fails has a zero message and error
+        rank -1.  A field without tables decodes row by row with `decode`.
+        """
+        F, n, k = self.F, self.n, self.k
+        Y = np.array(Y, dtype=np.int64)
+        if Y.ndim != 2 or Y.shape[1] != n:
+            raise ParameterError(f"expected received words of length n = {n}, "
+                                 f"got an array of shape {Y.shape}")
+        self._check_radius(t)
+        if ((Y < 0) | (Y >= F.order)).any():
+            raise ParameterError(f"received words must hold elements of "
+                                 f"GF({F.q}^{F.m})")
+        B = len(Y)
+        if not F.vectorised:
+            outs = [self.decode(y, t) for y in Y.tolist()]
+            return (np.array([o.ok for o in outs], dtype=bool),
+                    np.array([o.message or (0,) * k for o in outs],
+                             dtype=np.int64).reshape(B, k),
+                    np.array([o.error_rank if o.ok else -1 for o in outs],
+                             dtype=np.int64))
+        moore = np.array(self.moore, dtype=np.int64)
+        ar = np.arange(B)
+        # 1. interpolation rows [y_j^(q^i), i <= t | -g_j^(q^l), l < k + t]
+        interp = np.concatenate(
+            [F.vfrobenius(Y[:, :, None], np.arange(t + 1)),
+             np.broadcast_to(F.vneg(moore[: k + t].T), (B, n, k + t))], axis=2)
+        # 2. the kernel vector of the first free column, as null_space's first
+        R, pivots, rank = la._rref_stack(F, interp)
+        free = ~pivots
+        ok = free.any(axis=1)
+        first = free.argmax(axis=1)
+        sol = np.zeros(pivots.shape, dtype=np.int64)
+        sol[ar, first] = 1
+        lead = (R != 0).argmax(axis=2)  # each row's pivot column
+        for i in range(n):
+            live = ar[i < rank]
+            sol[live, lead[live, i]] = F.vneg(R[live, i, first[live]])
+        v, nn = sol[:, : t + 1], sol[:, t + 1:]
+        # 3. _divide_left with each row's tau, the q-degree of V
+        ok &= (v != 0).any(axis=1)
+        tau = np.where(v != 0, np.arange(t + 1), 0).max(axis=1)
+        lead_inv = F.vinv(np.where(ok, v[ar, tau], 1))
+        f = np.zeros((B, k), dtype=np.int64)
+        for d in range(k - 1, -1, -1):
+            acc = nn[ar, d + tau]
+            for l in range(d + 1, k):
+                i = d + tau - l  # < 0 where l is past min(k, d + tau + 1)
+                j = np.maximum(i, 0)
+                term = F.vmul(v[ar, j], F.vfrobenius(f[:, l], j))
+                acc = F.vsub(acc, np.where(i >= 0, term, 0))
+            f[:, d] = F.vfrobenius(F.vmul(acc, lead_inv), (F.m - tau) % F.m)
+        # 4. re-encode; 5. the residual's rank over the base field
+        residual = Y
+        for l in range(k):
+            residual = F.vsub(residual, F.vmul(moore[l], f[:, l : l + 1]))
+        _, _, r = la._rref_stack(F.base, la.expand(F, residual))
+        ok &= r <= t
+        return ok, np.where(ok[:, None], f, 0), np.where(ok, r, -1)
 
     def _divide_left(self, v, nn):
         """f of q-degree < k from the top k coefficients of V o f = N; None

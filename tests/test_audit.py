@@ -215,3 +215,15 @@ def test_counts_that_check_nothing_are_rejected(inst):
         reliability_audit(inst, mode="sampled", rng=rng, trials=0)
     with pytest.raises(ParameterError):
         reliability_audit(inst, rng=rng, random_transfers=-1)
+
+
+def test_view_keys_are_equal_exactly_when_views_are():
+    from secnc.audit import _view_keys
+
+    rng = np.random.default_rng(8)
+    for rows, cols in [(1, 8), (4, 16)]:  # 2^8 and 2^64 possible views
+        views = rng.integers(0, 2, size=(40, rows, cols))
+        views[20:] = views[rng.integers(0, 20, size=20)]  # repeats
+        keys = _view_keys(views, 2)
+        same_view = (views[:, None] == views[None, :]).all(axis=(2, 3))
+        assert ((keys[:, None] == keys[None, :]) == same_view).all()

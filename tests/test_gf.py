@@ -227,3 +227,50 @@ def test_row_operations_match_scalar_operations(field):
             assert field.scale_row(f, src) == [field.mul(f, y) for y in src]
             assert field.sub_scaled_row(dst, f, src) == [
                 field.sub(x, field.mul(f, y)) for x, y in zip(dst, src)]
+
+
+# ----------------------------------------------------------------------
+# Vector operations against the scalar ones
+# ----------------------------------------------------------------------
+
+VECTOR_FIELDS = [ExtField(2, 4), ExtField(3, 2), ExtField(5, 2), ExtField(2, 8),
+                 ExtField(3, 4), PrimeField(2), PrimeField(5), PrimeField(7)]
+
+
+@pytest.mark.parametrize("field", VECTOR_FIELDS, ids=repr)
+def test_vector_operations_match_scalar_operations_on_every_pair(field):
+    n = field.order
+    a, b = np.divmod(np.arange(n * n), n)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert field.vmul(a, b).tolist() == [field.mul(x, y) for x, y in pairs]
+    assert field.vsub(a, b).tolist() == [field.sub(x, y) for x, y in pairs]
+    e = np.arange(n)
+    assert field.vneg(e).tolist() == [field.neg(x) for x in range(n)]
+    assert field.vinv(e[1:]).tolist() == [field.inv(x) for x in range(1, n)]
+    with pytest.raises(ZeroDivisionError):
+        field.vinv(e)
+    if isinstance(field, ExtField):
+        assert field.vectorised
+        for i in range(field.m + 1):
+            assert field.vfrobenius(e, i).tolist() == [
+                field.frobenius(x, i) for x in range(n)]
+        # a per-entry exponent broadcasts against the elements
+        i = np.arange(n) % (field.m + 1)
+        assert field.vfrobenius(e, i).tolist() == [
+            field.frobenius(x, x % (field.m + 1)) for x in range(n)]
+
+
+def test_vector_operations_broadcast():
+    F = ExtField(3, 2)
+    col, row = np.arange(9)[:, None], np.arange(9)[None, :]
+    assert F.vmul(col, row).tolist() == [[F.mul(x, y) for y in range(9)]
+                                         for x in range(9)]
+    assert F.vsub(col, row).tolist() == [[F.sub(x, y) for y in range(9)]
+                                         for x in range(9)]
+
+
+def test_table_less_field_has_no_vector_operations():
+    F = ExtField(2, 17)
+    assert not F.vectorised
+    with pytest.raises(ParameterError):
+        F.vmul(np.array([1]), np.array([1]))

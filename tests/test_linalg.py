@@ -302,3 +302,79 @@ def test_iter_full_col_rank_is_ordered_distinct_and_full_rank(q, rows, r):
     xs = np.array(list(itertools.product(range(q), repeat=r))[1:]).T
     for M in mats:
         assert ((np.array(M) @ xs) % q).any(axis=0).all()
+
+
+# ----------------------------------------------------------------------
+# The stack kernel and stack-shaped expansion
+# ----------------------------------------------------------------------
+
+@st.composite
+def field_and_stack(draw):
+    """A (B, R, C) stack with some rows and columns zeroed and some rows
+    copied, so ranks mix within one stack."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    B, R, C = (draw(st.integers(1, hi)) for hi in (6, 5, 6))
+    entries = draw(st.lists(st.integers(0, field.order - 1),
+                            min_size=B * R * C, max_size=B * R * C))
+    M = np.array(entries, dtype=np.int64).reshape(B, R, C)
+    zero_rows = draw(st.lists(st.booleans(), min_size=B * R, max_size=B * R))
+    M[np.array(zero_rows).reshape(B, R)] = 0
+    zero_cols = draw(st.lists(st.booleans(), min_size=B * C, max_size=B * C))
+    b, c = np.array(zero_cols).reshape(B, C).nonzero()
+    M[b, :, c] = 0
+    if R > 1 and draw(st.booleans()):
+        M[:, -1] = M[:, 0]
+    return field, M
+
+
+@given(field_and_stack())
+@settings(max_examples=200, deadline=None)
+def test_rref_stack_equals_rref_in_place_matrix_by_matrix(fs):
+    field, M = fs
+    before = M.copy()
+    R, pivots, ranks = la._rref_stack(field, M)
+    assert (M == before).all()  # the input is left alone
+    for b in range(len(M)):
+        want = M[b].tolist()
+        piv = la._rref_in_place(field, want)
+        assert R[b].tolist() == want
+        assert np.flatnonzero(pivots[b]).tolist() == piv
+        assert ranks[b] == len(piv)
+
+
+def test_rref_stack_of_zero_and_identity_blocks():
+    F = ExtField(2, 4)
+    M = np.zeros((3, 3, 4), dtype=np.int64)
+    M[1, :, :3] = np.eye(3, dtype=np.int64) * 7
+    M[2, 0, 3] = 5
+    R, pivots, ranks = la._rref_stack(F, M)
+    assert ranks.tolist() == [0, 3, 1]
+    assert (R[0] == 0).all()
+    assert R[1, :, :3].tolist() == np.eye(3, dtype=int).tolist()
+    assert pivots.tolist() == [[False] * 4, [True, True, True, False],
+                               [False, False, False, True]]
+
+
+def test_expand_and_contract_accept_stacks():
+    rng = np.random.default_rng(4)
+    for F in (F8, ExtField(3, 2)):
+        V = rng.integers(0, F.order, size=(5, 2, 3))
+        E = la.expand(F, V)
+        assert E.shape == (5, 2, 3, F.m)
+        assert E[4, 1].tolist() == la.expand(F, V[4, 1].tolist()).tolist()
+        assert (la.contract(F, E) == V).all()
+        assert isinstance(la.contract(F, E[0, 0]), list)
+
+
+@pytest.mark.parametrize("q, rows, cols, r", [
+    (2, 3, 3, 0), (2, 3, 3, 1), (2, 4, 3, 2), (2, 3, 4, 3), (3, 3, 3, 1),
+    (3, 2, 3, 2),
+])
+def test_iter_rank_exactly_is_the_c_times_r_product_in_order(q, rows, cols, r):
+    rrefs = list(la.iter_rref_full_row_rank(q, r, cols))
+    want = [[[sum(C[i][k] * R[k][j] for k in range(r)) % q for j in range(cols)]
+             for i in range(rows)]
+            for C in la.iter_full_col_rank(q, rows, r) for R in rrefs]
+    got = list(la.iter_rank_exactly(q, rows, cols, r))
+    assert got == want
+    assert all(type(x) is int for M in got for row in M for x in row)

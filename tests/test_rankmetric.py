@@ -267,3 +267,96 @@ def test_min_rank_weight_agrees_with_pairwise_oracle():
     with pytest.raises(BudgetExceededError) as ei:
         min_rank_weight(ExtField(2, 3), [[1, 0, 0], [0, 1, 0]], budget=10)
     assert ei.value.needed == 64
+
+
+# ----------------------------------------------------------------------
+# The stack decoder against the scalar one
+# ----------------------------------------------------------------------
+
+STACK_CODES = [((2, 3), 3, 1), ((2, 4), 4, 2), ((2, 8), 8, 4), ((2, 8), 8, 2),
+               ((3, 4), 4, 2), ((3, 5), 5, 1), ((5, 3), 3, 1), ((5, 4), 4, 2)]
+
+
+def _received_words(code, t, count, rng):
+    """Codewords plus errors of rank 0..t+1, and about 20% random words."""
+    F, n = code.F, code.n
+    words = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            words.append(rng.integers(0, F.order, size=n).tolist())
+            continue
+        c = code.encode(rng.integers(0, F.order, size=code.k).tolist())
+        r = int(rng.integers(0, t + 2))
+        E = (rng.integers(0, F.q, size=(n, r)) @ rng.integers(0, F.q, size=(r, F.m))
+             % F.q)
+        words.append([F.sub(a, b) for a, b in zip(c, la.contract(F, E))])
+    return words
+
+
+def _assert_stack_matches_scalar(code, words, t):
+    ok, msgs, ranks = code.decode_stack(words, t)
+    assert ok.shape == ranks.shape == (len(words),)
+    assert msgs.shape == (len(words), code.k)
+    for j, y in enumerate(words):
+        out = code.decode(y, t)
+        assert bool(ok[j]) == out.ok
+        if out.ok:
+            assert tuple(msgs[j].tolist()) == out.message
+            assert ranks[j] == out.error_rank
+        else:
+            assert ranks[j] == -1 and not msgs[j].any()
+
+
+@pytest.mark.parametrize("qm, n, k", STACK_CODES, ids=str)
+def test_decode_stack_equals_decode(qm, n, k):
+    code = GabidulinCode(ExtField(*qm), n, k)
+    rng = np.random.default_rng(sum(qm) * 100 + n * 10 + k)
+    for t in range((n - k) // 2 + 1):  # t = 0 included
+        _assert_stack_matches_scalar(code, _received_words(code, t, 150, rng), t)
+
+
+def test_decode_stack_falls_back_row_by_row_without_tables():
+    code = GabidulinCode(ExtField(2, 17), 6, 2)
+    assert not code.F.vectorised
+    rng = np.random.default_rng(17)
+    for t in range(3):
+        _assert_stack_matches_scalar(code, _received_words(code, t, 12, rng), t)
+
+
+def test_decode_stack_on_the_whole_p0_reliability_grid():
+    # P0 = (q, m, n, t, mu, k) = (2, 3, 3, 1, 0, 1): every codeword of the
+    # [3, 1] outer code plus every rank-<= 1 error, row by row
+    F = ExtField(2, 3)
+    code = GabidulinCode(F, 3, 1)
+    words = [[a ^ b for a, b in zip(code.encode([u]), la.contract(F, E))]
+             for E in la.iter_rank_at_most(2, 3, 3, 1) for u in range(8)]
+    assert len(words) == 400
+    _assert_stack_matches_scalar(code, words, 1)
+    assert code.decode_stack(words, 1)[0].all()
+
+
+def test_decode_stack_longer_than_an_audit_chunk(F16):
+    # every codeword of the [4, 2] code plus every rank-<= 1 error: 57,856
+    # words, past the audit's 2^14-case chunks; all decode to their message
+    code = GabidulinCode(F16, 4, 2)
+    msgs, cw = code.codeword_table()
+    errs = np.array([la.contract(F16, np.array(E))
+                     for E in la.iter_rank_at_most(2, 4, 4, 1)])
+    words = (cw[None, :, :] ^ errs[:, None, :]).reshape(-1, 4)
+    ok, got, ranks = code.decode_stack(words, 1)
+    assert ok.all()
+    assert (got == np.tile(np.array(msgs), (len(errs), 1))).all()
+    assert (ranks == np.repeat([la.vector_rank(F16, e) for e in errs.tolist()],
+                               len(msgs))).all()
+    _assert_stack_matches_scalar(code, words[::211].tolist(), 1)
+
+
+def test_decode_stack_validates_its_input(code42):
+    with pytest.raises(ParameterError):
+        code42.decode_stack([[0, 0, 0]], 1)
+    with pytest.raises(ParameterError):
+        code42.decode_stack([[0, 0, 0, 16]], 1)
+    with pytest.raises(ParameterError):
+        code42.decode_stack([[0, 0, 0, 0]], 2)
+    ok, msgs, ranks = code42.decode_stack(np.zeros((0, 4), dtype=np.int64), 1)
+    assert ok.shape == (0,) and msgs.shape == (0, 2)
