@@ -13,16 +13,18 @@ stacks of received words, un-mixes each with a left inverse of its
 transfer computed once per transfer, and decodes them in enumeration
 order, a bounded chunk at a time, through `GabidulinCode.decode_stack`;
 what the scalar `coherent_decode` would report for each case comes out
-in the same order.  Both audits take their payloads from one stacked
-product G0^T u over the whole (S, V) grid.
+in the same order.  Both audits take their payloads G0^T u over the
+whole (S, V) grid from one `linalg.span`.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
 no algorithmic machinery with them beyond field arithmetic and the
-base-field rank.  The odd-q nearest-codeword search ranks its
-differences with `linalg._rref_stack`, which the stack decoder also
-uses; it is checked against the scalar `decode`, which shares no stack
-code, and `decode_stack` is checked against `decode` directly.
+base-field rank.  The nearest-codeword search takes its codebook from
+`linalg.span`, which no decoder calls (they re-encode from the Moore
+matrix), and at odd q ranks its differences with `linalg._rref_stack`,
+which the stack decoder also uses; it is checked against the scalar
+`decode`, which shares no stack code, and `decode_stack` is checked
+against `decode` directly.
 
 Entropy unit: bits throughout; one packet is m*log2(q) bits.
 """
@@ -164,21 +166,11 @@ class ReliabilityReport:
 # ----------------------------------------------------------------------
 
 def _payload_table(inst: SchemeInstance):
-    """All q^(m(k+mu)) payload expansions, indexed by the (S, V) grid in
-    itertools.product order, and the S of each.
-
-    One stacked product over GF(q): expand(g u) = expand(u) M_g, where
-    row i of M_g expands g x^i, so expand(G0^T u) is expand(u) times the
-    block matrix of the M_g for the entries g of G0.
-    """
-    p, F = inst.params, inst.F
-    ku = p.k + p.mu
-    U = np.stack(np.unravel_index(np.arange(F.order ** ku), (F.order,) * ku),
-                 axis=1).astype(np.int64)
-    basis = [F.q ** i for i in range(F.m)]
-    W = la.expand(F, [[[F.mul(g, x) for g in row] for x in basis] for row in inst.G0])
-    payloads = la.expand(F, U).reshape(len(U), -1) @ W.reshape(ku * F.m, -1) % F.q
-    return payloads.reshape(len(U), p.n, F.m), [tuple(S) for S in U[:, : p.k].tolist()]
+    """All q^(m(k+mu)) payload expansions G0^T u, indexed by the (S, V) grid
+    in itertools.product order, and the S of each; one `linalg.span`."""
+    p = inst.params
+    U, payloads = la.span(inst.F, inst.G0, np.arange(inst.F.order ** (p.k + p.mu)))
+    return payloads, [tuple(S) for S in U[:, : p.k].tolist()]
 
 
 def _view_keys(views, q: int):

@@ -151,6 +151,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.adversary == "exhaustive" and args.N is not None:
+        raise UsageError("--N does not apply to the exhaustive adversary")
     params, config_seed = _load_config(args)
     inst = build_instance(params)
     F = inst.F
@@ -212,6 +214,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.kind == "reliability" and (args.lifted or args.tap_rows is not None):
+        flag = "--lifted" if args.lifted else "--tap-rows"
+        raise UsageError(f"{flag} applies to the secrecy audit only")
     params, config_seed = _load_config(args)
     inst = build_broken_instance(params) if args.break_mrd else build_instance(params)
     rng = None

@@ -311,8 +311,6 @@ class ExtField:
         self._np_exp = None  # numpy copies for the vector operations
         self._np_log = None
         self._np_qpow = None
-        self._np_mul = None
-        self._np_add = None
 
     # -- raw polynomial arithmetic (no tables) --------------------------
 
@@ -547,40 +545,13 @@ class ExtField:
     def parse_element(self, text: str) -> int:
         return self.from_row(parse_digits(text, self.q))
 
-    # -- enumeration and dense tables ------------------------------------
+    # -- enumeration -----------------------------------------------------
 
     def elements(self):
         return range(self.order)
 
     def nonzero_elements(self):
         return range(1, self.order)
-
-    def mul_table(self) -> np.ndarray:
-        """Dense order x order multiplication table (small fields only)."""
-        if self._np_mul is None:
-            if self.order > 4096:
-                raise ParameterError("dense tables limited to order <= 4096")
-            n1 = self.order - 1
-            logs = np.array([0] + [self._log[a] for a in range(1, self.order)])
-            exps = np.array(self._exp[:n1] or [1])
-            t = exps[(logs[:, None] + logs[None, :]) % n1].copy()
-            t[0, :] = 0
-            t[:, 0] = 0
-            self._np_mul = t
-        return self._np_mul
-
-    def add_table(self) -> np.ndarray:
-        if self._np_add is None:
-            if self.order > 4096:
-                raise ParameterError("dense tables limited to order <= 4096")
-            t = np.empty((self.order, self.order), dtype=np.int64)
-            for a in range(self.order):
-                for b in range(a, self.order):
-                    v = self.add(a, b)
-                    t[a, b] = v
-                    t[b, a] = v
-            self._np_add = t
-        return self._np_add
 
     def __eq__(self, other):
         return (

@@ -8,7 +8,9 @@ scale_row / sub_scaled_row); only GF(2) rank packs rows into bitmasks,
 in `rank_gf2`.  Stacks of matrices, as int64 arrays of shape (B, R, C),
 are reduced together by `_rref_stack` with the fields' vector
 operations.  Every matrix-vector product, base-field maps applied to
-packets included, runs `matvec`.
+packets and the columns of `matmul` included, runs `matvec`.  Every
+enumeration of GF(q^m)-combinations of rows (codebooks, audit payloads,
+distance certificates) runs `span`.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -242,19 +244,8 @@ def matmul(field, A, B) -> list[list[int]]:
     rb, cb = dims(B)
     if ca != rb:
         raise ParameterError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    Bt = list(zip(*B)) if B else []
-    out = zeros(ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        for j in range(cb):
-            acc = field.zero
-            col = Bt[j]
-            for k in range(ca):
-                a = Ai[k]
-                if a != field.zero:
-                    acc = field.add(acc, field.mul(a, col[k]))
-            out[i][j] = acc
-    return out
+    cols = [matvec(field, A, col) for col in transpose(B)]
+    return transpose(cols) if cols else zeros(ra, 0)
 
 
 def matvec(field, A, v) -> list[int]:
@@ -307,6 +298,25 @@ def contract(F, M):
         raise ParameterError(f"entries must be digits of GF({F.q})")
     x = M.astype(np.int64) @ F.q ** np.arange(F.m, dtype=np.int64)
     return x.tolist() if M.ndim == 2 else x
+
+
+def span(F, rows, idx):
+    """The combinations U . rows over GF(q^m) for the messages U with
+    itertools.product indices idx: returns (U, expand(U . rows)), an int64
+    (B, K) array and a (B, n, m) stack.
+
+    One product over GF(q), with no field tables: expand(g u) = expand(u) M_g,
+    where row i of M_g expands g x^i, so expand(U . rows) is expand(U) times
+    the block matrix of the M_g for the entries g of rows.
+    """
+    rows = to_lists(rows)
+    K, n = dims(rows)
+    idx = np.asarray(idx, dtype=np.int64)
+    U = idx[:, None] // F.order ** np.arange(K - 1, -1, -1, dtype=np.int64) % F.order
+    basis = [F.q ** i for i in range(F.m)]
+    W = expand(F, [[[F.mul(g, x) for g in row] for x in basis] for row in rows])
+    E = expand(F, U).reshape(len(U), K * F.m) @ W.reshape(K * F.m, n * F.m) % F.q
+    return U, E.reshape(len(U), n, F.m)
 
 
 def rank_distance(field, X, Y) -> int:

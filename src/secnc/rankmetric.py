@@ -23,11 +23,14 @@ Every nonzero interpolation solution yields the same message when a
 codeword lies within the radius, and the re-encode check settles the
 rest, so the two agree row for row; the scalar decoder stays as the
 cross-check of the stack one.
+
+The codebook and the minimum rank weight behind the MRD certificate
+d = n - k + 1 and Proposition 1 both enumerate rows' combinations with
+`linalg.span`; the pairwise oracle assumes no linearity.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,9 @@ from .gf import ExtField, PrimeField
 
 # Cap on exhaustive codeword/pair enumeration; callers may raise it.
 DEFAULT_ENUM_BUDGET = 1 << 20
+
+# Combinations per `linalg.span` call: bounds a stack's memory.
+_SPAN_CHUNK = 1 << 14
 
 # The reason of every failed error decode.
 DECODE_FAILURE = "no codeword within rank radius"
@@ -134,28 +140,25 @@ class GabidulinCode:
             raise ParameterError(f"message length {len(u)} != k = {self.k}")
         return la.matvec(self.F, self._Gt, u)
 
-    def iter_codewords(self, budget: int = DEFAULT_ENUM_BUDGET):
-        total = self.F.order ** self.k
-        if total > budget:
-            raise BudgetExceededError(total, budget, "codeword enumeration")
-        for u in itertools.product(range(self.F.order), repeat=self.k):
-            yield u, self.encode(u)
-
     def codeword_table(self, budget: int = DEFAULT_ENUM_BUDGET):
-        """The cached full codebook: ([messages], array of codeword symbols).
+        """The cached full codebook: ([messages], array of codeword symbols),
+        messages in itertools.product order.
 
-        Feeds exhaustive searches; one encode pass regardless of how many
-        queries follow.
+        Feeds exhaustive searches; built once by `linalg.span` regardless of
+        how many queries follow.
         """
-        total = self.F.order ** self.k
+        F = self.F
+        total = F.order ** self.k
         if total > budget:
             raise BudgetExceededError(total, budget, "codeword enumeration")
         if self._table is None:
+            G = self.generator_matrix()
             msgs, words = [], []
-            for u, c in self.iter_codewords(budget):
-                msgs.append(u)
-                words.append(c)
-            self._table = (msgs, np.array(words, dtype=np.int64))
+            for lo in range(0, total, _SPAN_CHUNK):
+                U, E = la.span(F, G, np.arange(lo, min(lo + _SPAN_CHUNK, total)))
+                msgs += map(tuple, U.tolist())
+                words.append(la.contract(F, E))
+            self._table = (msgs, np.concatenate(words))
         return self._table
 
     # -- decoding -------------------------------------------------------
@@ -356,17 +359,19 @@ def min_rank_distance_exhaustive(matrices, q: int, *,
 
 def min_rank_weight(F: ExtField, rows, budget: int = DEFAULT_ENUM_BUDGET):
     """Least rank weight of a nonzero vector in the span of `rows`, by
-    enumeration stopping at weight 1; None when the span is zero.
+    enumeration (`linalg._rref_stack` on `linalg.span` chunks) stopping at
+    weight 1; None when the span is zero.
     """
     total = F.order ** len(rows)
     if total > budget:
         raise BudgetExceededError(total, budget, "codeword enumeration")
-    cols = la.transpose(rows)
     best = None
-    for u in itertools.product(range(F.order), repeat=len(rows)):
-        r = la.vector_rank(F, la.matvec(F, cols, u))
-        if r and (best is None or r < best):
-            best = r
+    for lo in range(0, total, _SPAN_CHUNK):
+        _, E = la.span(F, rows, np.arange(lo, min(lo + _SPAN_CHUNK, total)))
+        r = la._rref_stack(F.base, E)[2]
+        r = r[r > 0]
+        if len(r) and (best is None or r.min() < best):
+            best = int(r.min())
             if best == 1:
                 break
     return best

@@ -208,6 +208,13 @@ def test_simulate_exhaustive_adversary(cfg, capsys):
     assert "failures=0" in out and "cases=3390" in out
 
 
+def test_simulate_exhaustive_refuses_n(cfg, capsys):
+    assert main(["simulate", "--config", cfg, "--adversary", "exhaustive",
+                 "--N", "0", "--seed", "9"]) == 1
+    captured = capsys.readouterr()
+    assert "--N" in captured.err and captured.out == ""
+
+
 def test_simulate_noncoherent(cfg, capsys):
     assert main(["simulate", "--config", cfg, "--trials", "20",
                  "--noncoherent", "--seed", "3"]) == 0
@@ -253,6 +260,14 @@ def test_audit_reliability_rejects_break_mrd(cfg, capsys):
     assert main(["audit", "reliability", "--config", cfg, "--seed", "1",
                  "--break-mrd"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--lifted"], ["--tap-rows", "1"]])
+def test_audit_reliability_refuses_secrecy_flags(cfg, capsys, flag):
+    assert main(["audit", "reliability", "--config", cfg, "--seed", "4",
+                 "--transfers", "0"] + flag) == 1
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err and captured.out == ""
 
 
 def test_audit_budget_refusal_is_exit_4(cfg, capsys):

@@ -378,3 +378,38 @@ def test_iter_rank_exactly_is_the_c_times_r_product_in_order(q, rows, cols, r):
     got = list(la.iter_rank_exactly(q, rows, cols, r))
     assert got == want
     assert all(type(x) is int for M in got for row in M for x in row)
+
+
+def _span_oracle(F, rows, i):
+    """The i-th message of itertools.product order and its combination of
+    rows, by one scalar matvec."""
+    u = []
+    for _ in rows:
+        i, d = divmod(i, F.order)
+        u.insert(0, d)
+    return u, la.expand(F, la.matvec(F, la.transpose(rows), u)).tolist()
+
+
+@pytest.mark.parametrize("q, m, K, n", [(2, 4, 2, 3), (3, 2, 3, 2), (5, 2, 2, 3)])
+def test_span_equals_a_scalar_matvec_per_message(q, m, K, n):
+    F = ExtField(q, m)
+    rng = np.random.default_rng(q * m)
+    rows = rng.integers(0, F.order, size=(K, n)).tolist()
+    idx = np.arange(F.order ** K)
+    U, E = la.span(F, rows, idx)
+    assert U.shape == (len(idx), K) and E.shape == (len(idx), n, m)
+    assert U.tolist() == [list(u) for u in itertools.product(range(F.order), repeat=K)]
+    for j in idx.tolist():
+        u, want = _span_oracle(F, rows, j)
+        assert U[j].tolist() == u and E[j].tolist() == want
+
+
+def test_span_needs_no_field_tables():
+    F = ExtField(2, 17)
+    rng = np.random.default_rng(17)
+    rows = rng.integers(0, F.order, size=(2, 3)).tolist()
+    idx = rng.integers(0, F.order ** 2, size=5)
+    U, E = la.span(F, rows, idx)
+    for j, i in enumerate(idx.tolist()):
+        u, want = _span_oracle(F, rows, i)
+        assert U[j].tolist() == u and E[j].tolist() == want

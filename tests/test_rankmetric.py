@@ -87,6 +87,29 @@ def test_nonbinary_code_distance():
     assert code_min_rank_distance(code) == 2
 
 
+def test_distance_over_several_span_chunks():
+    # 256^2 combinations: four chunks of min_rank_weight, none of weight 1
+    assert code_min_rank_distance(GabidulinCode(ExtField(2, 8), 3, 2)) == 2
+
+
+def test_codeword_table_is_one_encode_per_message():
+    # P2's outer [4, 2] code over GF(3^4)
+    code = GabidulinCode(ExtField(3, 4), 4, 2)
+    msgs, words = code.codeword_table()
+    want = [(u, code.encode(u))
+            for u in itertools.product(range(code.F.order), repeat=2)]
+    assert msgs == [u for u, _ in want]
+    assert words.tolist() == [c for _, c in want]
+
+
+def test_codeword_table_across_span_chunks():
+    code = GabidulinCode(ExtField(2, 8), 3, 2)
+    msgs, words = code.codeword_table()
+    assert msgs == list(itertools.product(range(256), repeat=2))
+    for i in list(range(16380, 16390)) + list(range(0, 65536, 997)) + [65535]:
+        assert words[i].tolist() == code.encode(msgs[i])
+
+
 def test_singleton_bound_values():
     assert singleton_bound(3, 3, 3, 2) == 8
     assert singleton_bound(4, 4, 1, 2) == 65536
@@ -240,7 +263,7 @@ def test_codeword_iteration_budget():
     F = ExtField(2, 8)
     code = GabidulinCode(F, 8, 3)
     with pytest.raises(BudgetExceededError) as ei:
-        list(code.iter_codewords(budget=1000))
+        code.codeword_table(budget=1000)
     assert ei.value.needed == 256 ** 3
 
 

@@ -312,6 +312,42 @@ def test_coherent_decode_matches_brute_force_at_odd_characteristic():
         assert out.error_rank == la.rank_fq((B @ D @ Z) % 3, 3)
 
 
+def test_coherent_decode_matches_brute_force_at_q5():
+    # (5,3,3,1,0,1): random full-rank 4 x 3 transfers over GF(5),
+    # injections D Z of rank <= 1, each decode checked against the
+    # nearest-codeword oracle on the same left-inverted observation
+    from secnc.audit import brute_force_decode
+
+    inst = build_instance(SchemeParams(q=5, m=3, n=3, t=1, mu=0, k=1))
+    F = inst.F
+    rng = np.random.default_rng(59)
+    for trial in range(200):
+        S = [int(rng.integers(0, F.order))]
+        X = inst.encode(S, rng=rng)
+        A = la.random_full_rank(F.base, 4, 3, rng)
+        D = rng.integers(0, 5, size=(4, 1)) * (trial % 4 != 0)  # some clean
+        Z = rng.integers(0, 5, size=(1, 3))
+        Y = (A @ la.expand(F, X) + D @ Z) % 5
+        out = inst.coherent_decode(Y, A)
+        B = np.array(la.left_inverse(F.base, A))
+        oracle = brute_force_decode(inst.code, la.contract(F, (B @ Y) % 5), 1)
+        assert oracle == {tuple(S)}
+        assert out.ok and out.message == tuple(S)
+        assert out.error_rank == la.rank_fq((B @ D @ Z) % 5, 5)
+
+
+def test_secrecy_audit_at_q5():
+    # (5,2,2,0,1,1): 625 (S, V) pairs under each of the 24 full-rank 1 x 2 taps
+    from secnc.audit import secrecy_audit
+
+    params = SchemeParams(q=5, m=2, n=2, t=0, mu=1, k=1)
+    rep = secrecy_audit(build_instance(params))
+    assert rep.passed and len(rep.records) == 24 and rep.pairs_per_tap == 625
+    broken = secrecy_audit(build_broken_instance(params))
+    # some tap sees all of S: log2(25) bits
+    assert broken.max_leakage == pytest.approx(2 * np.log2(5))
+
+
 @given(st.sampled_from([ExtField(2, 4), ExtField(3, 2)]), st.data())
 @settings(max_examples=120, deadline=None)
 def test_complete_transform_is_the_greedy_completion(F, data):
