@@ -8,23 +8,28 @@ count vectors across messages, before any floating-point arithmetic;
 a report of 0 means identical distributions, not a small number.
 
 The reliability audit replays every effective error of rank at most t
-against every (S, V) and records decode failures.  Every mode builds
-stacks of received words, un-mixes each with a left inverse of its
-transfer computed once per transfer, and decodes them in enumeration
-order, a bounded chunk at a time, through `GabidulinCode.decode_stack`;
-what the scalar `coherent_decode` would report for each case comes out
-in the same order.  Both audits take their payloads G0^T u over the
-whole (S, V) grid from one `linalg.span`.
+against every (S, V) and records decode failures; it is the one
+exhaustive check of both decoders.  Every mode builds stacks of received
+words in enumeration order, a bounded chunk at a time.  Coherent words
+are un-mixed with a left inverse of their transfer, computed once per
+transfer, and decoded through `GabidulinCode.decode_stack`; what the
+scalar `coherent_decode` would report for each case comes out in the
+same order.  Lifted words [I | X] + E, errors on all n + m columns, go
+as received to `network.noncoherent_decode`, and a failure's exemplar
+names that decoder's reason.  Both audits take their payloads G0^T u
+over the whole (S, V) grid from one `linalg.span`.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
 no algorithmic machinery with them beyond field arithmetic and the
-base-field rank.  The nearest-codeword search takes its codebook from
-`linalg.span`, which no decoder calls (they re-encode from the Moore
-matrix), and at odd q ranks its differences with `linalg._rref_stack`,
-which the stack decoder also uses; it is checked against the scalar
-`decode`, which shares no stack code, and `decode_stack` is checked
-against `decode` directly.
+base-field rank.  Both take their codebook from `linalg.span`, which no
+decoder calls (they re-encode from the Moore matrix).  The
+nearest-codeword search at odd q ranks its differences with
+`linalg._rref_stack`, which the stack decoder also uses; it is checked
+against the scalar `decode`, which shares no stack code, and
+`decode_stack` is checked against `decode` directly.  The consistency
+oracle reduces Y - E for every error E with `linalg._rref_stack`; the
+noncoherent decoder it checks walks error spaces with scalar solves.
 
 Entropy unit: bits throughout; one packet is m*log2(q) bits.
 """
@@ -39,8 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import BudgetExceededError, InconsistentSystemError, ParameterError
-from .rankmetric import DECODE_FAILURE, DEFAULT_ENUM_BUDGET, GabidulinCode
+from .errors import BudgetExceededError, ParameterError
+from .network import (noncoherent_decode, sample_realization, transmit,
+                      transmit_lifted)
+from .rankmetric import (DECODE_FAILURE, DEFAULT_ENUM_BUDGET, DecodeOutcome,
+                         GabidulinCode)
 from .scheme import SchemeInstance
 
 DEFAULT_AUDIT_BUDGET = 1 << 22
@@ -140,6 +148,7 @@ class SecrecyReport:
 @dataclass(frozen=True)
 class ReliabilityReport:
     exhaustive: bool
+    lifted: bool
     cases: int
     failures: int
     exemplars: tuple
@@ -151,7 +160,8 @@ class ReliabilityReport:
 
     def text(self) -> str:
         lines = [
-            f"reliability_audit exhaustive={str(self.exhaustive).lower()}",
+            f"reliability_audit exhaustive={str(self.exhaustive).lower()}"
+            + (" lifted=true" if self.lifted else ""),
             f"cases={self.cases} failures={self.failures}",
             "error_ranks=" + ",".join(f"{r}:{c}" for r, c in self.error_rank_counts),
         ]
@@ -171,6 +181,13 @@ def _payload_table(inst: SchemeInstance):
     p = inst.params
     U, payloads = la.span(inst.F, inst.G0, np.arange(inst.F.order ** (p.k + p.mu)))
     return payloads, [tuple(S) for S in U[:, : p.k].tolist()]
+
+
+def _lift(payloads):
+    """The lifted matrices [I | P] of the (B, n, m) stack of payloads P."""
+    B, n, _ = payloads.shape
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (B, n, n))
+    return np.concatenate([eye, payloads], axis=2)
 
 
 def _view_keys(views, q: int):
@@ -212,10 +229,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
     payloads, s_index = _payload_table(inst)
     if lifted:
-        eye = np.eye(p.n, dtype=np.int64)
-        payloads = np.concatenate(
-            [np.broadcast_to(eye, (len(payloads), p.n, p.n)), payloads], axis=2
-        )
+        payloads = _lift(payloads)
     if rows == 0:
         taps = [np.zeros((0, p.n), dtype=np.int64)]
     elif mode == "exhaustive":
@@ -252,6 +266,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
 def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
                       random_transfers: int = 20, trials: int = 1000,
+                      lifted: bool = False,
                       budget: int = DEFAULT_AUDIT_BUDGET) -> ReliabilityReport:
     """Replay every rank-<= t error against every (S, V); count failures.
 
@@ -259,10 +274,19 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     (S, V) x error grid, then each of `random_transfers` random
     rectangular full-rank transfers through the full error grid at a
     random (S, V).  Sampled mode runs `trials` fully random cases.
+
+    Coherent cases are un-mixed with a left inverse of their transfer
+    and decoded a stack at a time by `GabidulinCode.decode_stack`.
+    Lifted cases send [I | X], take their errors on all n + m columns and
+    go as received, transfer unknown, to `noncoherent_decode`, one
+    observation at a time.  With A = I the identity phase loses nothing:
+    that decoder's answer depends on the row space of the observation
+    alone.
     """
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
+    cols = n + m if lifted else m
     if inst.code is None:
         raise ParameterError("this instance has no decodable outer code")
     exemplars = []
@@ -270,17 +294,25 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     failures = 0
     cases = 0
 
-    def check(Y, S, tag):
-        """Decode the un-mixed words Y (B, n, m) of the messages S (B, k);
-        tag(j) names case j of the stack."""
-        nonlocal failures, cases
+    def decode(Y):
+        """Per case of the stack Y: ok, message S, error rank, reason."""
+        if lifted:
+            outs = [noncoherent_decode(inst, y) for y in Y]
+            return (*DecodeOutcome.stack(outs, p.k), [o.reason for o in outs])
         ok, msgs, ranks = inst.code.decode_stack(la.contract(F, Y), t)
-        good = ok & (msgs[:, : p.k] == S).all(axis=1)
+        return ok, msgs[:, : p.k], ranks, [DECODE_FAILURE] * len(ok)
+
+    def check(Y, S, tag):
+        """Decode the received words Y of the messages S (B, k); tag(j)
+        names case j of the stack."""
+        nonlocal failures, cases
+        ok, msgs, ranks, reasons = decode(Y)
+        good = ok & (msgs == S).all(axis=1)
         bad = np.flatnonzero(~good)
         cases += len(good)
         failures += len(bad)
         for j in bad[: 5 - len(exemplars)]:
-            got = tuple(msgs[j, : p.k].tolist()) if ok[j] else repr(DECODE_FAILURE)
+            got = tuple(msgs[j].tolist()) if ok[j] else repr(reasons[j])
             exemplars.append(f"{tag(j)} S={tuple(S[j].tolist())} got={got}")
         for r, c in enumerate(np.bincount(ranks[good]).tolist()):
             if c:
@@ -291,17 +323,18 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise ParameterError(
                 f"random_transfers must be >= 0, got {random_transfers}")
         n_pairs = F.order ** (p.k + p.mu)
-        n_err_sq = la.count_rank_at_most(q, n, m, t)
         N = n + t
-        n_err_rect = la.count_rank_at_most(q, N, m, t)
-        needed = n_pairs * n_err_sq + random_transfers * n_err_rect
+        needed = (n_pairs * la.count_rank_at_most(q, n, cols, t)
+                  + random_transfers * la.count_rank_at_most(q, N, cols, t))
         if needed > budget:
             raise BudgetExceededError(needed, budget, "reliability enumeration")
         if rng is None and random_transfers:
             raise ParameterError("the random-transfer phase needs an rng")
         payloads, s_index = _payload_table(inst)
+        if lifted:
+            payloads = _lift(payloads)
         msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
-        for Es, e, w in _grid(la.iter_rank_at_most(q, n, m, t), n_pairs):
+        for Es, e, w in _grid(la.iter_rank_at_most(q, n, cols, t), n_pairs):
             check((payloads[w] + Es[e]) % q, msgs[w],
                   lambda j: f"A=I E={_matrix_id(Es[e[j]], q)}")
         for j in range(random_transfers):
@@ -309,8 +342,9 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             uidx = int(rng.integers(0, len(payloads)))
             Aplus = np.array(la.left_inverse(F.base, A), dtype=np.int64)
             X = A @ payloads[uidx]
-            for Es, e, _ in _grid(la.iter_rank_at_most(q, N, m, t), 1):
-                check(Aplus @ ((X + Es) % q) % q, msgs[[uidx] * len(e)],
+            for Es, e, _ in _grid(la.iter_rank_at_most(q, N, cols, t), 1):
+                Y = (X + Es) % q
+                check(Y if lifted else Aplus @ Y % q, msgs[[uidx] * len(e)],
                       lambda i: f"A#{j} E={_matrix_id(Es[i], q)}")
         exhaustive = True
     elif mode == "sampled":
@@ -320,15 +354,16 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise ParameterError(f"trials must be >= 1, got {trials}")
         if trials > budget:
             raise BudgetExceededError(trials, budget, "reliability trials")
-        from .network import sample_realization, transmit
-
         words, msgs = [], []
         for trial in range(trials):
             S = [int(x) for x in rng.integers(0, F.order, size=p.k)]
             X = inst.encode(S, rng=rng)
-            real = sample_realization(p, n + t, rng)
-            Aplus = np.array(la.left_inverse(F.base, real.A), dtype=np.int64)
-            words.append(Aplus @ transmit(F, X, real).Y % q)
+            real = sample_realization(p, n + t, rng, lifted=lifted)
+            if lifted:
+                words.append(transmit_lifted(F, X, real).Y)
+            else:
+                Aplus = np.array(la.left_inverse(F.base, real.A), dtype=np.int64)
+                words.append(Aplus @ transmit(F, X, real).Y % q)
             msgs.append(S)
             if len(words) == _CHUNK or trial == trials - 1:
                 check(np.array(words), np.array(msgs, dtype=np.int64),
@@ -340,6 +375,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
 
     return ReliabilityReport(
         exhaustive=exhaustive,
+        lifted=lifted,
         cases=cases,
         failures=failures,
         exemplars=tuple(exemplars),
@@ -405,10 +441,13 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
                                    budget: int = DEFAULT_AUDIT_BUDGET) -> set:
     """All messages S explainable as Y = A [I | expand(X)] + E, rank E <= t.
 
-    Enumerates every error matrix E of rank at most t, peels it off,
-    and keeps S whenever the remaining header block is a feasible
-    transfer matrix carrying a codeword.  Completely independent of the
-    projection search in the efficient decoder.
+    Enumerates every error matrix E of rank at most t and reduces the
+    stack of Y - E over GF(q) (`linalg._rref_stack`), a chunk of errors
+    at a time.  Y - E is A [I | Xbar] for a full-column-rank A exactly
+    when its pivots are the n header columns; its payload block is then
+    Xbar, and S is kept when Xbar is a codeword of the cached
+    `codeword_table`.  Enumerates errors, never candidate error spaces,
+    so it stays independent of the search in the efficient decoder.
     """
     p = inst.params
     F = inst.F
@@ -420,19 +459,16 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     needed = la.count_rank_at_most(q, N, n + m, t)
     if needed > budget:
         raise BudgetExceededError(needed, budget, "error-matrix enumeration")
-    base = F.base
+    if inst.code is None:
+        raise ParameterError("this instance has no decodable outer code")
+    msgs, words = inst.code.codeword_table(budget)
+    header = np.arange(n + m) < n
     out = set()
-    for E in la.iter_rank_at_most(q, N, n + m, t):
-        En = np.array(E, dtype=np.int64)
-        A = (Y[:, :n] - En[:, :n]) % q
-        if la.rank_fq(A, q) != n:
-            continue
-        rhs = (Y[:, n:] - En[:, n:]) % q
-        try:
-            Xbar = la.rref_solve(base, A, rhs)
-        except InconsistentSystemError:
-            continue
-        u = inst.message_of_codeword(la.contract(F, Xbar))
-        if u is not None:
-            out.add(tuple(u[: p.k]))
+    for Es, _, _ in _grid(la.iter_rank_at_most(q, N, n + m, t), 1):
+        R, pivots, _ = la._rref_stack(F.base, (Y - Es) % q)
+        Xbar = R[(pivots == header).all(axis=1), :n, n:]
+        keys = _view_keys(np.concatenate([words, la.contract(F, Xbar)]), F.order)
+        where = dict(zip(keys[: len(words)].tolist(), msgs))
+        out.update(where[key][: p.k] for key in keys[len(words):].tolist()
+                   if key in where)
     return out

@@ -19,13 +19,7 @@ from .audit import reliability_audit, secrecy_audit
 from .errors import (BudgetExceededError, InconsistentSystemError, ParameterError,
                      SingularMatrixError, UnderdeterminedSystemError, ValidationError)
 from . import linalg as la
-from .network import (
-    iter_exhaustive_realizations,
-    noncoherent_decode,
-    sample_realization,
-    transmit,
-    transmit_lifted,
-)
+from .network import noncoherent_decode, sample_realization, transmit, transmit_lifted
 from .scheme import build_broken_instance, build_instance
 
 EXIT_OK = 0
@@ -151,60 +145,37 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.adversary == "exhaustive" and args.N is not None:
-        raise UsageError("--N does not apply to the exhaustive adversary")
     params, config_seed = _load_config(args)
     inst = build_instance(params)
     F = inst.F
     N = args.N if args.N is not None else params.n + params.t
+    if args.trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {args.trials}")
+    seed = _resolve_seed(args, config_seed)
+    rng = np.random.default_rng(seed)
+    if args.trials > args.budget:
+        raise BudgetExceededError(args.trials, args.budget, "simulation trials")
     failures = 0
-    cases = 0
     rank_seen = {}
     start = time.monotonic()
-
-    def run(S, X, real):
-        nonlocal failures, cases
-        cases += 1
+    for _ in range(args.trials):
+        S = [int(v) for v in rng.integers(0, F.order, size=params.k)]
+        X = inst.encode(S, rng=rng)
+        real = sample_realization(params, N, rng, lifted=args.noncoherent)
         if args.noncoherent:
-            res = transmit_lifted(F, X, real)
-            out = noncoherent_decode(inst, res.Y)
+            out = noncoherent_decode(inst, transmit_lifted(F, X, real).Y)
         else:
-            res = transmit(F, X, real)
-            out = inst.coherent_decode(res.Y, real.A)
+            out = inst.coherent_decode(transmit(F, X, real).Y, real.A)
         if out.ok and out.message == tuple(S):
             rank_seen[out.error_rank] = rank_seen.get(out.error_rank, 0) + 1
         else:
             failures += 1
 
-    if args.adversary == "exhaustive":
-        gen = iter_exhaustive_realizations(params, lifted=args.noncoherent,
-                                           budget=args.budget)
-        seed = _resolve_seed(args, config_seed)
-        rng = np.random.default_rng(seed)
-        S = [int(v) for v in rng.integers(0, F.order, size=params.k)]
-        X = inst.encode(S, rng=rng)
-        for real in gen:
-            run(S, X, real)
-    else:
-        if args.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {args.trials}")
-        seed = _resolve_seed(args, config_seed)
-        rng = np.random.default_rng(seed)
-        if args.trials > args.budget:
-            raise BudgetExceededError(args.trials, args.budget,
-                                      "simulation trials")
-        for _ in range(args.trials):
-            S = [int(v) for v in rng.integers(0, F.order, size=params.k)]
-            X = inst.encode(S, rng=rng)
-            real = sample_realization(params, N, rng, lifted=args.noncoherent)
-            run(S, X, real)
-
     elapsed = time.monotonic() - start
     ranks = ",".join(f"{r}:{c}" for r, c in sorted(rank_seen.items()))
     report = "\n".join([
-        f"simulate adversary={args.adversary} "
-        f"noncoherent={str(args.noncoherent).lower()}",
-        f"cases={cases} failures={failures}",
+        f"simulate adversary=random noncoherent={str(args.noncoherent).lower()}",
+        f"cases={args.trials} failures={failures}",
         f"error_ranks={ranks}",
         f"elapsed_seconds={elapsed:.3f}",
         f"verdict={'pass' if failures == 0 else 'FAIL'}",
@@ -213,10 +184,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+# Each count flag of `audit`, the (kind, mode) it applies to, and its default.
+_AUDIT_COUNTS = {
+    "tap_rows": ("secrecy", None, None),
+    "samples": ("secrecy", "sampled", 20),
+    "transfers": ("reliability", "exhaustive", 20),
+    "trials": ("reliability", "sampled", 1000),
+}
+
+
 def cmd_audit(args) -> int:
-    if args.kind == "reliability" and (args.lifted or args.tap_rows is not None):
-        flag = "--lifted" if args.lifted else "--tap-rows"
-        raise UsageError(f"{flag} applies to the secrecy audit only")
+    for name, (kind, mode, default) in _AUDIT_COUNTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif kind != args.kind or mode not in (None, args.mode):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} does not apply to the {args.mode} "
+                             f"{args.kind} audit")
     params, config_seed = _load_config(args)
     inst = build_broken_instance(params) if args.break_mrd else build_instance(params)
     rng = None
@@ -233,7 +217,8 @@ def cmd_audit(args) -> int:
             )
         rep = reliability_audit(inst, mode=args.mode, rng=rng,
                                 random_transfers=args.transfers,
-                                trials=args.trials, budget=args.budget)
+                                trials=args.trials, lifted=args.lifted,
+                                budget=args.budget)
     text = rep.text()
     sys.stdout.write(text)
     if args.report:
@@ -287,13 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="message path (default stdout)")
     sp.set_defaults(func=cmd_decode)
 
-    sp = sub.add_parser("simulate", help="run transmissions against adversaries")
+    sp = sub.add_parser("simulate",
+                        help="random transmissions against a random adversary")
     common(sp)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--N", type=int, default=None,
                     help="received packet count (default n + t)")
-    sp.add_argument("--adversary", choices=["random", "exhaustive"],
-                    default="random")
     sp.add_argument("--noncoherent", action="store_true",
                     help="lift transmissions and decode without the transfer")
     sp.add_argument("--budget", type=int, default=1 << 22)
@@ -309,13 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tap-rows", type=int, default=None,
                     help="eavesdropper rows (default mu)")
     sp.add_argument("--lifted", action="store_true",
-                    help="audit taps on lifted transmissions")
-    sp.add_argument("--samples", type=int, default=20,
-                    help="tap samples in sampled secrecy mode")
-    sp.add_argument("--transfers", type=int, default=20,
-                    help="random transfer matrices in the reliability audit")
-    sp.add_argument("--trials", type=int, default=1000,
-                    help="cases in sampled reliability mode")
+                    help="audit lifted transmissions [I | X]: taps on them "
+                         "(secrecy), or noncoherent decoding of them, transfer "
+                         "unknown (reliability)")
+    sp.add_argument("--samples", type=int, default=None,
+                    help="tap samples in sampled secrecy mode (default 20)")
+    sp.add_argument("--transfers", type=int, default=None,
+                    help="random transfer matrices in exhaustive reliability "
+                         "mode (default 20)")
+    sp.add_argument("--trials", type=int, default=None,
+                    help="cases in sampled reliability mode (default 1000)")
     sp.add_argument("--break-mrd", action="store_true",
                     help="UNSAFE negative control: spoil the code so the "
                          "secrecy audit must report leakage")

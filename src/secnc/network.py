@@ -11,8 +11,9 @@ The received header block then *is* an effective transfer matrix:
 Y_p = Y_h Xbar + D Z' with rank(D Z') <= rank(D) <= t, so the decoder
 never needs to learn A itself.
 
-Realizations are drawn at random (`sample_realization`) or enumerated
-exhaustively with A = I (`iter_exhaustive_realizations`).
+Realizations are drawn at random (`sample_realization`).  The exhaustive
+checks of both decoders, every (S, V) against every error of rank <= t,
+are `audit.reliability_audit` and its `lifted` mode.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from .errors import (
 from .gf import ExtField, PrimeField
 from .rankmetric import DEFAULT_ENUM_BUDGET, DecodeOutcome
 from .scheme import SchemeInstance
-
-# Cap on exhaustive realization enumeration (error matrices x taps).
-DEFAULT_REALIZATION_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -83,15 +81,6 @@ class ChannelRealization:
 
     def effective_error(self) -> np.ndarray:
         return (self.D @ self.Z) % self.q
-
-    @staticmethod
-    def from_effective_error(q: int, A, E, B) -> "ChannelRealization":
-        """Factor an effective error E = D Z through its rank."""
-        E = np.asarray(E, dtype=np.int64) % q
-        R, pivots = la.rref(PrimeField(q), E)
-        r = len(pivots)
-        Z = np.array(R[:r], dtype=np.int64).reshape(r, E.shape[1])
-        return ChannelRealization(q, np.asarray(A), E[:, pivots], Z, np.asarray(B))
 
 
 @dataclass(frozen=True)
@@ -153,33 +142,6 @@ def sample_realization(params, N: int, rng, *, lifted: bool = False,
         else np.zeros((0, n), dtype=np.int64)
     )
     return ChannelRealization(q, A, D, Z, B)
-
-
-def iter_exhaustive_realizations(params, *, lifted: bool = False,
-                                 budget: int = DEFAULT_REALIZATION_BUDGET):
-    """Every (effective error of rank <= t) x (full-rank B), with A = I.
-
-    Only the product D Z matters to the decoding guarantee, so errors
-    are enumerated as effective matrices and refactored; the identity
-    transfer loses no generality for exhaustive audits because the
-    decoder premultiplies by a left inverse anyway.
-    """
-    q, n, m, t, mu = params.q, params.n, params.m, params.t, params.mu
-    cols = n + m if lifted else m
-    n_errors = la.count_rank_at_most(q, n, cols, t)
-    n_taps = la.count_rank_exactly(q, mu, n, mu) if mu else 1
-    needed = n_errors * n_taps
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, "realization enumeration")
-    A = np.eye(n, dtype=np.int64)
-    taps = (
-        [np.array(Bm, dtype=np.int64) for Bm in la.iter_full_rank(q, mu, n)]
-        if mu
-        else [np.zeros((0, n), dtype=np.int64)]
-    )
-    for E in la.iter_rank_at_most(q, n, cols, t):
-        for B in taps:
-            yield ChannelRealization.from_effective_error(q, A, E, B)
 
 
 # ----------------------------------------------------------------------

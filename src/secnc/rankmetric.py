@@ -76,6 +76,17 @@ class DecodeOutcome:
     def failure(reason: str):
         return DecodeOutcome(False, None, None, reason)
 
+    @staticmethod
+    def stack(outs, k: int):
+        """The outcomes as `GabidulinCode.decode_stack` returns a stack:
+        (ok, messages, error_ranks) arrays, a failure as a zero message of
+        length k and error rank -1."""
+        return (np.array([o.ok for o in outs], dtype=bool),
+                np.array([o.message or (0,) * k for o in outs],
+                         dtype=np.int64).reshape(len(outs), k),
+                np.array([o.error_rank if o.ok else -1 for o in outs],
+                         dtype=np.int64))
+
 
 class GabidulinCode:
     """[n, k] Gabidulin code over GF(q^m) with evaluation points g.
@@ -219,14 +230,9 @@ class GabidulinCode:
         if ((Y < 0) | (Y >= F.order)).any():
             raise ParameterError(f"received words must hold elements of "
                                  f"GF({F.q}^{F.m})")
-        B = len(Y)
         if not F.vectorised:
-            outs = [self.decode(y, t) for y in Y.tolist()]
-            return (np.array([o.ok for o in outs], dtype=bool),
-                    np.array([o.message or (0,) * k for o in outs],
-                             dtype=np.int64).reshape(B, k),
-                    np.array([o.error_rank if o.ok else -1 for o in outs],
-                             dtype=np.int64))
+            return DecodeOutcome.stack([self.decode(y, t) for y in Y.tolist()], k)
+        B = len(Y)
         moore = np.array(self.moore, dtype=np.int64)
         ar = np.arange(B)
         # 1. interpolation rows [y_j^(q^i), i <= t | -g_j^(q^l), l < k + t]
@@ -361,19 +367,26 @@ def min_rank_weight(F: ExtField, rows, budget: int = DEFAULT_ENUM_BUDGET):
     """Least rank weight of a nonzero vector in the span of `rows`, by
     enumeration (`linalg._rref_stack` on `linalg.span` chunks) stopping at
     weight 1; None when the span is zero.
+
+    A nonzero c of GF(q^m) keeps the rank weight (expand(c v) = expand(v) M_c
+    with M_c invertible), so only the combinations whose leading nonzero
+    coefficient is 1 are ranked: the index ranges [Q^j, 2 Q^j) for j below
+    the number K of rows, Q = q^m.  The budget counts all Q^K combinations.
     """
-    total = F.order ** len(rows)
+    K, Q = len(rows), F.order
+    total = Q ** K
     if total > budget:
         raise BudgetExceededError(total, budget, "codeword enumeration")
     best = None
-    for lo in range(0, total, _SPAN_CHUNK):
-        _, E = la.span(F, rows, np.arange(lo, min(lo + _SPAN_CHUNK, total)))
-        r = la._rref_stack(F.base, E)[2]
-        r = r[r > 0]
-        if len(r) and (best is None or r.min() < best):
-            best = int(r.min())
-            if best == 1:
-                break
+    for j in range(K):
+        for lo in range(Q ** j, 2 * Q ** j, _SPAN_CHUNK):
+            _, E = la.span(F, rows, np.arange(lo, min(lo + _SPAN_CHUNK, 2 * Q ** j)))
+            r = la._rref_stack(F.base, E)[2]
+            r = r[r > 0]
+            if len(r) and (best is None or r.min() < best):
+                best = int(r.min())
+                if best == 1:
+                    return best
     return best
 
 

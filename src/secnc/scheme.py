@@ -113,7 +113,6 @@ class SchemeInstance:
         self.T = [list(r) for r in T]
         self.broken = broken
         self._G0t = la.transpose(self.G0)
-        self._msg_inv = None
 
     # -- encoding ---------------------------------------------------------
 
@@ -191,15 +190,6 @@ class SchemeInstance:
         if not out.ok:
             return out
         return DecodeOutcome.success(out.message[: p.k])
-
-    def message_of_codeword(self, x):
-        """The unique [S; V] with G0^T [S; V] = x, or None if x is no codeword."""
-        if self._msg_inv is None:
-            self._msg_inv = la.left_inverse(self.F, self._G0t)
-        u = la.matvec(self.F, self._msg_inv, [int(v) for v in x])
-        if la.matvec(self.F, self._G0t, u) != [int(v) for v in x]:
-            return None
-        return u
 
     def __repr__(self):
         p = self.params

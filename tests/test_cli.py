@@ -201,18 +201,13 @@ def test_simulate_random_passes(cfg, capsys):
     assert "cases=50 failures=0" in out and "verdict=pass" in out
 
 
-def test_simulate_exhaustive_adversary(cfg, capsys):
+def test_simulate_has_no_adversary_option(cfg, capsys):
+    # the exhaustive check is `audit reliability`, coherent or --lifted
     assert main(["simulate", "--config", cfg, "--adversary", "exhaustive",
-                 "--seed", "9"]) == 0
-    out = capsys.readouterr().out
-    assert "failures=0" in out and "cases=3390" in out
-
-
-def test_simulate_exhaustive_refuses_n(cfg, capsys):
-    assert main(["simulate", "--config", cfg, "--adversary", "exhaustive",
-                 "--N", "0", "--seed", "9"]) == 1
+                 "--seed", "9"]) == 1
     captured = capsys.readouterr()
-    assert "--N" in captured.err and captured.out == ""
+    assert "--adversary" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_noncoherent(cfg, capsys):
@@ -262,12 +257,28 @@ def test_audit_reliability_rejects_break_mrd(cfg, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", [["--lifted"], ["--tap-rows", "1"]])
+@pytest.mark.parametrize("flag", [["--tap-rows", "1"], ["--samples", "5"]])
 def test_audit_reliability_refuses_secrecy_flags(cfg, capsys, flag):
     assert main(["audit", "reliability", "--config", cfg, "--seed", "4",
                  "--transfers", "0"] + flag) == 1
     captured = capsys.readouterr()
     assert flag[0] in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["secrecy", "--transfers", "3"],
+    ["secrecy", "--trials", "7"],
+    ["secrecy", "--samples", "2"],
+    ["reliability", "--mode", "sampled", "--transfers", "3"],
+    ["reliability", "--trials", "7"],
+], ids=["secrecy-transfers", "secrecy-trials", "exhaustive-secrecy-samples",
+        "sampled-reliability-transfers", "exhaustive-reliability-trials"])
+def test_audit_refuses_flags_its_mode_ignores(cfg, capsys, argv):
+    assert main(["audit", "--config", cfg, "--seed", "4"] + argv) == 1
+    captured = capsys.readouterr()
+    flag = next(a for a in argv if a.startswith("--") and a != "--mode")
+    assert flag in captured.err and "does not apply" in captured.err
+    assert captured.out == ""
 
 
 def test_audit_budget_refusal_is_exit_4(cfg, capsys):

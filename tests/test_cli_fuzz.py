@@ -114,8 +114,7 @@ def test_fuzz_count_flags(kind, data):
     flags = []
     if kind == "simulate":
         argv = ["simulate", "--config", "cfg"]
-        flags = [("--trials", counts), ("--N", st.integers(0, 6).map(str)),
-                 ("--adversary", st.sampled_from(["random", "exhaustive"]))]
+        flags = [("--trials", counts), ("--N", st.integers(0, 6).map(str))]
     elif kind == "secrecy":
         argv = ["audit", "secrecy", "--config", "cfg1"]
         flags = [("--mode", st.sampled_from(["exhaustive", "sampled"])),

@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secnc import linalg as la
-from secnc.errors import BudgetExceededError, ParameterError
-from secnc.gf import PrimeField
+from secnc.errors import ParameterError
 from secnc.network import (
     ChannelRealization,
-    iter_exhaustive_realizations,
     lift,
     noncoherent_decode,
     sample_realization,
@@ -78,30 +78,6 @@ def test_realization_validation():
         ChannelRealization(2, I4, np.zeros((4, 0), dtype=int),
                            np.zeros((0, 4), dtype=int),
                            np.ones((1, 3), dtype=int))
-
-
-def test_from_effective_error_round_trip():
-    rng = np.random.default_rng(11)
-    field = PrimeField(3)
-    for _ in range(30):
-        E = rng.integers(0, 3, size=(5, 4))
-        A = la.random_full_rank(field, 5, 4, rng)
-        real = ChannelRealization.from_effective_error(
-            3, A, E, np.zeros((0, 4), dtype=np.int64)
-        )
-        assert (real.effective_error() == E % 3).all()
-        assert real.D.shape[1] == la.rank_fq(E, 3)
-
-
-def test_exhaustive_realization_enumeration():
-    reals = list(iter_exhaustive_realizations(PARAMS))
-    assert len(reals) == 226 * 15  # rank-<=1 errors x full-rank 1x4 taps
-    seen_errors = {tuple(map(tuple, r.effective_error())) for r in reals}
-    assert len(seen_errors) == 226
-    seen_taps = {tuple(map(tuple, r.B)) for r in reals}
-    assert len(seen_taps) == 15
-    with pytest.raises(BudgetExceededError):
-        list(iter_exhaustive_realizations(PARAMS, budget=100))
 
 
 def test_sample_realization_modes(inst):
@@ -237,6 +213,39 @@ def test_noncoherent_success_explains_the_observation(params):
             ranks.add(la.rank_fq((Y[:, n:] - Y[:, :n] @ Xbar) % q, q))
         assert out.error_rank in ranks, trial
     assert successes >= 3
+
+
+ROW_SPACE_INSTANCES = {
+    params: build_instance(SchemeParams(*params))
+    for params in [(2, 4, 4, 1, 1, 1), (3, 4, 4, 1, 1, 1)]
+}
+
+
+@pytest.mark.parametrize("params", list(ROW_SPACE_INSTANCES))
+@given(seed=st.integers(0, 2 ** 32 - 1), extra_rows=st.integers(0, 1),
+       kind=st.sampled_from(["promise", "rank t+1", "rank t+2", "garbage"]))
+@settings(max_examples=25, deadline=None)
+def test_noncoherent_decode_depends_on_the_row_space_alone(params, seed,
+                                                           extra_rows, kind):
+    # decode(P Y) == decode(Y) for every invertible P, inside the promise
+    # and outside it: so the lifted audit's identity transfer, A = I,
+    # stands for every full-rank square A
+    q, m, n, t, mu, k = params
+    inst = ROW_SPACE_INSTANCES[params]
+    F, N = inst.F, n + extra_rows
+    rng = np.random.default_rng(seed)
+    S = [int(x) for x in rng.integers(0, F.order, size=k)]
+    A = la.random_full_rank(F.base, N, n, rng)
+    r = {"promise": t, "rank t+1": t + 1, "rank t+2": t + 2, "garbage": 0}[kind]
+    E = rng.integers(0, q, size=(N, r)) @ rng.integers(0, q, size=(r, n + m))
+    Y = (A @ lift(F, inst.encode(S, rng=rng)) + E) % q
+    if kind == "garbage":
+        Y = rng.integers(0, q, size=(N, n + m))
+    P = la.random_full_rank(F.base, N, N, rng)
+    out = noncoherent_decode(inst, Y)
+    assert noncoherent_decode(inst, P @ Y % q) == out
+    if kind == "promise":
+        assert out.ok and out.message == tuple(S)
 
 
 def test_noncoherent_rejects_bad_shapes(inst):

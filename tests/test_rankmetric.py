@@ -88,7 +88,8 @@ def test_nonbinary_code_distance():
 
 
 def test_distance_over_several_span_chunks():
-    # 256^2 combinations: four chunks of min_rank_weight, none of weight 1
+    # 256^2 combinations, of which min_rank_weight ranks the 257 with a
+    # leading coefficient of 1; none has weight 1
     assert code_min_rank_distance(GabidulinCode(ExtField(2, 8), 3, 2)) == 2
 
 

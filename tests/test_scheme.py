@@ -227,12 +227,6 @@ def test_degenerate_t_zero():
         assert out.ok and out.message == tuple(S)
 
 
-def test_message_of_codeword(inst):
-    x = inst.encode([9], force_v=[2])
-    assert inst.message_of_codeword(x) == [9, 2]
-    assert inst.message_of_codeword([1, 0, 0, 0]) is None
-
-
 def test_coset_round_trip_and_cardinality():
     F = ExtField(2, 3)
     i = build_instance(SchemeParams(q=2, m=3, n=3, t=0, mu=2, k=1))
