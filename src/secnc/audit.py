@@ -9,15 +9,17 @@ a report of 0 means identical distributions, not a small number.
 
 The reliability audit replays every effective error of rank at most t
 against every (S, V) and records decode failures; it is the one
-exhaustive check of both decoders.  Every mode builds stacks of received
-words in enumeration order, a bounded chunk at a time.  Coherent words
-are un-mixed with a left inverse of their transfer, computed once per
-transfer, and decoded through `GabidulinCode.decode_stack`; what the
-scalar `coherent_decode` would report for each case comes out in the
-same order.  Lifted words [I | X] + E, errors on all n + m columns, go
-as received to `network.noncoherent_decode`, and a failure's exemplar
-names that decoder's reason.  Both audits take their payloads G0^T u
-over the whole (S, V) grid from one `linalg.span`.
+exhaustive check of both decoders, and its sampled mode, which
+`secnc simulate` runs, is the one engine of random trials.  Every mode
+builds stacks of received words in enumeration order, a bounded chunk
+at a time.  Coherent words are un-mixed with a left inverse of their
+transfer, computed once per transfer, and decoded through
+`GabidulinCode.decode_stack`; what the scalar `coherent_decode` would
+report for each case comes out in the same order.  Lifted words
+[I | X] + E, errors on all n + m columns, go as received to
+`network.noncoherent_decode`, and a failure's exemplar names that
+decoder's reason.  Both audits take their payloads G0^T u over the
+whole (S, V) grid from one `linalg.span`.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
@@ -44,9 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import BudgetExceededError, ParameterError
-from .network import (noncoherent_decode, sample_realization, transmit,
-                      transmit_lifted)
+from .errors import ParameterError, check_budget
+from .network import (candidate_spaces, noncoherent_decode, sample_realization,
+                      transmit, transmit_lifted)
 from .rankmetric import (DECODE_FAILURE, DEFAULT_ENUM_BUDGET, DecodeOutcome,
                          GabidulinCode)
 from .scheme import SchemeInstance
@@ -223,9 +225,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
         n_taps = samples if rows else 1
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
-    needed = n_pairs * n_taps
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, "secrecy enumeration")
+    check_budget(n_pairs * n_taps, budget, "secrecy enumeration")
 
     payloads, s_index = _payload_table(inst)
     if lifted:
@@ -266,14 +266,15 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
 def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
                       random_transfers: int = 20, trials: int = 1000,
-                      lifted: bool = False,
-                      budget: int = DEFAULT_AUDIT_BUDGET) -> ReliabilityReport:
+                      lifted: bool = False, budget: int = DEFAULT_AUDIT_BUDGET,
+                      N: int | None = None) -> ReliabilityReport:
     """Replay every rank-<= t error against every (S, V); count failures.
 
     Exhaustive mode drives the identity transfer through the full
-    (S, V) x error grid, then each of `random_transfers` random
-    rectangular full-rank transfers through the full error grid at a
-    random (S, V).  Sampled mode runs `trials` fully random cases.
+    (S, V) x error grid, then each of `random_transfers` random full-rank
+    N x n transfers (N = n + t by default) through the full error grid
+    at a random (S, V).  Sampled mode, `secnc simulate`'s engine, runs
+    `trials` fully random cases.
 
     Coherent cases are un-mixed with a left inverse of their transfer
     and decoded a stack at a time by `GabidulinCode.decode_stack`.
@@ -282,17 +283,27 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     observation at a time.  With A = I the identity phase loses nothing:
     that decoder's answer depends on the row space of the observation
     alone.
+
+    The budget counts cases, a lifted one once per candidate error space
+    its decode solves for; the N x (n + N) matrix [A | I_N] that a left
+    inverse reduces must fit it too.  Refusals come before any draw.
     """
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
+    N = n + t if N is None else N
     cols = n + m if lifted else m
     if inst.code is None:
         raise ParameterError("this instance has no decodable outer code")
+    if N < n:
+        raise ParameterError(f"N = {N} must be at least n = {n}")
     exemplars = []
     rank_counts = Counter()
     failures = 0
     cases = 0
+    # the budget units of one case received on `rows` rows
+    unit = "candidate solves" if lifted else "cases"
+    cost = (lambda rows: candidate_spaces(q, rows, t)) if lifted else (lambda _: 1)
 
     def decode(Y):
         """Per case of the stack Y: ok, message S, error rank, reason."""
@@ -323,11 +334,11 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise ParameterError(
                 f"random_transfers must be >= 0, got {random_transfers}")
         n_pairs = F.order ** (p.k + p.mu)
-        N = n + t
-        needed = (n_pairs * la.count_rank_at_most(q, n, cols, t)
-                  + random_transfers * la.count_rank_at_most(q, N, cols, t))
-        if needed > budget:
-            raise BudgetExceededError(needed, budget, "reliability enumeration")
+        check_budget(n_pairs * la.count_rank_at_most(q, n, cols, t) * cost(n)
+                     + random_transfers * la.count_rank_at_most(q, N, cols, t)
+                     * cost(N), budget, "reliability enumeration", unit)
+        if random_transfers and not lifted:
+            check_budget(N * (N + n), budget, "one transfer's un-mix", "entries")
         if rng is None and random_transfers:
             raise ParameterError("the random-transfer phase needs an rng")
         payloads, s_index = _payload_table(inst)
@@ -340,25 +351,26 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
         for j in range(random_transfers):
             A = la.random_full_rank(F.base, N, n, rng)
             uidx = int(rng.integers(0, len(payloads)))
-            Aplus = np.array(la.left_inverse(F.base, A), dtype=np.int64)
+            Aplus = None if lifted else np.array(la.left_inverse(F.base, A),
+                                                 dtype=np.int64)
             X = A @ payloads[uidx]
             for Es, e, _ in _grid(la.iter_rank_at_most(q, N, cols, t), 1):
                 Y = (X + Es) % q
                 check(Y if lifted else Aplus @ Y % q, msgs[[uidx] * len(e)],
                       lambda i: f"A#{j} E={_matrix_id(Es[i], q)}")
-        exhaustive = True
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
         if trials < 1:
             raise ParameterError(f"trials must be >= 1, got {trials}")
-        if trials > budget:
-            raise BudgetExceededError(trials, budget, "reliability trials")
+        check_budget(trials * cost(N), budget, "reliability trials", unit)
+        if not lifted:
+            check_budget(N * (N + n), budget, "one trial's un-mix", "entries")
         words, msgs = [], []
         for trial in range(trials):
             S = [int(x) for x in rng.integers(0, F.order, size=p.k)]
             X = inst.encode(S, rng=rng)
-            real = sample_realization(p, n + t, rng, lifted=lifted)
+            real = sample_realization(p, N, rng, lifted=lifted)
             if lifted:
                 words.append(transmit_lifted(F, X, real).Y)
             else:
@@ -369,12 +381,11 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
                 check(np.array(words), np.array(msgs, dtype=np.int64),
                       lambda j: "sampled")
                 words, msgs = [], []
-        exhaustive = False
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
 
     return ReliabilityReport(
-        exhaustive=exhaustive,
+        exhaustive=(mode == "exhaustive"),
         lifted=lifted,
         cases=cases,
         failures=failures,
@@ -456,9 +467,8 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     N = Y.shape[0]
     if Y.shape[1] != n + m:
         raise ParameterError(f"lifted observation must have {n + m} columns")
-    needed = la.count_rank_at_most(q, N, n + m, t)
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, "error-matrix enumeration")
+    check_budget(la.count_rank_at_most(q, N, n + m, t), budget,
+                 "error-matrix enumeration")
     if inst.code is None:
         raise ParameterError("this instance has no decodable outer code")
     msgs, words = inst.code.codeword_table(budget)

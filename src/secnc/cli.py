@@ -1,5 +1,8 @@
 """Command line front end.
 
+`simulate` runs `audit.reliability_audit` in sampled mode and prints its
+own report of the audit's counts.
+
 Exit codes: 0 success/pass, 1 usage or unreadable input, 2 validation
 rejection, 3 run or audit failure, 4 budget refusal.  Every randomized
 subcommand prints the seed it used so runs can be replayed exactly.
@@ -15,11 +18,11 @@ import time
 import numpy as np
 
 from . import fileio
-from .audit import reliability_audit, secrecy_audit
+from .audit import DEFAULT_AUDIT_BUDGET, reliability_audit, secrecy_audit
 from .errors import (BudgetExceededError, InconsistentSystemError, ParameterError,
                      SingularMatrixError, UnderdeterminedSystemError, ValidationError)
 from . import linalg as la
-from .network import noncoherent_decode, sample_realization, transmit, transmit_lifted
+from .network import noncoherent_decode
 from .scheme import build_broken_instance, build_instance
 
 EXIT_OK = 0
@@ -147,41 +150,18 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     params, config_seed = _load_config(args)
     inst = build_instance(params)
-    F = inst.F
-    N = args.N if args.N is not None else params.n + params.t
-    if args.trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {args.trials}")
-    seed = _resolve_seed(args, config_seed)
-    rng = np.random.default_rng(seed)
-    if args.trials > args.budget:
-        raise BudgetExceededError(args.trials, args.budget, "simulation trials")
-    failures = 0
-    rank_seen = {}
+    rng = np.random.default_rng(_resolve_seed(args, config_seed))
     start = time.monotonic()
-    for _ in range(args.trials):
-        S = [int(v) for v in rng.integers(0, F.order, size=params.k)]
-        X = inst.encode(S, rng=rng)
-        real = sample_realization(params, N, rng, lifted=args.noncoherent)
-        if args.noncoherent:
-            out = noncoherent_decode(inst, transmit_lifted(F, X, real).Y)
-        else:
-            out = inst.coherent_decode(transmit(F, X, real).Y, real.A)
-        if out.ok and out.message == tuple(S):
-            rank_seen[out.error_rank] = rank_seen.get(out.error_rank, 0) + 1
-        else:
-            failures += 1
-
+    rep = reliability_audit(inst, "sampled", rng, trials=args.trials,
+                            lifted=args.noncoherent, budget=args.budget, N=args.N)
     elapsed = time.monotonic() - start
-    ranks = ",".join(f"{r}:{c}" for r, c in sorted(rank_seen.items()))
-    report = "\n".join([
+    # the audit report's own count, rank and verdict lines
+    _, counts, ranks, *_, verdict = rep.text().splitlines()
+    _emit("\n".join([
         f"simulate adversary=random noncoherent={str(args.noncoherent).lower()}",
-        f"cases={args.trials} failures={failures}",
-        f"error_ranks={ranks}",
-        f"elapsed_seconds={elapsed:.3f}",
-        f"verdict={'pass' if failures == 0 else 'FAIL'}",
-    ]) + "\n"
-    _emit(report, args.out)
-    return EXIT_OK if failures == 0 else EXIT_FAILURE
+        counts, ranks, f"elapsed_seconds={elapsed:.3f}", verdict,
+    ]) + "\n", args.out)
+    return EXIT_OK if rep.passed else EXIT_FAILURE
 
 
 # Each count flag of `audit`, the (kind, mode) it applies to, and its default.
@@ -232,6 +212,9 @@ def cmd_audit(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    budget_help = ("refuse, before any work, a run that needs more: it counts "
+                   "cases, candidate solves for lifted decodes, and the "
+                   "N * (n + N) entries of one trial's un-mix")
     parser = _Parser(
         prog="secnc",
         description="Rank-metric coset coding for secure network coding.",
@@ -280,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="received packet count (default n + t)")
     sp.add_argument("--noncoherent", action="store_true",
                     help="lift transmissions and decode without the transfer")
-    sp.add_argument("--budget", type=int, default=1 << 22)
+    sp.add_argument("--budget", type=int, default=DEFAULT_AUDIT_BUDGET,
+                    help=budget_help)
     sp.add_argument("--out", default=None, help="report path (default stdout)")
     sp.set_defaults(func=cmd_simulate)
 
@@ -289,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["secrecy", "reliability"])
     sp.add_argument("--mode", choices=["exhaustive", "sampled"],
                     default="exhaustive")
-    sp.add_argument("--budget", type=int, default=1 << 22)
+    sp.add_argument("--budget", type=int, default=DEFAULT_AUDIT_BUDGET,
+                    help=budget_help)
     sp.add_argument("--tap-rows", type=int, default=None,
                     help="eavesdropper rows (default mu)")
     sp.add_argument("--lifted", action="store_true",

@@ -31,17 +31,24 @@ class UnderdeterminedSystemError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed its case budget.
+    """A request would exceed its work budget.
 
     Raised *before* any work is done; this is a refusal, not a failure
-    verdict. ``needed`` carries the exact case count the request would
-    have enumerated.
+    verdict. ``needed`` carries the exact count, in ``unit`` (cases
+    unless said otherwise), that the request would have taken.
     """
 
-    def __init__(self, needed: int, budget: int, what: str = "enumeration"):
+    def __init__(self, needed: int, budget: int, what: str = "enumeration",
+                 unit: str = "cases"):
         super().__init__(
-            f"{what} needs {needed} cases, exceeding the budget of {budget}; "
+            f"{what} needs {needed} {unit}, exceeding the budget of {budget}; "
             f"raise the budget to at least {needed} to run this exhaustively"
         )
         self.needed = needed
         self.budget = budget
+
+
+def check_budget(needed: int, budget: int, what: str, unit: str = "cases"):
+    """Refuse, before any work, a request that needs more than `budget`."""
+    if needed > budget:
+        raise BudgetExceededError(needed, budget, what, unit)

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import ParameterError
-from .gf import ExtField, parse_digits
+from .gf import ExtField, format_digits, parse_digits
 from .scheme import SchemeParams
 
 
@@ -37,12 +37,6 @@ def _parse_digit_line(line: str, q: int, expected: int) -> list[int]:
         if not 0 <= d < q:
             raise ParameterError(f"digit {d} out of range for GF({q})")
     return digits
-
-
-def format_digits(digits, q: int) -> str:
-    if q <= 10:
-        return "".join(str(int(d)) for d in digits)
-    return " ".join(str(int(d)) for d in digits)
 
 
 # -- packet files ------------------------------------------------------

@@ -176,6 +176,11 @@ def parse_digits(text: str, q: int) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
+def format_digits(digits, q: int) -> str:
+    """The line `parse_digits` reads: contiguous for q <= 10, else spaced."""
+    return ("" if q <= 10 else " ").join(str(int(d)) for d in digits)
+
+
 # ----------------------------------------------------------------------
 # Fields
 # ----------------------------------------------------------------------
@@ -537,10 +542,7 @@ class ExtField:
     # -- element text form: m base-q digits, lowest degree first ---------
 
     def format_element(self, a: int) -> str:
-        row = self.as_row(self.check(a))
-        if self.q <= 10:
-            return "".join(str(d) for d in row)
-        return " ".join(str(d) for d in row)
+        return format_digits(self.as_row(self.check(a)), self.q)
 
     def parse_element(self, text: str) -> int:
         return self.from_row(parse_digits(text, self.q))

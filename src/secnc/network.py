@@ -24,10 +24,10 @@ import numpy as np
 
 from . import linalg as la
 from .errors import (
-    BudgetExceededError,
     InconsistentSystemError,
     ParameterError,
     UnderdeterminedSystemError,
+    check_budget,
 )
 from .gf import ExtField, PrimeField
 from .rankmetric import DEFAULT_ENUM_BUDGET, DecodeOutcome
@@ -148,6 +148,12 @@ def sample_realization(params, N: int, rng, *, lifted: bool = False,
 # Noncoherent decoding
 # ----------------------------------------------------------------------
 
+def candidate_spaces(q: int, N: int, t: int) -> int:
+    """The error spaces, of dimension <= t in GF(q)^N, that
+    `noncoherent_decode` solves for on an N-row observation."""
+    return sum(la.gaussian_binomial(N, r, q) for r in range(t + 1))
+
+
 def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     """Recover S from a lifted transmission without knowing A.
 
@@ -174,10 +180,8 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     N = Y.shape[0]
     if N < n:
         raise ParameterError(f"observation has {N} < n = {n} rows")
-    needed = sum(la.gaussian_binomial(N, r, q) for r in range(t + 1))
-    if needed > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceededError(needed, DEFAULT_ENUM_BUDGET,
-                                  "candidate error spaces")
+    check_budget(candidate_spaces(q, N, t), DEFAULT_ENUM_BUDGET,
+                 "candidate error spaces")
     Yh, Yp = Y[:, :n], Y[:, n:]
     G0t = la.transpose(inst.G0)
     YhG = la.matmul(F, Yh, G0t)

@@ -37,10 +37,10 @@ import numpy as np
 
 from . import linalg as la
 from .errors import (
-    BudgetExceededError,
     InconsistentSystemError,
     ParameterError,
     UnderdeterminedSystemError,
+    check_budget,
 )
 from .gf import ExtField, PrimeField
 
@@ -160,8 +160,7 @@ class GabidulinCode:
         """
         F = self.F
         total = F.order ** self.k
-        if total > budget:
-            raise BudgetExceededError(total, budget, "codeword enumeration")
+        check_budget(total, budget, "codeword enumeration")
         if self._table is None:
             G = self.generator_matrix()
             msgs, words = [], []
@@ -349,9 +348,8 @@ def min_rank_distance_exhaustive(matrices, q: int, *,
     if len(mats) < 2:
         raise ParameterError("need at least two matrices")
     field = PrimeField(q)
-    needed = len(mats) * (len(mats) - 1) // 2
-    if needed > budget:
-        raise BudgetExceededError(needed, budget, "pairwise rank computations")
+    check_budget(len(mats) * (len(mats) - 1) // 2, budget,
+                 "pairwise rank computations")
     best = None
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
@@ -374,9 +372,7 @@ def min_rank_weight(F: ExtField, rows, budget: int = DEFAULT_ENUM_BUDGET):
     the number K of rows, Q = q^m.  The budget counts all Q^K combinations.
     """
     K, Q = len(rows), F.order
-    total = Q ** K
-    if total > budget:
-        raise BudgetExceededError(total, budget, "codeword enumeration")
+    check_budget(Q ** K, budget, "codeword enumeration")
     best = None
     for j in range(K):
         for lo in range(Q ** j, 2 * Q ** j, _SPAN_CHUNK):

@@ -4,10 +4,13 @@
 with `noncoherent_decode`, transfer unknown: at P0 = (2,3,3,1,0,1) the
 identity phase is 8 pairs x 442 errors on the 3 x 6 lifted matrix, and
 each random 4 x 3 transfer adds 946 errors, so two transfers make 5,428
-cases.  The grid, the checker and the report are the coherent audit's.
+cases.  The grid, the checker and the report are the coherent audit's;
+the budget counts each case once per candidate error space its decode
+solves for.
 """
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +72,26 @@ def test_lifted_exemplars_name_the_decoders_reason(tmp_path, capsys,
     assert out == (DATA / "exemplars_p0_lifted.txt").read_text()
 
 
-def test_lifted_budget_counts_cases():
+def test_lifted_budget_counts_candidate_solves(tmp_path, capsys):
+    # a lifted decode solves once per error space of dimension <= t in
+    # GF(2)^rows: 8 on the identity phase's 3 rows, 16 on a transfer's 4
     inst = build_instance(SchemeParams(**P0))
     with pytest.raises(BudgetExceededError) as ei:
         audit.reliability_audit(inst, rng=np.random.default_rng(4),
-                                random_transfers=2, lifted=True, budget=5427)
-    assert ei.value.needed == 5428
+                                random_transfers=2, lifted=True, budget=58559)
+    assert ei.value.needed == 3536 * 8 + 2 * 946 * 16 == 58560
+    assert _run(tmp_path, capsys, LIFTED + ["--budget", "58560"]) == (
+        0, (DATA / "reliability_p0_lifted.txt").read_text())
+    # P1 = (2,4,4,1,1,1) with 20 transfers: 979,456 x 16 + 20 x 7,906 x 32
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps({"q": 2, "m": 4, "n": 4, "t": 1, "mu": 1, "k": 1}))
+    start = time.monotonic()
+    assert main(["audit", "reliability", "--lifted", "--seed", "4",
+                 "--config", str(path)]) == 4
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert "needs 20731136 candidate solves" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_lifted_sampled_mode_decodes_noncoherently():

@@ -216,6 +216,43 @@ def test_simulate_noncoherent(cfg, capsys):
     assert "failures=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("config, flags", [
+    (CFG, []),
+    (CFG, ["--noncoherent"]),
+    ({**CFG, "q": 3}, []),
+], ids=["p1", "p1-noncoherent", "p2"])
+def test_simulate_runs_the_sampled_audit(tmp_path, capsys, config, flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    common = ["--config", str(path), "--seed", "7", "--trials", "150"]
+    assert main(["simulate"] + common + flags) == 0
+    simulated = capsys.readouterr().out.splitlines()
+    lifted = ["--lifted"] if flags else []
+    assert main(["audit", "reliability", "--mode", "sampled"]
+                + common + lifted) == 0
+    audited = capsys.readouterr().out.splitlines()
+    assert simulated[1:3] == audited[1:3]
+    assert simulated[1].startswith("cases=150 failures=0")
+
+
+def test_simulate_n_sets_the_transfer_rows(cfg, capsys):
+    assert main(["simulate", "--config", cfg, "--N", "7", "--trials", "300",
+                 "--seed", "5"]) == 0
+    assert "error_ranks=0:45,1:255\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("N", ["20000", "2047"])
+def test_simulate_refuses_an_unmix_past_the_budget(cfg, capsys, N):
+    # the left inverse reduces the N x (n + N) matrix [A | I_N]; the
+    # default budget 2^22 admits N = 2046
+    start = time.monotonic()
+    assert main(["simulate", "--config", cfg, "--N", N, "--seed", "1"]) == 4
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert "un-mix needs" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_trivial_channel(tmp_path, capsys):
     path = tmp_path / "plain.json"
     path.write_text(json.dumps({"q": 2, "m": 4, "n": 4, "t": 0, "mu": 0,
