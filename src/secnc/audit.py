@@ -11,12 +11,14 @@ The reliability audit replays every effective error of rank at most t
 against every (S, V) and records decode failures; it is the one
 exhaustive check of both decoders, and its sampled mode, which
 `secnc simulate` runs, is the one engine of random trials.  Every mode
-builds stacks of received words in enumeration order, a bounded chunk
-at a time.  Coherent words are un-mixed with a left inverse of their
-transfer, computed once per transfer, and decoded through
-`GabidulinCode.decode_stack`; what the scalar `coherent_decode` would
-report for each case comes out in the same order.  Lifted words
-[I | X] + E, errors on all n + m columns, go as received to
+produces received words in enumeration order, its errors as int64
+blocks from `linalg.iter_rank_blocks`.  Coherent words are un-mixed
+with a left inverse of their transfer, computed once per transfer, and
+queued: `GabidulinCode.decode_stack` takes them _CHUNK cases at a time,
+one stack spanning the identity phase, random transfers and sampled
+trials alike, and what the scalar `coherent_decode` would report for
+each case comes out in the same order.  Lifted words [I | X] + E,
+errors on all n + m columns, go as received to
 `network.noncoherent_decode`, and a failure's exemplar names that
 decoder's reason.  Both audits take their payloads G0^T u over the
 whole (S, V) grid from one `linalg.span`.
@@ -38,9 +40,9 @@ Entropy unit: bits throughout; one packet is m*log2(q) bits.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +279,8 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     `trials` fully random cases.
 
     Coherent cases are un-mixed with a left inverse of their transfer
-    and decoded a stack at a time by `GabidulinCode.decode_stack`.
+    and queued across phases and trials for `GabidulinCode.decode_stack`,
+    one call per _CHUNK cases and one for the rest.
     Lifted cases send [I | X], take their errors on all n + m columns and
     go as received, transfer unknown, to `noncoherent_decode`, one
     observation at a time.  With A = I the identity phase loses nothing:
@@ -329,6 +332,8 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             if c:
                 rank_counts[r] += c
 
+    # each mode refuses what it must, then defines parts(): ((Y, S), tag)
+    # in enumeration order, drawing from rng only as the cases are decoded
     if mode == "exhaustive":
         if random_transfers < 0:
             raise ParameterError(
@@ -341,23 +346,27 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             check_budget(N * (N + n), budget, "one transfer's un-mix", "entries")
         if rng is None and random_transfers:
             raise ParameterError("the random-transfer phase needs an rng")
-        payloads, s_index = _payload_table(inst)
-        if lifted:
-            payloads = _lift(payloads)
-        msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
-        for Es, e, w in _grid(la.iter_rank_at_most(q, n, cols, t), n_pairs):
-            check((payloads[w] + Es[e]) % q, msgs[w],
-                  lambda j: f"A=I E={_matrix_id(Es[e[j]], q)}")
-        for j in range(random_transfers):
-            A = la.random_full_rank(F.base, N, n, rng)
-            uidx = int(rng.integers(0, len(payloads)))
-            Aplus = None if lifted else np.array(la.left_inverse(F.base, A),
-                                                 dtype=np.int64)
-            X = A @ payloads[uidx]
-            for Es, e, _ in _grid(la.iter_rank_at_most(q, N, cols, t), 1):
-                Y = (X + Es) % q
-                check(Y if lifted else Aplus @ Y % q, msgs[[uidx] * len(e)],
-                      lambda i: f"A#{j} E={_matrix_id(Es[i], q)}")
+
+        def parts():
+            payloads, s_index = _payload_table(inst)
+            if lifted:
+                payloads = _lift(payloads)
+            msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
+            for Es, e, w in _grid(la.iter_rank_blocks(q, n, cols, range(t + 1)),
+                                  n_pairs):
+                yield (((payloads[w] + Es[e]) % q, msgs[w]),
+                       lambda i, Es=Es, e=e: f"A=I E={_matrix_id(Es[e[i]], q)}")
+            for j in range(random_transfers):
+                A = la.random_full_rank(F.base, N, n, rng)
+                uidx = int(rng.integers(0, len(payloads)))
+                Aplus = None if lifted else np.array(la.left_inverse(F.base, A),
+                                                     dtype=np.int64)
+                X = A @ payloads[uidx]
+                for Es, e, _ in _grid(
+                        la.iter_rank_blocks(q, N, cols, range(t + 1)), 1):
+                    Y = (X + Es) % q
+                    yield ((Y if lifted else Aplus @ Y % q, msgs[[uidx] * len(e)]),
+                           lambda i, Es=Es, j=j: f"A#{j} E={_matrix_id(Es[i], q)}")
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
@@ -366,23 +375,26 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
         check_budget(trials * cost(N), budget, "reliability trials", unit)
         if not lifted:
             check_budget(N * (N + n), budget, "one trial's un-mix", "entries")
-        words, msgs = [], []
-        for trial in range(trials):
-            S = [int(x) for x in rng.integers(0, F.order, size=p.k)]
-            X = inst.encode(S, rng=rng)
-            real = sample_realization(p, N, rng, lifted=lifted)
-            if lifted:
-                words.append(transmit_lifted(F, X, real).Y)
-            else:
-                Aplus = np.array(la.left_inverse(F.base, real.A), dtype=np.int64)
-                words.append(Aplus @ transmit(F, X, real).Y % q)
-            msgs.append(S)
-            if len(words) == _CHUNK or trial == trials - 1:
-                check(np.array(words), np.array(msgs, dtype=np.int64),
-                      lambda j: "sampled")
-                words, msgs = [], []
+
+        def parts():
+            for _ in range(trials):
+                S = [int(x) for x in rng.integers(0, F.order, size=p.k)]
+                X = inst.encode(S, rng=rng)
+                real = sample_realization(p, N, rng, lifted=lifted)
+                if lifted:
+                    Y = transmit_lifted(F, X, real).Y
+                else:
+                    Aplus = np.array(la.left_inverse(F.base, real.A), dtype=np.int64)
+                    Y = Aplus @ transmit(F, X, real).Y % q
+                yield ((np.array([Y]), np.array([S], dtype=np.int64)),
+                       lambda i: "sampled")
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
+
+    # lifted observations have n or N rows and are decoded one at a time,
+    # so their parts need no regrouping
+    for (Y, S), tag in parts() if lifted else _restack(parts(), _CHUNK):
+        check(Y, S, tag)
 
     return ReliabilityReport(
         exhaustive=(mode == "exhaustive"),
@@ -394,12 +406,55 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     )
 
 
-def _grid(errors, n_words: int):
+def _restack(parts, size):
+    """Regroup a stream of parts into stacks of exactly `size` cases, the
+    last one shorter, in case order.
+
+    A part is (arrays, tag): equal-length arrays whose row j belongs to
+    case j, and tag(j) naming that case (or None).  Each stack comes out
+    in the same form, its tag mapping a row back to its part.
+    """
+    held, count = deque(), 0  # pieces: (arrays, tag, first row in the part)
+
+    def cut(want):
+        nonlocal count
+        count -= want
+        stack, pieces, starts = [], [], []
+        got = 0
+        while got < want:
+            arrays, tag, first = held.popleft()
+            k = len(arrays[0])
+            if got + k > want:
+                k = want - got
+                held.appendleft(([a[k:] for a in arrays], tag, first + k))
+                arrays = [a[:k] for a in arrays]
+            stack.append(arrays)
+            pieces.append((tag, first))
+            starts.append(got)
+            got += k
+
+        def tag(j):
+            i = bisect.bisect_right(starts, j) - 1
+            part_tag, first = pieces[i]
+            return part_tag(first + j - starts[i])
+
+        return [np.concatenate(col) for col in zip(*stack)], tag
+
+    for arrays, tag in parts:
+        held.append((arrays, tag, 0))
+        count += len(arrays[0])
+        while count >= size:
+            yield cut(size)
+    if count:
+        yield cut(count)
+
+
+def _grid(blocks, n_words: int):
     """The (error, word) grid, error-major, in chunks of at most _CHUNK
-    cases: (Es, e, w), e and w indexing the errors Es and the words."""
+    cases: (Es, e, w), e and w indexing the errors Es and the words.
+    `blocks` yields the errors as (b, rows, cols) arrays."""
     per = max(1, _CHUNK // n_words)
-    while block := list(itertools.islice(errors, per)):
-        Es = np.array(block, dtype=np.int64)
+    for (Es,), _ in _restack((([Es], None) for Es in blocks), per):
         for lo in range(0, len(Es) * n_words, _CHUNK):
             e, w = np.divmod(np.arange(lo, min(lo + _CHUNK, len(Es) * n_words)),
                              n_words)
@@ -452,11 +507,12 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
                                    budget: int = DEFAULT_AUDIT_BUDGET) -> set:
     """All messages S explainable as Y = A [I | expand(X)] + E, rank E <= t.
 
-    Enumerates every error matrix E of rank at most t and reduces the
-    stack of Y - E over GF(q) (`linalg._rref_stack`), a chunk of errors
-    at a time.  Y - E is A [I | Xbar] for a full-column-rank A exactly
-    when its pivots are the n header columns; its payload block is then
-    Xbar, and S is kept when Xbar is a codeword of the cached
+    Enumerates every error matrix E of rank at most t, in the int64
+    blocks of `linalg.iter_rank_blocks`, and reduces the stack of Y - E
+    over GF(q) (`linalg._rref_stack`), a chunk of errors at a time.
+    Y - E is A [I | Xbar] for a full-column-rank A exactly when its
+    pivots are the n header columns; its payload block is then Xbar,
+    and S is kept when Xbar is a codeword of the cached
     `codeword_table`.  Enumerates errors, never candidate error spaces,
     so it stays independent of the search in the efficient decoder.
     """
@@ -474,7 +530,7 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     msgs, words = inst.code.codeword_table(budget)
     header = np.arange(n + m) < n
     out = set()
-    for Es, _, _ in _grid(la.iter_rank_at_most(q, N, n + m, t), 1):
+    for Es, _, _ in _grid(la.iter_rank_blocks(q, N, n + m, range(t + 1)), 1):
         R, pivots, _ = la._rref_stack(F.base, (Y - Es) % q)
         Xbar = R[(pivots == header).all(axis=1), :n, n:]
         keys = _view_keys(np.concatenate([words, la.contract(F, Xbar)]), F.order)

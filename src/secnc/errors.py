@@ -42,7 +42,7 @@ class BudgetExceededError(RuntimeError):
                  unit: str = "cases"):
         super().__init__(
             f"{what} needs {needed} {unit}, exceeding the budget of {budget}; "
-            f"raise the budget to at least {needed} to run this exhaustively"
+            f"raise the budget to at least {needed} to run it"
         )
         self.needed = needed
         self.budget = budget

@@ -4,13 +4,16 @@ Matrices over the base field are numpy integer arrays (entries reduced
 mod q); matrices over the extension field are lists of lists of packed
 field elements.  Every elimination runs one kernel, `_rref_in_place`,
 written against the field protocol of `gf` (inv and the row operations
-scale_row / sub_scaled_row); only GF(2) rank packs rows into bitmasks,
-in `rank_gf2`.  Stacks of matrices, as int64 arrays of shape (B, R, C),
-are reduced together by `_rref_stack` with the fields' vector
-operations.  Every matrix-vector product, base-field maps applied to
-packets and the columns of `matmul` included, runs `matvec`.  Every
-enumeration of GF(q^m)-combinations of rows (codebooks, audit payloads,
-distance certificates) runs `span`.
+scale_row / sub_scaled_row); only GF(2) ranks pack rows into bitmasks:
+`rank_gf2` for one matrix, and `vector_rank`, in scalar and stack form,
+on GF(2^m) elements, whose ints already are their expanded rows.
+Stacks of matrices, as int64 arrays of shape (B, R, C), are reduced
+together by `_rref_stack` with the fields' vector operations.  Every
+matrix-vector product, base-field maps applied to packets and the
+columns of `matmul` included, runs `matvec`.  Every enumeration of
+GF(q^m)-combinations of rows (codebooks, audit payloads, distance
+certificates) runs `span`; every enumeration of base-field matrices by
+rank runs `iter_rank_blocks`, which the audits consume as int64 blocks.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -140,10 +143,28 @@ def rank(field, M) -> int:
     return len(_rref_in_place(field, M))
 
 
-def vector_rank(F, v) -> int:
-    """Rank over GF(q) of expand(F, v): the rank weight of v over GF(q^m)."""
+def vector_rank(F, v):
+    """Rank over GF(q) of expand(F, v): the rank weight of v over GF(q^m).
+
+    A (B, n) int64 stack of vectors gives the (B,) array of their ranks.
+    At q = 2 an element int already is its row bitmask, so both forms
+    eliminate the ints with XOR; at odd q a stack runs `_rref_stack`.
+    """
+    if isinstance(v, np.ndarray) and v.ndim == 2:
+        if F.q != 2:
+            return _rref_stack(F.base, expand(F, v))[2]
+        V = v.copy()
+        ranks = np.zeros(len(V), dtype=np.int64)
+        for c in range(F.m):
+            has = (V & (1 << c)) != 0
+            # any row holding bit c is a pivot; XOR clears the bit from the
+            # other rows and zeroes the pivot row itself
+            pivot = np.max(np.where(has, V, 0), axis=1, initial=0)
+            V = np.where(has, V ^ pivot[:, None], V)
+            ranks += has.any(axis=1)
+        return ranks
     if F.q == 2:
-        return rank_gf2(v)  # an element int already is its row bitmask
+        return rank_gf2(v)
     return rank(F.base, expand(F, v))
 
 
@@ -423,23 +444,32 @@ def iter_full_col_rank(q: int, rows: int, r: int):
     yield from walk([])
 
 
-def iter_rank_exactly(q: int, rows: int, cols: int, r: int):
-    """All rows x cols matrices of rank exactly r, each exactly once.
+def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
+    """All rows x cols matrices whose rank is in `ranks`, each exactly once,
+    as int64 blocks (b, rows, cols): rank by rank in the order given.
 
     Every rank-r matrix factors uniquely as C @ R with C full column
-    rank and R in RREF with full row rank.
+    rank and R in RREF with full row rank; a block is one C times the
+    stack of every R.  Ranks above min(rows, cols) have no matrices.
     """
-    if r == 0:
-        yield [[0] * cols for _ in range(rows)]
-        return
-    rrefs = np.array(list(iter_rref_full_row_rank(q, r, cols)), dtype=np.int64)
-    for C in iter_full_col_rank(q, rows, r):
-        yield from (np.array(C, dtype=np.int64) @ rrefs % q).tolist()
+    for r in ranks:
+        if r == 0:
+            yield np.zeros((1, rows, cols), dtype=np.int64)
+        elif r <= min(rows, cols):
+            rrefs = np.array(list(iter_rref_full_row_rank(q, r, cols)), dtype=np.int64)
+            for C in iter_full_col_rank(q, rows, r):
+                yield np.array(C, dtype=np.int64) @ rrefs % q
+
+
+def iter_rank_exactly(q: int, rows: int, cols: int, r: int):
+    """All rows x cols matrices of rank exactly r, each exactly once."""
+    for block in iter_rank_blocks(q, rows, cols, [r]):
+        yield from block.tolist()
 
 
 def iter_rank_at_most(q: int, rows: int, cols: int, t: int):
-    for r in range(min(t, rows, cols) + 1):
-        yield from iter_rank_exactly(q, rows, cols, r)
+    for block in iter_rank_blocks(q, rows, cols, range(t + 1)):
+        yield from block.tolist()
 
 
 def iter_full_rank(q: int, rows: int, cols: int):

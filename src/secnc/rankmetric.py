@@ -18,7 +18,9 @@ Welch-Berlekamp like algorithm for decoding Gabidulin codes" (WCC 2005).
 
 `decode` handles one word with scalar field operations; `decode_stack`
 takes the same steps on a whole (B, n) stack of words with the fields'
-vector operations and `linalg._rref_stack`, for the exhaustive audits.
+vector operations and `linalg._rref_stack`, for the audits, whose stacks
+span their phases.  Both rank the residual with `linalg.vector_rank`,
+which at q = 2 eliminates the element ints as row bitmasks.
 Every nonzero interpolation solution yields the same message when a
 codeword lies within the radius, and the re-encode check settles the
 rest, so the two agree row for row; the scalar decoder stays as the
@@ -267,7 +269,7 @@ class GabidulinCode:
         residual = Y
         for l in range(k):
             residual = F.vsub(residual, F.vmul(moore[l], f[:, l : l + 1]))
-        _, _, r = la._rref_stack(F.base, la.expand(F, residual))
+        r = la.vector_rank(F, residual)
         ok &= r <= t
         return ok, np.where(ok[:, None], f, 0), np.where(ok, r, -1)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from secnc import audit
+from secnc import linalg as la
 from secnc.audit import (
     brute_force_decode,
     entropy_of_distribution,
@@ -17,6 +19,7 @@ from secnc.network import (
     sample_realization,
     transmit_lifted,
 )
+from secnc.rankmetric import GabidulinCode
 from secnc.scheme import SchemeParams, build_broken_instance, build_instance
 
 
@@ -165,6 +168,57 @@ def test_reliability_sampled_mode(inst):
                             trials=200)
     assert not rep.exhaustive
     assert rep.cases == 200 and rep.failures == 0
+
+
+@pytest.mark.parametrize("chunk, mode, calls", [
+    (audit._CHUNK, "exhaustive", [612]),
+    (100, "exhaustive", [100] * 6 + [12]),
+    (audit._CHUNK, "sampled", [1000]),
+])
+def test_coherent_cases_share_decode_stack_calls_across_phases(monkeypatch, chunk,
+                                                               mode, calls):
+    # at P0 = (2,3,3,1,0,1) the identity phase has 8 x 50 cases and each
+    # of the 2 random 4 x 3 transfers 106: one queue feeds every phase
+    sizes = []
+    decode_stack = GabidulinCode.decode_stack
+
+    def counted(self, Y, t):
+        sizes.append(len(Y))
+        return decode_stack(self, Y, t)
+
+    monkeypatch.setattr(GabidulinCode, "decode_stack", counted)
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    p0 = build_instance(SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1))
+    rep = reliability_audit(p0, mode, np.random.default_rng(4), random_transfers=2,
+                            trials=1000)
+    assert sizes == calls
+    assert rep.cases == sum(calls) and rep.failures == 0
+
+
+def test_exemplars_name_cases_decoded_after_later_parts_were_queued(monkeypatch):
+    # with 100 cases a stack at P0, identity case 95 (error 11, word 7) and
+    # case 102 of transfer 0 (global 502) wait in the queue while the next
+    # part, with other errors, is made; their names must be their own
+    fail = {95, 502}
+    decode_stack = GabidulinCode.decode_stack
+    seen = [0]
+
+    def failing(self, Y, t):
+        ok, msgs, ranks = decode_stack(self, Y, t)
+        ok[[c - seen[0] for c in fail if 0 <= c - seen[0] < len(ok)]] = False
+        seen[0] += len(ok)
+        return ok, msgs, ranks
+
+    monkeypatch.setattr(GabidulinCode, "decode_stack", failing)
+    monkeypatch.setattr(audit, "_CHUNK", 100)
+    p0 = build_instance(SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1))
+    rep = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=2)
+    identity = list(la.iter_rank_at_most(2, 3, 3, 1))
+    transfer = list(la.iter_rank_at_most(2, 4, 3, 1))
+    assert [ex.split(" S=")[0] for ex in rep.exemplars] == [
+        f"A=I E={audit._matrix_id(identity[95 // 8], 2)}",
+        f"A#0 E={audit._matrix_id(transfer[102], 2)}",
+    ]
 
 
 def test_reliability_budget_refusal(inst):

@@ -323,6 +323,12 @@ def test_audit_budget_refusal_is_exit_4(cfg, capsys):
     assert "raise the budget" in capsys.readouterr().err
 
 
+def test_simulate_budget_refusal_names_no_exhaustive_run(cfg, capsys):
+    assert main(["simulate", "--config", cfg, "--budget", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "raise the budget" in err and "exhaustively" not in err
+
+
 def test_audit_sampled_secrecy_deterministic(cfg, capsys):
     assert main(["audit", "secrecy", "--config", cfg, "--mode", "sampled",
                  "--seed", "8", "--samples", "4"]) == 0

@@ -290,6 +290,41 @@ def test_vector_rank_is_rank_of_expansion(F, data):
     assert want == len(la.rref(F.base, la.expand(F, v))[1])
 
 
+@given(st.sampled_from([ExtField(2, 4), ExtField(2, 8), ExtField(3, 3),
+                        ExtField(5, 2)]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_vector_rank_of_a_stack_is_the_scalar_rank_row_by_row(F, data):
+    B, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 5))
+    V = np.array(data.draw(st.lists(st.integers(0, F.order - 1),
+                                    min_size=B * n, max_size=B * n)),
+                 dtype=np.int64).reshape(B, n)
+    zero = data.draw(st.lists(st.booleans(), min_size=B * n, max_size=B * n))
+    V[np.array(zero, dtype=bool).reshape(B, n)] = 0
+    if n > 2 and data.draw(st.booleans()):
+        V[:, -1] = F.vsub(V[:, 0], V[:, 1])  # a dependent row
+    before = V.copy()
+    ranks = la.vector_rank(F, V)
+    assert (V == before).all()
+    assert ranks.dtype == np.int64 and ranks.shape == (B,)
+    assert ranks.tolist() == [la.vector_rank(F, v) for v in V.tolist()]
+    assert la.vector_rank(F, np.zeros((0, n), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("q, rows, cols, t", [
+    (2, 3, 3, 0), (2, 4, 3, 1), (2, 3, 4, 2), (2, 2, 3, 5), (3, 3, 2, 1),
+    (3, 2, 3, 4),
+])
+def test_rank_blocks_concatenate_to_iter_rank_at_most(q, rows, cols, t):
+    blocks = list(la.iter_rank_blocks(q, rows, cols, range(t + 1)))
+    assert all(b.dtype == np.int64 and b.shape[1:] == (rows, cols) for b in blocks)
+    got = np.concatenate(blocks).tolist()
+    assert got == list(la.iter_rank_at_most(q, rows, cols, t))
+    assert len(got) == la.count_rank_at_most(q, rows, cols, t)
+    assert len({str(M) for M in got}) == len(got)
+    field = PrimeField(q)
+    assert max(la.rank(field, M) for M in got) == min(t, rows, cols)
+
+
 @pytest.mark.parametrize("q, rows, r", [
     (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (5, 2, 2), (3, 2, 1),
 ])
