@@ -3,25 +3,30 @@
 The secrecy audit enumerates every message and every randomness draw,
 computes the eavesdropper's view under every full-rank tap matrix B,
 and reports the mutual information I(S; W) per B from exact integer
-counts.  Zero leakage is detected exactly, by comparing the conditional
-count vectors across messages, before any floating-point arithmetic;
-a report of 0 means identical distributions, not a small number.
+counts.  Its taps come as int64 blocks from `linalg.iter_rank_blocks`,
+and the views of a stack of taps are one product over the whole (S, V)
+grid.  Zero leakage is detected exactly, by comparing the sorted view
+keys of each message across messages, for all taps of a stack at once
+and before any floating-point arithmetic; only a leaking tap is
+counted and scored.  A report of 0 means identical distributions, not
+a small number.
 
 The reliability audit replays every effective error of rank at most t
 against every (S, V) and records decode failures; it is the one
 exhaustive check of both decoders, and its sampled mode, which
 `secnc simulate` runs, is the one engine of random trials.  Every mode
 produces received words in enumeration order, its errors as int64
-blocks from `linalg.iter_rank_blocks`.  Coherent words are un-mixed
-with a left inverse of their transfer, computed once per transfer, and
-queued: `GabidulinCode.decode_stack` takes them _CHUNK cases at a time,
-one stack spanning the identity phase, random transfers and sampled
-trials alike, and what the scalar `coherent_decode` would report for
-each case comes out in the same order.  Lifted words [I | X] + E,
-errors on all n + m columns, go as received to
-`network.noncoherent_decode`, and a failure's exemplar names that
-decoder's reason.  Both audits take their payloads G0^T u over the
-whole (S, V) grid from one `linalg.span`.
+blocks from `linalg.iter_rank_blocks`; the random transfers replay one
+error grid, built once per call when it fits a stack.  Coherent words
+are un-mixed with a left inverse of their transfer, computed once per
+transfer, and queued: `GabidulinCode.decode_stack` takes them _CHUNK
+cases at a time, one stack spanning the identity phase, random
+transfers and sampled trials alike, and what the scalar
+`coherent_decode` would report for each case comes out in the same
+order.  Lifted words [I | X] + E, errors on all n + m columns, go as
+received to `network.noncoherent_decode`, and a failure's exemplar
+names that decoder's reason.  Both audits take their payloads G0^T u
+over the whole (S, V) grid from one `linalg.span`.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
@@ -233,26 +238,30 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
     if lifted:
         payloads = _lift(payloads)
     if rows == 0:
-        taps = [np.zeros((0, p.n), dtype=np.int64)]
+        blocks = [np.zeros((1, 0, p.n), dtype=np.int64)]
     elif mode == "exhaustive":
-        taps = [np.array(B, dtype=np.int64) for B in la.iter_full_rank(q, rows, p.n)]
+        blocks = la.iter_rank_blocks(q, rows, p.n, [rows])
     else:
-        taps = [la.random_full_rank(inst.F.base, rows, p.n, rng)
-                for _ in range(samples)]
+        blocks = [np.array([la.random_full_rank(inst.F.base, rows, p.n, rng)
+                            for _ in range(samples)])]
 
     records = []
-    for B in taps:
-        views = np.matmul(B, payloads) % q
+    per = max(1, _CHUNK // n_pairs)  # taps a stack of views holds
+    for (T,), _ in _restack((([T], None) for T in blocks), per):
+        views = np.matmul(T[:, None], payloads[None]) % q
         # each message's views, sorted: equal rows are equal conditionals
-        keys = np.sort(_view_keys(views, q).reshape(inst.F.order ** p.k, -1), axis=1)
-        if (keys == keys[0]).all():
-            leak = 0.0  # identical conditionals: exactly zero, no floats involved
-        else:
-            joint = Counter()
-            for S, w in zip(s_index, views):
-                joint[(S, w.tobytes())] += 1
-            leak = mutual_information_from_joint(joint)
-        records.append((_matrix_id(B, q), leak))
+        keys = np.sort(_view_keys(views.reshape(len(T) * n_pairs, *views.shape[2:]), q)
+                       .reshape(len(T), inst.F.order ** p.k, -1), axis=2)
+        # identical conditionals: exactly zero, no floats involved
+        leaking = (keys != keys[:, :1]).any(axis=(1, 2)).tolist()
+        for B, W, leaks in zip(T, views, leaking):
+            leak = 0.0
+            if leaks:
+                joint = Counter()
+                for S, w in zip(s_index, W):
+                    joint[(S, w.tobytes())] += 1
+                leak = mutual_information_from_joint(joint)
+            records.append((_matrix_id(B, q), leak))
     return SecrecyReport(
         exhaustive=(mode == "exhaustive"),
         lifted=lifted,
@@ -356,14 +365,19 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
                                   n_pairs):
                 yield (((payloads[w] + Es[e]) % q, msgs[w]),
                        lambda i, Es=Es, e=e: f"A=I E={_matrix_id(Es[e[i]], q)}")
+            def transfer_grid():
+                return _grid(la.iter_rank_blocks(q, N, cols, range(t + 1)), 1)
+            # every transfer replays one error grid, built once when it fits
+            # a stack and again for each transfer when it does not
+            kept = (list(transfer_grid()) if random_transfers and
+                    la.count_rank_at_most(q, N, cols, t) <= _CHUNK else None)
             for j in range(random_transfers):
                 A = la.random_full_rank(F.base, N, n, rng)
                 uidx = int(rng.integers(0, len(payloads)))
                 Aplus = None if lifted else np.array(la.left_inverse(F.base, A),
                                                      dtype=np.int64)
                 X = A @ payloads[uidx]
-                for Es, e, _ in _grid(
-                        la.iter_rank_blocks(q, N, cols, range(t + 1)), 1):
+                for Es, e, _ in kept or transfer_grid():
                     Y = (X + Es) % q
                     yield ((Y if lifted else Aplus @ Y % q, msgs[[uidx] * len(e)]),
                            lambda i, Es=Es, j=j: f"A#{j} E={_matrix_id(Es[i], q)}")
@@ -520,9 +534,11 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
     Y = np.asarray(Y, dtype=np.int64) % q
-    N = Y.shape[0]
-    if Y.shape[1] != n + m:
+    if Y.ndim != 2 or Y.shape[1] != n + m:
         raise ParameterError(f"lifted observation must have {n + m} columns")
+    N = Y.shape[0]
+    if N < n:
+        raise ParameterError(f"observation has {N} < n = {n} rows")
     check_budget(la.count_rank_at_most(q, N, n + m, t), budget,
                  "error-matrix enumeration")
     if inst.code is None:

@@ -14,6 +14,9 @@ columns of `matmul` included, runs `matvec`.  Every enumeration of
 GF(q^m)-combinations of rows (codebooks, audit payloads, distance
 certificates) runs `span`; every enumeration of base-field matrices by
 rank runs `iter_rank_blocks`, which the audits consume as int64 blocks.
+It builds the full-column-rank factors C as whole stacks: candidates
+enumerated by index in bounded chunks, kept by their `_rref_stack` rank,
+each block one broadcast product with the stack of every RREF.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -425,23 +428,42 @@ def iter_rref_full_row_rank(q: int, r: int, c: int):
             yield M
 
 
+# About the matrices of one `iter_rank_blocks` block (at least one C times
+# every RREF), and the candidates `iter_full_col_rank` ranks at a time.
+_ENUM_CHUNK = 1 << 14
+
+
+def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
+    """Every rows x r matrix over GF(q) with linearly independent columns,
+    as int64 stacks (b <= per, rows, r), lexicographic in the columns.
+
+    Candidates are enumerated by index, column 0 and in it row 0 the
+    most significant digit, `per` at a time; `_rref_stack` keeps those of
+    rank r, at least a fraction prod_i (1 - q^(i - rows)) >= 0.288.
+    """
+    if r > rows:
+        return
+    field = PrimeField(q)
+    total = q ** (rows * r)
+    if total > 1 << 63:
+        raise ParameterError(f"{total} candidate {rows} x {r} matrices exceed int64")
+    weights = q ** np.arange(rows * r - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, total, per):
+        idx = np.arange(lo, min(lo + per, total), dtype=np.int64)
+        Cs = (idx[:, None] // weights % q).reshape(-1, r, rows).transpose(0, 2, 1)
+        Cs = Cs[_rref_stack(field, Cs)[2] == r]
+        if len(Cs):
+            yield Cs
+
+
 def iter_full_col_rank(q: int, rows: int, r: int):
-    """All rows x r matrices over GF(q) with linearly independent columns."""
+    """All rows x r matrices over GF(q) with linearly independent columns,
+    lexicographic in the columns."""
     if r == 0:
         yield [[] for _ in range(rows)]
         return
-
-    field = PrimeField(q)
-
-    def walk(cols):
-        if len(cols) == r:
-            yield [[col[i] for col in cols] for i in range(rows)]
-            return
-        for cand in itertools.product(range(q), repeat=rows):
-            if rank(field, cols + [cand]) > len(cols):
-                yield from walk(cols + [list(cand)])
-
-    yield from walk([])
+    for Cs in _full_col_rank_stacks(q, rows, r, _ENUM_CHUNK):
+        yield from Cs.tolist()
 
 
 def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
@@ -449,16 +471,19 @@ def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
     as int64 blocks (b, rows, cols): rank by rank in the order given.
 
     Every rank-r matrix factors uniquely as C @ R with C full column
-    rank and R in RREF with full row rank; a block is one C times the
-    stack of every R.  Ranks above min(rows, cols) have no matrices.
+    rank and R in RREF with full row rank.  A block is one broadcast
+    product of a stack of C's, from `_full_col_rank_stacks`, with the
+    stack of every R, C-major; it holds at most max(1, _ENUM_CHUNK // #R)
+    C's.  Ranks above min(rows, cols) have no matrices.
     """
     for r in ranks:
         if r == 0:
             yield np.zeros((1, rows, cols), dtype=np.int64)
         elif r <= min(rows, cols):
             rrefs = np.array(list(iter_rref_full_row_rank(q, r, cols)), dtype=np.int64)
-            for C in iter_full_col_rank(q, rows, r):
-                yield np.array(C, dtype=np.int64) @ rrefs % q
+            per = max(1, _ENUM_CHUNK // len(rrefs))
+            for Cs in _full_col_rank_stacks(q, rows, r, per):
+                yield (Cs[:, None] @ rrefs[None] % q).reshape(-1, rows, cols)
 
 
 def iter_rank_exactly(q: int, rows: int, cols: int, r: int):

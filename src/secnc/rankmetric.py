@@ -16,14 +16,19 @@ promised radius, so a wrong message is never returned silently.  This
 is the Welch-Berlekamp-like reconstruction of P. Loidreau, "A
 Welch-Berlekamp like algorithm for decoding Gabidulin codes" (WCC 2005).
 
-`decode` handles one word with scalar field operations; `decode_stack`
-takes the same steps on a whole (B, n) stack of words with the fields'
-vector operations and `linalg._rref_stack`, for the audits, whose stacks
-span their phases.  Both rank the residual with `linalg.vector_rank`,
-which at q = 2 eliminates the element ints as row bitmasks.
-Every nonzero interpolation solution yields the same message when a
-codeword lies within the radius, and the re-encode check settles the
-rest, so the two agree row for row; the scalar decoder stays as the
+`decode` handles one word with scalar field operations and reduces the
+full n x (2t + k + 1) interpolation system.  `decode_stack` decodes a
+whole (B, n) stack of words with the fields' vector operations and
+`linalg._rref_stack`, for the audits, whose stacks span their phases.
+Its constant block [-g_j^(q^l)] is reduced once per call (E with
+E G = [I; 0], by `linalg.row_reduce_transform`), so only the
+(B, n - k - t, t + 1) block E_bot Yf is eliminated for v, and N is read
+off as -E_top Yf v.  Both rank the residual with `linalg.vector_rank`,
+which at q = 2 eliminates the element ints as row bitmasks.  Every
+nonzero interpolation solution yields the same message when a codeword
+lies within the radius, and the re-encode check settles the rest, so
+the two agree row for row though they may take different kernel
+vectors; the scalar decoder, on the full system, stays the independent
 cross-check of the stack one.
 
 The codebook and the minimum rank weight behind the MRD certificate
@@ -221,39 +226,51 @@ class GabidulinCode:
         Returns (ok, messages, error_ranks): bool (B,), int64 (B, k) and
         int64 (B,) arrays; a row that fails has a zero message and error
         rank -1.  A field without tables decodes row by row with `decode`.
+
+        The interpolation system [Yf | G] (v; nn) = 0, Yf_ji = y_j^(q^i)
+        for i <= t and G_jl = -g_j^(q^l) for l < k + t, splits by E with
+        E G = [I; 0] (G has full column rank) into E_bot Yf v = 0 and
+        nn = -E_top Yf v: the kernels correspond one to one, and only the
+        (B, n - k - t, t + 1) stack E_bot Yf is eliminated.
         """
         F, n, k = self.F, self.n, self.k
-        Y = np.array(Y, dtype=np.int64)
+        Y = np.asarray(Y)
         if Y.ndim != 2 or Y.shape[1] != n:
             raise ParameterError(f"expected received words of length n = {n}, "
                                  f"got an array of shape {Y.shape}")
         self._check_radius(t)
-        if ((Y < 0) | (Y >= F.order)).any():
-            raise ParameterError(f"received words must hold elements of "
-                                 f"GF({F.q}^{F.m})")
+        bad = (Y < 0) | (Y >= F.order)
+        if bad.any():
+            F.check(int(Y[bad][0]))  # the scalar decoder's refusal
+        Y = Y.astype(np.int64)
         if not F.vectorised:
             return DecodeOutcome.stack([self.decode(y, t) for y in Y.tolist()], k)
         B = len(Y)
         moore = np.array(self.moore, dtype=np.int64)
         ar = np.arange(B)
-        # 1. interpolation rows [y_j^(q^i), i <= t | -g_j^(q^l), l < k + t]
-        interp = np.concatenate(
-            [F.vfrobenius(Y[:, :, None], np.arange(t + 1)),
-             np.broadcast_to(F.vneg(moore[: k + t].T), (B, n, k + t))], axis=2)
-        # 2. the kernel vector of the first free column, as null_space's first
-        R, pivots, rank = la._rref_stack(F, interp)
+        # 1. split the interpolation system with E G = [I; 0]: P = E Yf
+        G = [[F.neg(self.moore[l][j]) for l in range(k + t)] for j in range(n)]
+        negE = F.vneg(np.array(la.row_reduce_transform(F, G)[0], dtype=np.int64))
+        Yf = F.vfrobenius(Y[:, :, None], np.arange(t + 1))
+        P = np.zeros((B, n, t + 1), dtype=np.int64)
+        for j in range(n):
+            P = F.vsub(P, F.vmul(negE[:, j, None], Yf[:, None, j]))
+        # 2. v from the first free column of E_bot Yf, as null_space's first;
+        # nn = -E_top Yf v
+        R, pivots, rank = la._rref_stack(F, P[:, k + t:])
         free = ~pivots
         ok = free.any(axis=1)
         first = free.argmax(axis=1)
-        sol = np.zeros(pivots.shape, dtype=np.int64)
-        sol[ar, first] = 1
+        v = np.zeros((B, t + 1), dtype=np.int64)
+        v[ar, first] = 1
         lead = (R != 0).argmax(axis=2)  # each row's pivot column
-        for i in range(n):
+        for i in range(R.shape[1]):
             live = ar[i < rank]
-            sol[live, lead[live, i]] = F.vneg(R[live, i, first[live]])
-        v, nn = sol[:, : t + 1], sol[:, t + 1:]
+            v[live, lead[live, i]] = F.vneg(R[live, i, first[live]])
+        nn = np.zeros((B, k + t), dtype=np.int64)
+        for i in range(t + 1):
+            nn = F.vsub(nn, F.vmul(P[:, : k + t, i], v[:, i, None]))
         # 3. _divide_left with each row's tau, the q-degree of V
-        ok &= (v != 0).any(axis=1)
         tau = np.where(v != 0, np.arange(t + 1), 0).max(axis=1)
         lead_inv = F.vinv(np.where(ok, v[ar, tau], 1))
         f = np.zeros((B, k), dtype=np.int64)

@@ -195,6 +195,27 @@ def test_coherent_cases_share_decode_stack_calls_across_phases(monkeypatch, chun
     assert rep.cases == sum(calls) and rep.failures == 0
 
 
+@pytest.mark.parametrize("chunk, builds", [(audit._CHUNK, 1), (100, 3)])
+def test_random_transfers_share_one_error_grid(monkeypatch, chunk, builds):
+    # at P0 the 106 errors of a 4 x 3 transfer fit one stack of 2^14 cases
+    # and are enumerated once for all 3 transfers; past a 100-case stack
+    # each transfer enumerates them again, and the report is the same
+    built = []
+    iter_rank_blocks = la.iter_rank_blocks
+
+    def counted(q, rows, cols, ranks):
+        built.append(rows)
+        return iter_rank_blocks(q, rows, cols, ranks)
+
+    p0 = build_instance(SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1))
+    want = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=3)
+    monkeypatch.setattr(la, "iter_rank_blocks", counted)
+    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    rep = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=3)
+    assert built == [3] + [4] * builds
+    assert rep == want and rep.cases == 400 + 3 * 106
+
+
 def test_exemplars_name_cases_decoded_after_later_parts_were_queued(monkeypatch):
     # with 100 cases a stack at P0, identity case 95 (error 11, word 7) and
     # case 102 of transfer 0 (global 502) wait in the queue while the next
@@ -254,6 +275,19 @@ def test_noncoherent_oracle_budget(inst):
     Y = np.zeros((5, 8), dtype=np.int64)
     with pytest.raises(BudgetExceededError):
         noncoherent_consistency_oracle(inst, Y, budget=10)
+
+
+def test_noncoherent_oracle_refuses_short_and_flat_observations():
+    # P0 = (2,3,3,1,0,1): an observation has n + m = 6 columns and at least
+    # n = 3 rows; the shape is refused before the budget is looked at
+    p0 = build_instance(SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1))
+    for N in range(3):
+        with pytest.raises(ParameterError, match=f"observation has {N} < n = 3 rows"):
+            noncoherent_consistency_oracle(p0, np.zeros((N, 6), dtype=np.int64),
+                                           budget=0)
+    for Y in (np.zeros(6, dtype=np.int64), np.zeros((3, 5), dtype=np.int64)):
+        with pytest.raises(ParameterError, match="must have 6 columns"):
+            noncoherent_consistency_oracle(p0, Y, budget=0)
 
 
 def test_brute_force_decode_validates_length(inst):

@@ -339,6 +339,47 @@ def test_iter_full_col_rank_is_ordered_distinct_and_full_rank(q, rows, r):
         assert ((np.array(M) @ xs) % q).any(axis=0).all()
 
 
+@pytest.mark.parametrize("q, rows, r, chunk", [
+    (2, 3, 2, 5), (2, 4, 3, 7), (3, 2, 2, 4), (3, 3, 1, 5), (5, 2, 2, 11),
+    (5, 2, 1, 3),
+])
+def test_iter_full_col_rank_keeps_its_order_across_chunks(monkeypatch, q, rows, r,
+                                                         chunk):
+    # every rows x r matrix in lexicographic column order (column 0, in it
+    # row 0, most significant), kept when its columns are independent
+    field = PrimeField(q)
+    want = []
+    for digits in itertools.product(range(q), repeat=rows * r):
+        M = [[digits[c * rows + i] for c in range(r)] for i in range(rows)]
+        if la.rank(field, M) == r:
+            want.append(M)
+    monkeypatch.setattr(la, "_ENUM_CHUNK", chunk)
+    assert q ** (rows * r) > chunk  # the candidates span several chunks
+    assert list(la.iter_full_col_rank(q, rows, r)) == want
+
+
+@pytest.mark.parametrize("q, rows, cols, t, chunk", [
+    (2, 3, 3, 1, 10), (2, 4, 3, 2, 30), (3, 3, 2, 2, 8), (5, 2, 2, 2, 1),
+])
+def test_rank_blocks_are_bounded_by_the_chunk(monkeypatch, q, rows, cols, t, chunk):
+    want = list(la.iter_rank_at_most(q, rows, cols, t))
+    monkeypatch.setattr(la, "_ENUM_CHUNK", chunk)
+    blocks = list(la.iter_rank_blocks(q, rows, cols, range(t + 1)))
+    assert np.concatenate(blocks).tolist() == want
+    for r in range(1, t + 1):
+        n_rrefs = la.gaussian_binomial(cols, r, q)
+        per = max(1, chunk // n_rrefs)  # C's a block holds
+        sizes = [len(b) for b in blocks if la.rank(PrimeField(q), b[0]) == r]
+        assert len(sizes) > 1
+        assert max(sizes) <= per * n_rrefs
+        assert sum(sizes) == la.count_rank_exactly(q, rows, cols, r)
+
+
+def test_full_col_rank_candidates_past_int64_are_refused():
+    with pytest.raises(ParameterError):
+        next(la.iter_full_col_rank(2, 8, 8))
+
+
 # ----------------------------------------------------------------------
 # The stack kernel and stack-shaped expansion
 # ----------------------------------------------------------------------

@@ -384,3 +384,77 @@ def test_decode_stack_validates_its_input(code42):
         code42.decode_stack([[0, 0, 0, 0]], 2)
     ok, msgs, ranks = code42.decode_stack(np.zeros((0, 4), dtype=np.int64), 1)
     assert ok.shape == (0,) and msgs.shape == (0, 2)
+
+
+def test_decode_stack_refuses_ints_past_int64_as_decode_does():
+    # P0's outer code: an entry >= 2^63 is refused with decode's message,
+    # not an OverflowError from the int64 conversion
+    code = GabidulinCode(ExtField(2, 3), 3, 1)
+    for y in ([2 ** 70, 0, 0], [0, 2 ** 63, 0], [0, 0, -1]):
+        with pytest.raises(ParameterError) as scalar:
+            code.decode(y, 1)
+        with pytest.raises(ParameterError) as stack:
+            code.decode_stack([y], 1)
+        assert str(stack.value) == str(scalar.value)
+        assert "is not an element of GF(2^3)" in str(stack.value)
+
+
+# ----------------------------------------------------------------------
+# The reduced interpolation system of decode_stack
+# ----------------------------------------------------------------------
+
+def _interpolation_kernel(code, y, t):
+    """decode's full system [y_j^(q^i) | -g_j^(q^l)]: (kernel dimension,
+    first free column)."""
+    F = code.F
+    rows = [[F.frobenius(y[j], i) for i in range(t + 1)]
+            + [F.neg(code.moore[l][j]) for l in range(code.k + t)]
+            for j in range(code.n)]
+    _, pivots = la.rref(F, rows)
+    free = [c for c in range(2 * t + code.k + 1) if c not in pivots]
+    return len(free), free[0] if free else None
+
+
+@pytest.mark.parametrize("qm, n, k", [((2, 5), 5, 1), ((2, 6), 6, 2)], ids=str)
+def test_decode_stack_with_an_overdetermined_bottom_block(qm, n, k):
+    # t = 1: E_bot Yf has n - k - t = 3 or 3 rows for t + 1 = 2 columns
+    code = GabidulinCode(ExtField(*qm), n, k)
+    assert n - k - 1 > 1
+    rng = np.random.default_rng(n * 10 + k)
+    _assert_stack_matches_scalar(code, _received_words(code, 1, 300, rng), 1)
+
+
+@pytest.mark.parametrize("qm, n", [((2, 3), 3), ((2, 4), 4), ((3, 3), 3)], ids=str)
+def test_decode_stack_with_an_empty_bottom_block(qm, n):
+    # k = n, t = 0: the code is all of GF(q^m)^n and E_bot Yf has no rows
+    code = GabidulinCode(ExtField(*qm), n, n)
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, code.F.order, size=(200, n)).tolist()
+    _assert_stack_matches_scalar(code, words, 0)
+    ok, msgs, ranks = code.decode_stack(words, 0)
+    assert ok.all() and not ranks.any()
+    assert [code.encode(u) for u in msgs.tolist()] == words
+
+
+@pytest.mark.parametrize("qm, n, k, t", [((2, 8), 8, 2, 3), ((2, 6), 6, 2, 2),
+                                         ((3, 4), 4, 2, 1), ((5, 4), 4, 2, 1)],
+                         ids=str)
+def test_decode_stack_when_the_interpolation_kernel_is_not_a_line(qm, n, k, t):
+    # the zero word, codewords and errors of rank < t leave the full system
+    # a kernel of dimension > 1, and for codewords its first free column
+    # lies in the N block, where the reduced system takes v = e_0
+    code = GabidulinCode(ExtField(*qm), n, k)
+    F = code.F
+    rng = np.random.default_rng(sum(qm) + n + k + t)
+    words = [[0] * n]
+    for r in range(t):
+        for _ in range(40):
+            c = code.encode(rng.integers(0, F.order, size=k).tolist())
+            E = (rng.integers(0, F.q, size=(n, r)) @ rng.integers(0, F.q, size=(r, F.m))
+                 % F.q)
+            words.append([F.sub(a, b) for a, b in zip(c, la.contract(F, E))])
+    kernels = [_interpolation_kernel(code, y, t) for y in words]
+    assert all(dim > 1 for dim, _ in kernels)
+    assert any(first > t for _, first in kernels)
+    _assert_stack_matches_scalar(code, words, t)
+    assert code.decode_stack(words, t)[0].all()
