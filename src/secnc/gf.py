@@ -15,9 +15,11 @@ the Frobenius map go through precomputed exp/log tables keyed by a
 primitive element; larger fields fall back to polynomial arithmetic.
 
 Both fields supply the row operations of the `linalg` elimination
-kernel, scale_row and sub_scaled_row (dst - f*src), with no method call
-per entry: GF(q) reduces mod q inline, a table-backed GF(q^m) gathers
-exp[log f + log y].
+kernel, scale_row and sub_scaled_row (dst - f*src), and the inner
+product dot of `linalg.matvec`, with no method call per entry: GF(q)
+reduces mod q inline, a table-backed GF(q^m) gathers exp[log a + log y];
+sums are XOR when q = 2.  A GF(q^m) without tables falls back to mul
+and add.
 
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
@@ -233,7 +235,13 @@ class PrimeField:
     def sub_scaled_row(self, dst, f, src):
         """dst - f * src, entrywise."""
         q = self.q
+        if q == 2:
+            return [x ^ y for x, y in zip(dst, src)] if f else list(dst)
         return [(x - f * y) % q for x, y in zip(dst, src)]
+
+    def dot(self, row, v):
+        """sum of row[i] * v[i]."""
+        return sum(a * x for a, x in zip(row, v)) % self.q
 
     # -- vector operations (see the module docstring) ---------------------
 
@@ -461,6 +469,27 @@ class ExtField:
             return [x ^ exp[lf + log[y]] if y else x for x, y in zip(dst, src)]
         sub = self.sub
         return [sub(x, exp[lf + log[y]]) if y else x for x, y in zip(dst, src)]
+
+    def dot(self, row, v) -> int:
+        """sum of row[i] * v[i]; an entry of row < q is a constant of GF(q)."""
+        acc = 0
+        if self._exp is None:
+            add, mul = self.add, self.mul
+            for a, x in zip(row, v):
+                if a and x:
+                    acc = add(acc, x if a == 1 else mul(a, x))
+            return acc
+        exp, log = self._exp, self._log
+        if self.q == 2:
+            for a, x in zip(row, v):
+                if a and x:
+                    acc ^= exp[log[a] + log[x]]
+            return acc
+        add = self.add
+        for a, x in zip(row, v):
+            if a and x:
+                acc = add(acc, exp[log[a] + log[x]])
+        return acc
 
     # -- vector operations (see the module docstring) ---------------------
 

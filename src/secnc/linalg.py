@@ -10,10 +10,11 @@ on GF(2^m) elements, whose ints already are their expanded rows.
 Stacks of matrices, as int64 arrays of shape (B, R, C), are reduced
 together by `_rref_stack` with the fields' vector operations.  Every
 matrix-vector product, base-field maps applied to packets and the
-columns of `matmul` included, runs `matvec`.  Every enumeration of
-GF(q^m)-combinations of rows (codebooks, audit payloads, distance
-certificates) runs `span`; every enumeration of base-field matrices by
-rank runs `iter_rank_blocks`, which the audits consume as int64 blocks.
+columns of `matmul` included, runs `matvec`, one field-supplied inner
+product `dot` per row.  Every enumeration of GF(q^m)-combinations of
+rows (codebooks, audit payloads, distance certificates) runs `span`;
+every enumeration of base-field matrices by rank runs
+`iter_rank_blocks`, which the audits consume as int64 blocks.
 It builds the full-column-rank factors C as whole stacks: candidates
 enumerated by index in bounded chunks, kept by their `_rref_stack` rank,
 each block one broadcast product with the stack of every RREF.
@@ -273,8 +274,9 @@ def matmul(field, A, B) -> list[list[int]]:
 
 
 def matvec(field, A, v) -> list[int]:
-    """A v over `field`.  A base-field A applies to packets as is: its
-    entries < q are the constant polynomials, and expand(A v) = A expand(v).
+    """A v over `field`, one `field.dot` per row.  A base-field A applies to
+    packets as is: its entries < q are the constant polynomials, and
+    expand(A v) = A expand(v).
     """
     if isinstance(A, np.ndarray):
         A = A.tolist()
@@ -283,15 +285,8 @@ def matvec(field, A, v) -> list[int]:
     cols = len(A[0]) if A else 0
     if cols != len(v):
         raise ParameterError(f"cannot multiply {len(A)}x{cols} by {len(v)}x1")
-    add, mul = field.add, field.mul
-    out = []
-    for row in A:
-        acc = field.zero
-        for a, x in zip(row, v):
-            if a and x:
-                acc = add(acc, x if a == 1 else mul(a, x))
-        out.append(acc)
-    return out
+    dot = field.dot
+    return [dot(row, v) for row in A]
 
 
 def mat_sub(field, A, B) -> list[list[int]]:

@@ -16,20 +16,22 @@ promised radius, so a wrong message is never returned silently.  This
 is the Welch-Berlekamp-like reconstruction of P. Loidreau, "A
 Welch-Berlekamp like algorithm for decoding Gabidulin codes" (WCC 2005).
 
-`decode` handles one word with scalar field operations and reduces the
-full n x (2t + k + 1) interpolation system.  `decode_stack` decodes a
-whole (B, n) stack of words with the fields' vector operations and
+The interpolation system Yf v = M nn, with Yf_ji = y_j^(q^i) (i <= t)
+and the constant Moore block M_jl = g_j^(q^l) (l < k + t), splits by an
+E with E M = [I; 0] (M has full column rank) into E_bot Yf v = 0 and
+nn = E_top Yf v; the kernels correspond one to one.  E depends only on
+t, so each code reduces M once per radius (`linalg.row_reduce_transform`)
+and caches E.  Both decoders then eliminate only the
+(n - k - t) x (t + 1) block E_bot Yf and take its first kernel vector:
+`decode` one word with scalar field operations, `decode_stack` a whole
+(B, n) stack of words with the fields' vector operations and
 `linalg._rref_stack`, for the audits, whose stacks span their phases.
-Its constant block [-g_j^(q^l)] is reduced once per call (E with
-E G = [I; 0], by `linalg.row_reduce_transform`), so only the
-(B, n - k - t, t + 1) block E_bot Yf is eliminated for v, and N is read
-off as -E_top Yf v.  Both rank the residual with `linalg.vector_rank`,
-which at q = 2 eliminates the element ints as row bitmasks.  Every
-nonzero interpolation solution yields the same message when a codeword
-lies within the radius, and the re-encode check settles the rest, so
-the two agree row for row though they may take different kernel
-vectors; the scalar decoder, on the full system, stays the independent
-cross-check of the stack one.
+Both rank the residual with `linalg.vector_rank`, which at q = 2
+eliminates the element ints as row bitmasks.  The two take the same
+kernel vector and agree row for row.  Their oracles are independent of
+the split: `audit.brute_force_decode`, a nearest-codeword search over
+the codebook, and, in the tests, the full n x (2t + k + 1) system
+reduced as it stands.
 
 The codebook and the minimum rank weight behind the MRD certificate
 d = n - k + 1 and Proposition 1 both enumerate rows' combinations with
@@ -131,6 +133,7 @@ class GabidulinCode:
         self._Gt = la.transpose(self.moore[:k])
         self._H = None
         self._table = None
+        self._splits = {}  # t -> E as lists, and as an int64 array
 
     def generator_matrix(self) -> list[list[int]]:
         return [row[:] for row in self.moore[: self.k]]
@@ -184,26 +187,22 @@ class GabidulinCode:
         """Correct up to t rank errors; requires 2t <= n - k.
 
         Returns a failure outcome when no codeword lies within rank
-        distance t of y.
+        distance t of y.  Eliminates only E_bot Yf (module docstring):
+        v is its first kernel vector and nn = E_top (Yf v).
         """
-        F = self.F
+        F, k = self.F, self.k
         y = [F.check(int(v)) for v in y]
         if len(y) != self.n:
             raise ParameterError(f"received word length {len(y)} != n = {self.n}")
         self._check_radius(t)
-        # interpolation system: V(y_j) = N(g_j), unknowns (v_0..v_t,
-        # n_0..n_{k+t-1}) as one homogeneous row per position
-        rows = []
-        for j in range(self.n):
-            row = [F.frobenius(y[j], i) for i in range(t + 1)]
-            row += [F.neg(self.moore[l][j]) for l in range(self.k + t)]
-            rows.append(row)
-        sol = la.kernel_vector(F, rows)
-        if sol is None:
+        E = self._split(t)[0]
+        Yf = [[x] + [F.frobenius(x, i) for i in range(1, t + 1)] for x in y]
+        # E_bot is empty only when k + t = n, that is k = n and t = 0
+        bot = E[k + t:]
+        v = la.kernel_vector(F, la.matmul(F, bot, Yf)) if bot else [1]
+        if v is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
-        v = sol[: t + 1]
-        nn = sol[t + 1 :]
-        u = self._divide_left(v, nn)
+        u = self._divide_left(v, la.matvec(F, E[: k + t], la.matvec(F, Yf, v)))
         if u is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
         c = self.encode(u)
@@ -220,6 +219,15 @@ class GabidulinCode:
                 f"{self.n - self.k})"
             )
 
+    def _split(self, t: int):
+        """(E, E as an int64 array) with E M = [I; 0] for the n x (k + t)
+        Moore block M_jl = g_j^(q^l); one reduction per t, cached."""
+        if t not in self._splits:
+            M = la.transpose(self.moore[: self.k + t])
+            E = la.row_reduce_transform(self.F, M)[0]
+            self._splits[t] = (E, np.array(E, dtype=np.int64))
+        return self._splits[t]
+
     def decode_stack(self, Y, t: int):
         """`decode` of every row of the (B, n) array Y of received words.
 
@@ -227,11 +235,9 @@ class GabidulinCode:
         int64 (B,) arrays; a row that fails has a zero message and error
         rank -1.  A field without tables decodes row by row with `decode`.
 
-        The interpolation system [Yf | G] (v; nn) = 0, Yf_ji = y_j^(q^i)
-        for i <= t and G_jl = -g_j^(q^l) for l < k + t, splits by E with
-        E G = [I; 0] (G has full column rank) into E_bot Yf v = 0 and
-        nn = -E_top Yf v: the kernels correspond one to one, and only the
-        (B, n - k - t, t + 1) stack E_bot Yf is eliminated.
+        Takes the cached E of `decode` and eliminates only the
+        (B, n - k - t, t + 1) stack E_bot Yf, for the same kernel vector
+        v; nn = E_top Yf v.
         """
         F, n, k = self.F, self.n, self.k
         Y = np.asarray(Y)
@@ -248,15 +254,14 @@ class GabidulinCode:
         B = len(Y)
         moore = np.array(self.moore, dtype=np.int64)
         ar = np.arange(B)
-        # 1. split the interpolation system with E G = [I; 0]: P = E Yf
-        G = [[F.neg(self.moore[l][j]) for l in range(k + t)] for j in range(n)]
-        negE = F.vneg(np.array(la.row_reduce_transform(F, G)[0], dtype=np.int64))
+        # 1. P = -E Yf, accumulated with vsub; -E_bot Yf has E_bot Yf's kernel
+        E = self._split(t)[1]
         Yf = F.vfrobenius(Y[:, :, None], np.arange(t + 1))
         P = np.zeros((B, n, t + 1), dtype=np.int64)
         for j in range(n):
-            P = F.vsub(P, F.vmul(negE[:, j, None], Yf[:, None, j]))
+            P = F.vsub(P, F.vmul(E[:, j, None], Yf[:, None, j]))
         # 2. v from the first free column of E_bot Yf, as null_space's first;
-        # nn = -E_top Yf v
+        # nn = E_top Yf v = -P_top v
         R, pivots, rank = la._rref_stack(F, P[:, k + t:])
         free = ~pivots
         ok = free.any(axis=1)

@@ -228,6 +228,15 @@ def test_row_operations_match_scalar_operations(field):
             assert field.scale_row(f, src) == [field.mul(f, y) for y in src]
             assert field.sub_scaled_row(dst, f, src) == [
                 field.sub(x, field.mul(f, y)) for x, y in zip(dst, src)]
+        # dot against a sum of mul terms, also for a row of base-field
+        # constants, as matvec applies a base-field map to packets
+        consts = [int(x) for x in rng.integers(0, field.q, size=6)]
+        for row in (dst, consts, [0] * 6):
+            want = 0
+            for a, y in zip(row, src):
+                want = field.add(want, field.mul(a, y))
+            assert field.dot(row, src) == want
+    assert field.dot([], []) == 0
 
 
 # ----------------------------------------------------------------------

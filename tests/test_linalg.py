@@ -166,6 +166,19 @@ def test_expand_commutes_with_base_field_maps():
         assert (lhs == rhs).all()
 
 
+@pytest.mark.parametrize("F", [ExtField(2, 4), ExtField(3, 2), ExtField(5, 2),
+                               ExtField(2, 17)], ids=repr)
+def test_matvec_applies_base_field_maps_to_packets(F):
+    # entries < q of A are constants of GF(q^m): A v = contract(A expand(v));
+    # GF(2^17) has no tables and takes dot's mul/add path
+    rng = np.random.default_rng(F.q * 100 + F.m)
+    for rows, cols in [(3, 5), (5, 3), (1, 1), (4, 4)]:
+        for _ in range(25):
+            A = rng.integers(0, F.q, size=(rows, cols))
+            v = rng.integers(0, F.order, size=cols).tolist()
+            assert la.matvec(F, A, v) == la.contract(F, A @ la.expand(F, v) % F.q)
+
+
 def test_random_full_rank():
     rng = np.random.default_rng(23)
     assert la.random_full_rank(F2, 1, 1, rng).tolist() == [[1]]

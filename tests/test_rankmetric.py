@@ -400,19 +400,119 @@ def test_decode_stack_refuses_ints_past_int64_as_decode_does():
 
 
 # ----------------------------------------------------------------------
-# The reduced interpolation system of decode_stack
+# The split interpolation system against the full one
 # ----------------------------------------------------------------------
 
-def _interpolation_kernel(code, y, t):
-    """decode's full system [y_j^(q^i) | -g_j^(q^l)]: (kernel dimension,
-    first free column)."""
+def _full_system(code, y, t):
+    """The n x (2t + k + 1) interpolation system [y_j^(q^i) | -g_j^(q^l)]
+    in the unknowns (v_0..v_t, nn_0..nn_{k+t-1})."""
     F = code.F
-    rows = [[F.frobenius(y[j], i) for i in range(t + 1)]
+    return [[F.frobenius(y[j], i) for i in range(t + 1)]
             + [F.neg(code.moore[l][j]) for l in range(code.k + t)]
             for j in range(code.n)]
-    _, pivots = la.rref(F, rows)
+
+
+def _interpolation_kernel(code, y, t):
+    """The full system's (kernel dimension, first free column)."""
+    _, pivots = la.rref(code.F, _full_system(code, y, t))
     free = [c for c in range(2 * t + code.k + 1) if c not in pivots]
     return len(free), free[0] if free else None
+
+
+def _full_system_decode(code, y, t):
+    """(ok, message, error rank) from the first kernel vector of the full
+    system, followed by decode's own division, re-encode and rank check."""
+    F = code.F
+    sol = la.kernel_vector(F, _full_system(code, y, t))
+    u = None if sol is None else code._divide_left(sol[: t + 1], sol[t + 1:])
+    if u is None:
+        return False, None, None
+    r = la.vector_rank(F, [F.sub(a, b) for a, b in zip(y, code.encode(u))])
+    return (True, tuple(u), r) if r <= t else (False, None, None)
+
+
+def _assert_decode_matches_full_system(code, words, t):
+    for y in words:
+        out = code.decode(y, t)
+        assert (out.ok, out.message, out.error_rank) == _full_system_decode(code, y, t)
+
+
+@pytest.mark.parametrize("qm, n, k", STACK_CODES, ids=str)
+def test_decode_equals_the_full_interpolation_system(qm, n, k):
+    code = GabidulinCode(ExtField(*qm), n, k)
+    rng = np.random.default_rng(sum(qm) * 100 + n * 10 + k + 1)
+    for t in range((n - k) // 2 + 1):
+        _assert_decode_matches_full_system(code, _received_words(code, t, 120, rng), t)
+
+
+def _words_by_error_rank(code, t, per, rng):
+    """`per` uniformly random words, then, for each r <= t + 1, `per`
+    codewords plus an error of rank exactly r."""
+    F, n = code.F, code.n
+    words = rng.integers(0, F.order, size=(per, n)).tolist()
+    for r in range(t + 2):
+        got = 0
+        while got < per:
+            E = (rng.integers(0, F.q, size=(n, r)) @ rng.integers(0, F.q, size=(r, F.m))
+                 % F.q)
+            if la.rank_fq(E, F.q) == r:
+                c = code.encode(rng.integers(0, F.order, size=code.k).tolist())
+                words.append([F.add(a, b) for a, b in zip(c, la.contract(F, E))])
+                got += 1
+    return words
+
+
+@pytest.mark.parametrize("qm, n, k", [c for c in STACK_CODES
+                                      if c[0][0] ** (c[0][1] * c[2]) <= 1 << 16],
+                         ids=str)
+def test_decode_equals_brute_force_on_every_small_codebook(qm, n, k):
+    # codebooks of at most 2^16 words; the oracle ranks y - c for every c
+    code = GabidulinCode(ExtField(*qm), n, k)
+    msgs = code.codeword_table()[0]
+    per = 10 if len(msgs) <= 1 << 13 else 1  # the [8, 2] oracle: 0.3 s a word
+    rng = np.random.default_rng(sum(qm) * 100 + n * 10 + k + 2)
+    for t in range((n - k) // 2 + 1):
+        for y in _words_by_error_rank(code, t, per, rng):
+            oracle = brute_force_decode(code, y, t)
+            out = code.decode(y, t)
+            assert len(oracle) <= 1
+            assert out.ok == bool(oracle)
+            if out.ok:
+                assert {out.message} == oracle
+
+
+@pytest.mark.parametrize("qm, n, k, t", [((2, 3), 3, 3, 0), ((3, 3), 3, 3, 0),
+                                         ((2, 4), 4, 2, 1), ((2, 8), 8, 4, 2),
+                                         ((3, 4), 4, 2, 1), ((5, 4), 4, 2, 1)],
+                         ids=str)
+def test_decode_at_the_edge_shapes_of_the_split(qm, n, k, t):
+    # k = n, t = 0: E_bot is empty and v = e_0; n - k = 2t: E_bot has t rows
+    code = GabidulinCode(ExtField(*qm), n, k)
+    F = code.F
+    E = code._split(t)[0]
+    M = la.transpose(code.moore[: k + t])
+    assert la.matmul(F, E, M) == [row[: k + t] for row in la.identity(n)]
+    rng = np.random.default_rng(n * 100 + k * 10 + t)
+    words = _received_words(code, t, 150, rng)
+    _assert_decode_matches_full_system(code, words, t)
+    _assert_stack_matches_scalar(code, words, t)
+
+
+def test_the_split_of_one_radius_is_not_reused_at_another():
+    # decode at t = 0 first, then at t = 1: the same outcomes as codes that
+    # never decoded at t = 0
+    F = ExtField(2, 6)
+    used = GabidulinCode(F, 6, 2)
+    words = _received_words(used, 1, 150, np.random.default_rng(37))
+    for y in words:
+        used.decode(y, 0)
+    used.decode_stack(words, 0)
+    fresh = GabidulinCode(F, 6, 2)
+    assert [used.decode(y, 1) for y in words] == [fresh.decode(y, 1) for y in words]
+    got, want = used.decode_stack(words, 1), GabidulinCode(F, 6, 2).decode_stack(words, 1)
+    assert all((a == b).all() for a, b in zip(got, want))
+    assert sum(fresh.decode(y, 1).ok for y in words) > sum(fresh.decode(y, 0).ok
+                                                            for y in words)
 
 
 @pytest.mark.parametrize("qm, n, k", [((2, 5), 5, 1), ((2, 6), 6, 2)], ids=str)

@@ -330,6 +330,27 @@ def test_coherent_decode_matches_brute_force_at_q5():
         assert out.error_rank == la.rank_fq((B @ D @ Z) % 5, 5)
 
 
+def test_coherent_decode_at_p3_reports_the_unmixed_error_rank():
+    # P3 = (2,8,8,2,2,2), N = n + t = 10: the decode returns S, and its error
+    # rank is the rank weight of the un-mixed injection A+ D Z
+    inst = build_instance(SchemeParams(q=2, m=8, n=8, t=2, mu=2, k=2))
+    F = inst.F
+    rng = np.random.default_rng(61)
+    seen = set()
+    for trial in range(64):
+        S = rng.integers(0, F.order, size=2).tolist()
+        X = inst.encode(S, force_v=rng.integers(0, F.order, size=2).tolist())
+        A = la.random_full_rank(F.base, 10, 8, rng)
+        links = trial % 3  # 0, 1 or 2 injected packets
+        D, Z = rng.integers(0, 2, size=(10, links)), rng.integers(0, 2, size=(links, 8))
+        out = inst.coherent_decode((A @ la.expand(F, X) + D @ Z) % 2, A)
+        Aplus = np.array(la.left_inverse(F.base, A))
+        assert out.ok and out.message == tuple(S)
+        assert out.error_rank == la.vector_rank(F, la.contract(F, Aplus @ D @ Z % 2))
+        seen.add(out.error_rank)
+    assert seen == {0, 1, 2}
+
+
 def test_secrecy_audit_at_q5():
     # (5,2,2,0,1,1): 625 (S, V) pairs under each of the 24 full-rank 1 x 2 taps
     from secnc.audit import secrecy_audit
