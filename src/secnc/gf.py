@@ -17,9 +17,9 @@ primitive element; larger fields fall back to polynomial arithmetic.
 Both fields supply the row operations of the `linalg` elimination
 kernel, scale_row and sub_scaled_row (dst - f*src), and the inner
 product dot of `linalg.matvec`, with no method call per entry: GF(q)
-reduces mod q inline, a table-backed GF(q^m) gathers exp[log a + log y];
-sums are XOR when q = 2.  A GF(q^m) without tables falls back to mul
-and add.
+reduces mod q inline, a table-backed GF(q^m) gathers exp[log f + log y].
+dot is such a gather with XOR sums only in a table-backed GF(2^m); any
+other GF(q^m) sums mul terms with add.
 
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
@@ -473,22 +473,16 @@ class ExtField:
     def dot(self, row, v) -> int:
         """sum of row[i] * v[i]; an entry of row < q is a constant of GF(q)."""
         acc = 0
-        if self._exp is None:
+        if self._exp is None or self.q != 2:
             add, mul = self.add, self.mul
             for a, x in zip(row, v):
                 if a and x:
                     acc = add(acc, x if a == 1 else mul(a, x))
             return acc
         exp, log = self._exp, self._log
-        if self.q == 2:
-            for a, x in zip(row, v):
-                if a and x:
-                    acc ^= exp[log[a] + log[x]]
-            return acc
-        add = self.add
         for a, x in zip(row, v):
             if a and x:
-                acc = add(acc, exp[log[a] + log[x]])
+                acc ^= exp[log[a] + log[x]]
         return acc
 
     # -- vector operations (see the module docstring) ---------------------

@@ -170,7 +170,7 @@ def test_expand_commutes_with_base_field_maps():
                                ExtField(2, 17)], ids=repr)
 def test_matvec_applies_base_field_maps_to_packets(F):
     # entries < q of A are constants of GF(q^m): A v = contract(A expand(v));
-    # GF(2^17) has no tables and takes dot's mul/add path
+    # GF(3^2), GF(5^2) and the table-less GF(2^17) take dot's mul/add path
     rng = np.random.default_rng(F.q * 100 + F.m)
     for rows, cols in [(3, 5), (5, 3), (1, 1), (4, 4)]:
         for _ in range(25):
