@@ -33,6 +33,11 @@ the split: `audit.brute_force_decode`, a nearest-codeword search over
 the codebook, and, in the tests, the full n x (2t + k + 1) system
 reduced as it stands.
 
+Erasures need no solver of their own: Frobenius is GF(q)-linear, so for
+a base-field A', (A' G^T)_il = (A' g)_i^(q^l) and A' G^T is the Moore
+matrix of the points A' g (D. Silva and F. R. Kschischang, "Universal
+Secure Network Coding via Rank-Metric Codes", arXiv:0809.3546).
+
 The codebook and the minimum rank weight behind the MRD certificate
 d = n - k + 1 and Proposition 1 both enumerate rows' combinations with
 `linalg.span`; the pairwise oracle assumes no linearity.
@@ -45,12 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import (
-    InconsistentSystemError,
-    ParameterError,
-    UnderdeterminedSystemError,
-    check_budget,
-)
+from .errors import ParameterError, check_budget
 from .gf import ExtField, PrimeField
 
 # Cap on exhaustive codeword/pair enumeration; callers may raise it.
@@ -317,9 +317,9 @@ class GabidulinCode:
     def erasure_decode(self, A_prime, y_prime, rho: int) -> DecodeOutcome:
         """Recover u from A' G^T u = y' when A' lost rho of its n rows.
 
-        A' is a full-rank (n - rho) x n base-field matrix.  Injectivity
-        holds because two preimages would differ by a codeword of rank
-        at most rho <= n - k < d.
+        A' is a full-rank (n - rho) x n matrix over GF(q), entries in
+        0..q-1.  A' G^T is the Moore matrix of the points A' g, so this
+        is `decode` at radius 0 of the [n - rho, k] code at those points.
         """
         F = self.F
         A_prime = la.to_lists(A_prime)
@@ -330,21 +330,18 @@ class GabidulinCode:
             raise ParameterError(
                 f"expected a {self.n - rho} x {self.n} matrix, got {ar} x {ac}"
             )
-        if la.rank(F.base, A_prime) != self.n - rho:
-            raise ParameterError("A' must have full row rank")
+        A_prime = [[F.base.check(a) for a in row] for row in A_prime]
+        try:  # the points A' g are independent iff A' has full row rank
+            seen = GabidulinCode(F, ar, self.k, g=la.matvec(F, A_prime, self.g))
+        except ParameterError:
+            raise ParameterError("A' must have full row rank") from None
         y_prime = [F.check(int(v)) for v in y_prime]
         if len(y_prime) != ar:
             raise ParameterError(f"received word length {len(y_prime)} != {ar}")
-        # (A' G^T) u = y' over the extension field; A' embeds entrywise
-        M = la.matmul(F, A_prime, self._Gt)
-        try:
-            u = la.rref_solve(F, M, y_prime)
-        except InconsistentSystemError:
+        out = seen.decode(y_prime, 0)
+        if not out.ok:
             return DecodeOutcome.failure("received word outside the code image")
-        except UnderdeterminedSystemError:
-            # unreachable when the preconditions hold (A' G^T is injective)
-            return DecodeOutcome.failure("erasure system underdetermined")
-        return DecodeOutcome.success(u)
+        return DecodeOutcome.success(out.message)
 
     def __repr__(self):
         return (

@@ -172,13 +172,14 @@ class SchemeInstance:
         return DecodeOutcome.success(out.message[: p.k], out.error_rank)
 
     def erasure_decode_scheme(self, Y_prime, A_prime) -> DecodeOutcome:
-        """Recover S from Y' = A' expand(X), A' full-rank (n-2t) x n.
+        """Recover S from Y' = A' expand(X), A' (mod q) full-rank (n-2t) x n.
 
         The error-free but rank-deficient channel: 2t missing
         dimensions are within what the outer code's distance covers.
         """
         self._require_decodable()
         p = self.params
+        A_prime = np.asarray(A_prime) % p.q
         Y_prime = np.asarray(Y_prime) % p.q
         rho = 2 * p.t
         if Y_prime.shape != (p.n - rho, p.m):

@@ -171,6 +171,29 @@ def test_decode_erasure_path(cfg, msg, tmp_path, capsys):
     assert fileio.strip_lines(capsys.readouterr().out) == ["1010"]
 
 
+def test_decode_erasure_failure_is_exit_3(msg, tmp_path, capsys):
+    # mu = 0: the [4, 1] outer code seen through a 2 x 4 A' is a [2, 1] code,
+    # and changing one symbol of one of its words leaves the code
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "mu": 0}))
+    payload = str(tmp_path / "x.txt")
+    assert main(["encode", "--config", str(cfg), "--message", msg,
+                 "--seed", "5", "--out", payload]) == 0
+    inst = build_instance(fileio.read_config(str(cfg))[0])
+    Ap = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    y = la.matvec(inst.F, Ap, fileio.read_packets(payload, inst.F))
+    y[0] = inst.F.add(y[0], 1)
+    ypath, apath = str(tmp_path / "y.txt"), str(tmp_path / "A.txt")
+    fileio.write_packets(ypath, y, inst.F)
+    fileio.write_matrix(apath, Ap, 2)
+    capsys.readouterr()
+    assert main(["decode", "--config", str(cfg), "--payload", ypath,
+                 "--transfer", apath, "--erasure"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "decode failed: received word outside the code image\n"
+
+
 def test_decode_erasure_requires_transfer(cfg, msg, tmp_path, capsys):
     assert main(["decode", "--config", cfg, "--payload", msg,
                  "--erasure"]) == 1

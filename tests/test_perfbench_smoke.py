@@ -1,7 +1,8 @@
 """Every benchmark workload runs briefly and reports correct, failure-free cases.
 
 A change that makes a workload's checked cases wrong, or its run fail,
-fails here before a full benchmark run is attempted.
+fails here before a full benchmark run is attempted, and so does one that
+fails the benchmark's own tests under `perfbench/tests`.
 """
 
 import json
@@ -32,3 +33,12 @@ def test_workload_runs_correct_and_failure_free(workload):
     assert result["correct"] is True, result
     assert result["failed"] == 0, result
     assert result["attempted"] > 0, result
+
+
+def test_benchmark_tests_pass():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "perfbench/tests"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr

@@ -7,7 +7,12 @@ import pytest
 
 from secnc import linalg as la
 from secnc.audit import brute_force_decode
-from secnc.errors import BudgetExceededError, ParameterError
+from secnc.errors import (
+    BudgetExceededError,
+    InconsistentSystemError,
+    ParameterError,
+    UnderdeterminedSystemError,
+)
 from secnc.gf import ExtField
 from secnc.rankmetric import (
     GabidulinCode,
@@ -558,3 +563,87 @@ def test_decode_stack_when_the_interpolation_kernel_is_not_a_line(qm, n, k, t):
     assert any(first > t for _, first in kernels)
     _assert_stack_matches_scalar(code, words, t)
     assert code.decode_stack(words, t)[0].all()
+
+
+# ----------------------------------------------------------------------
+# Erasures: the code seen through A' against the linear solve
+# ----------------------------------------------------------------------
+
+def _erasure_solve(code, Ap, y):
+    """(ok, message, reason) of the GF(q^m) system (A' G^T) u = y'."""
+    M = la.matmul(code.F, Ap, la.transpose(code.generator_matrix()))
+    try:
+        u = la.rref_solve(code.F, M, y)
+    except InconsistentSystemError:
+        return False, None, "received word outside the code image"
+    except UnderdeterminedSystemError:
+        return False, None, "erasure system underdetermined"
+    return True, tuple(u), ""
+
+
+@pytest.mark.parametrize("qm", [(2, 4), (3, 3), (5, 3)], ids=str)
+def test_a_base_field_map_of_a_moore_matrix_is_the_moore_matrix_of_the_map(qm):
+    # (A' G^T)_il = sum_j A'_ij g_j^(q^l) = (A' g)_i^(q^l): Frobenius is
+    # GF(q)-linear, so the rows A' sees are a Gabidulin code at A' g
+    F = ExtField(*qm)
+    n = F.m
+    code = GabidulinCode(F, n, n)
+    rng = np.random.default_rng(sum(qm))
+    for rows in range(1, n + 1):
+        for _ in range(20):
+            Ap = la.random_full_rank(F.base, rows, n, rng)
+            points = la.matvec(F, Ap, code.g)
+            moore = [[F.frobenius(x, l) for l in range(n)] for x in points]
+            assert la.matmul(F, Ap, la.transpose(code.moore)) == moore
+            assert la.vector_rank(F, points) == rows
+
+
+# the [n, k + mu] outer codes of the scheme sets (q, m, n, t, mu, k) =
+# (2,4,4,1,1,1), (3,4,4,1,1,1), (2,5,5,1,1,2) and (5,3,3,1,0,1)
+@pytest.mark.parametrize("qm, n, k", [((2, 4), 4, 2), ((3, 4), 4, 2), ((2, 5), 5, 3),
+                                      ((5, 3), 3, 1)], ids=str)
+def test_erasure_decode_equals_the_linear_solve(qm, n, k):
+    # every rho <= n - k, clean and corrupted y'; at rho = n - k the code
+    # seen through A' is all of GF(q^m)^k and decode's E_bot is empty
+    code = GabidulinCode(ExtField(*qm), n, k)
+    F = code.F
+    rng = np.random.default_rng(sum(qm) + n + k)
+    outcomes = set()
+    for rho in range(n - k + 1):
+        for _ in range(40):
+            Ap = la.random_full_rank(F.base, n - rho, n, rng)
+            y = la.matvec(F, Ap, code.encode(rng.integers(0, F.order, size=k).tolist()))
+            bad = y[:]
+            i = int(rng.integers(n - rho))
+            bad[i] = F.add(bad[i], int(rng.integers(1, F.order)))
+            noise = rng.integers(0, F.order, size=n - rho).tolist()
+            for word in (y, bad, noise):
+                out = code.erasure_decode(Ap, word, rho)
+                assert out.error_rank is None
+                got = (out.ok, out.message, out.reason)
+                assert got == _erasure_solve(code, Ap, word)
+                outcomes.add((rho, out.ok))
+    assert {(0, True), (0, False), (n - k, True)} <= outcomes
+    assert (n - k, False) not in outcomes
+
+
+def test_erasure_refuses_entries_outside_the_base_field(F16, code42):
+    # 3 is the element x + 1 of GF(2^4), not a constant of GF(2)
+    y = la.matvec(F16, [[1, 0, 0, 0], [0, 1, 0, 0]], code42.encode((5, 9)))
+    for bad in (3, -1, 2):
+        with pytest.raises(ParameterError, match=f"{bad} is not an element of GF\\(2\\)"):
+            code42.erasure_decode([[bad, 0, 0, 0], [0, 1, 0, 0]], y, 2)
+    F27 = ExtField(3, 3)
+    with pytest.raises(ParameterError, match="3 is not an element of GF\\(3\\)"):
+        GabidulinCode(F27, 3, 1).erasure_decode([[1, 3, 0], [0, 0, 1]], [0, 0], 1)
+
+
+def test_erasure_names_a_rank_deficient_transfer(code42):
+    # the seen code's point check is the one rank check; its refusal keeps
+    # erasure_decode's own message and still comes before the checks on y'
+    F27 = ExtField(3, 3)
+    for code, Ap in ((code42, [[1, 0, 0, 0], [1, 0, 0, 0]]),
+                     (code42, [[1, 1, 0, 0], [0, 0, 0, 0]]),
+                     (GabidulinCode(F27, 3, 1), [[1, 2, 0], [2, 1, 0]])):
+        with pytest.raises(ParameterError, match="^A' must have full row rank$"):
+            code.erasure_decode(Ap, [0, 999], 1 if code.n == 3 else 2)

@@ -201,6 +201,23 @@ def test_erasure_agrees_with_coherent_on_clean_square():
         assert a.ok and b.ok and a.message == b.message == tuple(S)
 
 
+@pytest.mark.parametrize("params, entries", [((2, 4, 4, 1, 1, 1), (3, -1)),
+                                             ((3, 4, 4, 1, 1, 1), (4, -2))], ids=str)
+def test_erasure_takes_transfer_entries_mod_q(params, entries):
+    # an entry past 0..q-1 is the constant it is mod q, as coherent_decode
+    # takes it, not the element of GF(q^m) its int names
+    i = build_instance(SchemeParams(*params))
+    q = i.params.q
+    X = np.array(la.expand(i.F, i.encode([5], force_v=[9])))
+    for a in entries:
+        Ap = np.array([[a, 0, 0, 0], [0, 1, 0, 0]])
+        out = i.erasure_decode_scheme((Ap @ X) % q, Ap)
+        assert out.ok and out.message == (5,)
+        A = np.eye(4, dtype=np.int64)
+        A[0, 0] = a
+        assert i.coherent_decode((A @ X) % q, A).message == (5,)
+
+
 def test_degenerate_mu_zero():
     # pure error correction, no secrecy layer
     p = SchemeParams(q=2, m=4, n=4, t=1, mu=0, k=2)
