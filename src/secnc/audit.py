@@ -33,12 +33,14 @@ lifted transmissions) anchor the efficient decoders: the oracles share
 no algorithmic machinery with them beyond field arithmetic and the
 base-field rank.  Both take their codebook from `linalg.span`, which no
 decoder calls (they re-encode from the Moore matrix).  The
-nearest-codeword search at odd q ranks its differences with
-`linalg._rref_stack`, which the stack decoder also uses; it is checked
-against the scalar `decode`, which shares no stack code, and
-`decode_stack` is checked against `decode` directly.  The consistency
-oracle reduces Y - E for every error E with `linalg._rref_stack`; the
-noncoherent decoder it checks walks error spaces with scalar solves.
+nearest-codeword search ranks its differences in the stack forms the
+stack decoder also uses: `linalg._rref_stack` at odd q, and at q = 2
+with t >= 2 the packed stack form of `linalg.vector_rank`.  It is
+checked against the scalar `decode`, which shares no stack code (at
+q = 2 it ranks with `rank_gf2`), and `decode_stack` is checked against
+`decode` directly.  The consistency oracle reduces Y - E for every
+error E with `linalg._rref_stack`; the noncoherent decoder it checks
+walks error spaces with scalar solves.
 
 Entropy unit: bits throughout; one packet is m*log2(q) bits.
 """
@@ -501,11 +503,7 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
             mx = diffs.max(axis=1, keepdims=True)
             hits = ((diffs == 0) | (diffs == mx)).all(axis=1)
         else:
-            hits = np.fromiter(
-                (la.rank_gf2(row) <= t for row in diffs.tolist()),
-                dtype=bool,
-                count=len(msgs),
-            )
+            hits = la.vector_rank(F, diffs) <= t
         return {msgs[i] for i in np.nonzero(hits)[0]}
     # digit-wise differences y - c, ranked over GF(q) a chunk at a time
     ey = la.expand(F, y)

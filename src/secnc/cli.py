@@ -103,6 +103,8 @@ def cmd_encode(args) -> int:
     S = _read_input(fileio.read_packets, args.message, inst.F,
                     what="message file")
     if args.force_v is not None:
+        if args.seed is not None:
+            raise UsageError("--seed does not apply with --force-v")
         V = [inst.F.parse_element(tok) for tok in args.force_v.split(",") if tok]
         X = inst.encode(S, force_v=V)
     else:
@@ -113,6 +115,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.noncoherent:
+        for flag in ("transfer", "erasure"):
+            if getattr(args, flag):
+                raise UsageError(f"--{flag} does not apply to noncoherent decoding")
     params, _ = _load_config(args)
     inst = build_instance(params)
     F = inst.F

@@ -16,10 +16,10 @@ primitive element; larger fields fall back to polynomial arithmetic.
 
 Both fields supply the row operations of the `linalg` elimination
 kernel, scale_row and sub_scaled_row (dst - f*src), and the inner
-product dot of `linalg.matvec`, with no method call per entry: GF(q)
+product dot of `linalg.matvec`, with no mul call per entry: GF(q)
 reduces mod q inline, a table-backed GF(q^m) gathers exp[log f + log y].
 dot is such a gather with XOR sums only in a table-backed GF(2^m); any
-other GF(q^m) sums mul terms with add.
+other GF(q^m) sums mul terms with `_digitwise`.
 
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
@@ -28,11 +28,12 @@ broadcasting.  GF(q) reduces mod q and inverts through a table; a
 table-backed GF(q^m) gathers from numpy copies of its exp/log tables,
 built on first use, where log 0 points into a zero-filled tail of exp so
 a product is one gather, the lookup-table technique of the `galois`
-library (https://github.com/mhostetter/galois).  Sums are XOR when
-q = 2 and digit-wise mod q otherwise.  A GF(q^m) without tables
-(`vectorised` is False) has no vector operations.  They carry other
-names than the scalar operations so that counts of those stay counts of
-scalar calls.
+library (https://github.com/mhostetter/galois).  Every GF(q^m) sum,
+scalar or vector, is one rule, `ExtField._digitwise`: XOR when q = 2,
+else digit-wise mod q in one pass over the m base-q digits.  A GF(q^m)
+without tables (`vectorised` is False) has no vector products.  Vector
+operations carry other names than the scalar operations so that counts
+of those stay counts of scalar calls.
 """
 
 from __future__ import annotations
@@ -305,6 +306,7 @@ class ExtField:
         self.modulus = modulus
         self.order = q ** m
         self.base = PrimeField(q)
+        self._weights = tuple(q ** i for i in range(m))  # of the base-q digits
         self.zero = 0
         self.one = 1
 
@@ -383,35 +385,25 @@ class ExtField:
             raise ParameterError(f"{a} is not an element of GF({self.q}^{self.m})")
         return a
 
-    def add(self, a: int, b: int) -> int:
+    def _digitwise(self, a, b, s: int):
+        """a + s*b for s = +-1, coefficient by coefficient: XOR when q = 2,
+        else one pass over the m base-q digits.  The one rule for sums of
+        Python ints and of int64 arrays alike."""
         if self.q == 2:
             return a ^ b
-        q = self.q
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a + b) % q) * mult
-            a //= q
-            b //= q
-            mult *= q
+        q, out = self.q, 0
+        for w in self._weights:
+            out += ((a // w + s * (b // w)) % q) * w
         return out
+
+    def add(self, a: int, b: int) -> int:
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        if self.q == 2:
-            return a
-        q = self.q
-        out = 0
-        mult = 1
-        while a:
-            out += ((q - a % q) % q) * mult
-            a //= q
-            mult *= q
-        return out
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        if self.q == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
@@ -467,17 +459,17 @@ class ExtField:
         exp, log, lf = self._exp, self._log, self._log[f]
         if self.q == 2:
             return [x ^ exp[lf + log[y]] if y else x for x, y in zip(dst, src)]
-        sub = self.sub
-        return [sub(x, exp[lf + log[y]]) if y else x for x, y in zip(dst, src)]
+        dw = self._digitwise
+        return [dw(x, exp[lf + log[y]], -1) if y else x for x, y in zip(dst, src)]
 
     def dot(self, row, v) -> int:
         """sum of row[i] * v[i]; an entry of row < q is a constant of GF(q)."""
         acc = 0
         if self._exp is None or self.q != 2:
-            add, mul = self.add, self.mul
+            dw, mul = self._digitwise, self.mul
             for a, x in zip(row, v):
                 if a and x:
-                    acc = add(acc, x if a == 1 else mul(a, x))
+                    acc = dw(acc, x if a == 1 else mul(a, x), 1)
             return acc
         exp, log = self._exp, self._log
         for a, x in zip(row, v):
@@ -527,15 +519,7 @@ class ExtField:
         return np.where(a != 0, exp[e], 0)
 
     def vsub(self, a, b):
-        if self.q == 2:
-            return a ^ b
-        q = self.q
-        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-        w = 1
-        for _ in range(self.m):
-            out += ((a // w - b // w) % q) * w
-            w *= q
-        return out
+        return self._digitwise(a, b, -1)
 
     def vneg(self, a):
         return self.vsub(0, a)

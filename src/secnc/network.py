@@ -68,7 +68,7 @@ class ChannelRealization:
             raise ParameterError(
                 f"Z has {self.Z.shape[0]} rows but D has {self.D.shape[1]} columns"
             )
-        if self.B.size and self.B.shape[1] != n:
+        if self.B.shape[1] != n:
             raise ParameterError(f"B must have n = {n} columns")
 
     @property

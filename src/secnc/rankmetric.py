@@ -321,16 +321,16 @@ class GabidulinCode:
         0..q-1.  A' G^T is the Moore matrix of the points A' g, so this
         is `decode` at radius 0 of the [n - rho, k] code at those points.
         """
-        F = self.F
-        A_prime = la.to_lists(A_prime)
-        ar, ac = la.dims(A_prime)
+        F, ar = self.F, self.n - rho
         if rho < 0 or rho > self.n - self.k:
             raise ParameterError(f"rho = {rho} exceeds n - k = {self.n - self.k}")
-        if ar != self.n - rho or ac != self.n:
-            raise ParameterError(
-                f"expected a {self.n - rho} x {self.n} matrix, got {ar} x {ac}"
-            )
-        A_prime = [[F.base.check(a) for a in row] for row in A_prime]
+        try:
+            got = np.shape(A_prime)
+        except ValueError:
+            got = "rows of unequal lengths"
+        if got != (ar, self.n):
+            raise ParameterError(f"expected a {ar} x {self.n} matrix, got {got}")
+        A_prime = [[F.base.check(a) for a in row] for row in la.to_lists(A_prime)]
         try:  # the points A' g are independent iff A' has full row rank
             seen = GabidulinCode(F, ar, self.k, g=la.matvec(F, A_prime, self.g))
         except ParameterError:

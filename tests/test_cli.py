@@ -217,6 +217,36 @@ def test_decode_noncoherent_path(cfg, msg, tmp_path, capsys):
     assert fileio.strip_lines(capsys.readouterr().out) == ["1010"]
 
 
+@pytest.mark.parametrize("flags", [["--transfer", "A.txt"], ["--erasure"],
+                                   ["--transfer", "A.txt", "--erasure"]],
+                         ids=["transfer", "erasure", "both"])
+def test_decode_noncoherent_refuses_coherent_flags(cfg, tmp_path, capsys, flags):
+    (tmp_path / "y.txt").write_text("5 8\n" + "10000000\n" * 5)
+    (tmp_path / "A.txt").write_text("4 4\n1000\n0100\n0010\n0001\n")
+    flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+    assert main(["decode", "--config", cfg, "--payload", str(tmp_path / "y.txt"),
+                 "--noncoherent"] + flags) == 1
+    captured = capsys.readouterr()
+    assert flags[0] in captured.err and "does not apply" in captured.err
+    assert captured.out == ""
+
+
+def test_encode_force_v_refuses_a_seed_flag(cfg, msg, capsys):
+    assert main(["encode", "--config", cfg, "--message", msg,
+                 "--force-v", "0000", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "does not apply" in captured.err
+    assert captured.out == ""
+
+
+def test_encode_force_v_accepts_a_config_seed(tmp_path, msg, capsys):
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({**CFG, "seed": 77}))
+    assert main(["encode", "--config", str(path), "--message", msg,
+                 "--force-v", "0000"]) == 0
+    assert len(fileio.strip_lines(capsys.readouterr().out)) == 4
+
+
 def test_simulate_random_passes(cfg, capsys):
     assert main(["simulate", "--config", cfg, "--trials", "50",
                  "--seed", "9"]) == 0

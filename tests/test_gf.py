@@ -284,3 +284,51 @@ def test_table_less_field_has_no_vector_operations():
     assert not F.vectorised
     with pytest.raises(ParameterError):
         F.vmul(np.array([1]), np.array([1]))
+
+
+# ----------------------------------------------------------------------
+# Sums against a reference built from digit lists
+# ----------------------------------------------------------------------
+
+def _digit_sum(F, a, b, s):
+    """a + s*b from the coefficient lists, without the field's own sums."""
+    return F.from_row([(x + s * y) % F.q for x, y in zip(F.as_row(a), F.as_row(b))])
+
+
+def _check_sums(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == _digit_sum(F, a, b, 1)
+        assert F.sub(a, b) == _digit_sum(F, a, b, -1)
+        assert F.neg(a) == _digit_sum(F, 0, a, -1)
+
+
+@pytest.mark.parametrize("q,m", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_sums_match_digit_lists_on_every_pair(q, m):
+    F = ExtField(q, m)
+    _check_sums(F, [(a, b) for a in F.elements() for b in F.elements()])
+
+
+@pytest.mark.parametrize("q,m", [(3, 8), (5, 6), (3, 11), (2, 17)])
+def test_sums_match_digit_lists_on_random_pairs(q, m):
+    # the last two have no exp/log tables
+    F = ExtField(q, m)
+    rng = np.random.default_rng(q * 100 + m)
+    pairs = rng.integers(0, F.order, size=(2000, 2)).tolist()
+    _check_sums(F, pairs)
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (3, 4), (5, 2), (7, 2)])
+def test_vector_sums_match_digit_lists(q, m):
+    F = ExtField(q, m)
+    rng = np.random.default_rng(q * 10 + m)
+    col = rng.integers(0, F.order, size=(12, 1))
+    row = rng.integers(0, F.order, size=(1, 9))
+    got = F.vsub(col, row)
+    assert got.shape == (12, 9) and got.dtype == np.int64
+    assert got.tolist() == [[_digit_sum(F, a, b, -1) for b in row[0].tolist()]
+                            for a in col[:, 0].tolist()]
+    a = rng.integers(0, F.order, size=(3, 5, 4))
+    want = [[[_digit_sum(F, 0, x, -1) for x in r] for r in p] for p in a.tolist()]
+    assert F.vneg(a).tolist() == want
+    assert F.vsub(0, a).tolist() == want
+    assert F.vsub(a, 0).tolist() == a.tolist()

@@ -78,6 +78,11 @@ def test_realization_validation():
         ChannelRealization(2, I4, np.zeros((4, 0), dtype=int),
                            np.zeros((0, 4), dtype=int),
                            np.ones((1, 3), dtype=int))
+    # an empty B too: refused here, not inside numpy by transmit
+    with pytest.raises(ParameterError, match="B must have n = 4 columns"):
+        ChannelRealization(2, I4, np.zeros((4, 0), dtype=int),
+                           np.zeros((0, 4), dtype=int),
+                           np.zeros((0, 3), dtype=int))
 
 
 def test_sample_realization_modes(inst):

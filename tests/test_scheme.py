@@ -201,6 +201,24 @@ def test_erasure_agrees_with_coherent_on_clean_square():
         assert a.ok and b.ok and a.message == b.message == tuple(S)
 
 
+@pytest.mark.parametrize("A_prime", [np.zeros(4, dtype=np.int64), [1, 0, 0, 0], 1,
+                                     np.zeros((1, 2, 4), dtype=np.int64)],
+                         ids=["array", "list", "scalar", "3-D"])
+def test_erasure_refuses_a_transfer_that_is_no_matrix(inst, A_prime):
+    # the same refusal coherent_decode makes, not a TypeError from iterating
+    Y = np.zeros((2, 4), dtype=np.int64)
+    with pytest.raises(ParameterError, match="expected a 2 x 4 matrix"):
+        inst.erasure_decode_scheme(Y, A_prime)
+    with pytest.raises(ParameterError, match="expected a 2 x 4 matrix"):
+        inst.code.erasure_decode(A_prime, [0, 0], 2)
+
+
+def test_erasure_refuses_a_transfer_with_ragged_rows(inst):
+    # a short row is refused, not read as if zero-padded
+    with pytest.raises(ParameterError, match="rows of unequal lengths"):
+        inst.code.erasure_decode([[1, 0, 0, 0], [0, 1, 0]], [0, 0], 2)
+
+
 @pytest.mark.parametrize("params, entries", [((2, 4, 4, 1, 1, 1), (3, -1)),
                                              ((3, 4, 4, 1, 1, 1), (4, -2))], ids=str)
 def test_erasure_takes_transfer_entries_mod_q(params, entries):
