@@ -3,8 +3,9 @@
 Subpackages:
     gf          arithmetic in GF(q) and GF(q^m)
     linalg      matrices over both fields, expansion, rank distance
-    rankmetric  Gabidulin codes: encode, error and erasure decoding
-    scheme      combined secrecy + error-correction layer
+    rankmetric  Gabidulin codes: encode, rank-error decoding
+    scheme      combined secrecy + error-correction layer; one decoder
+                for a known transfer, of errors or of erasures
     network     adversarial channel model and noncoherent lifting
     audit       exhaustive secrecy and reliability verification
     cli         command line front end

@@ -115,10 +115,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.noncoherent:
-        for flag in ("transfer", "erasure"):
-            if getattr(args, flag):
-                raise UsageError(f"--{flag} does not apply to noncoherent decoding")
+    if args.noncoherent and args.transfer:
+        raise UsageError("--transfer does not apply to noncoherent decoding")
     params, _ = _load_config(args)
     inst = build_instance(params)
     F = inst.F
@@ -129,14 +127,6 @@ def cmd_decode(args) -> int:
             dtype=np.int64,
         )
         out = noncoherent_decode(inst, Y)
-    elif args.erasure:
-        if not args.transfer:
-            raise UsageError("erasure decoding needs --transfer")
-        A_prime = _read_input(fileio.read_matrix, args.transfer, params.q,
-                              what="transfer file")
-        y = _read_input(fileio.read_packets, args.payload, F,
-                        what="payload file")
-        out = inst.erasure_decode_scheme(la.expand(F, y), A_prime)
     else:
         y = _read_input(fileio.read_packets, args.payload, F,
                         what="payload file")
@@ -253,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--payload", required=True,
                     help="packet lines; a 'rows cols' matrix for --noncoherent")
     sp.add_argument("--transfer", default=None,
-                    help="transfer matrix file (default identity)")
-    sp.add_argument("--erasure", action="store_true",
-                    help="treat --transfer as a full-rank (n-2t) x n map")
+                    help="transfer matrix file (default identity): N >= n "
+                         "rows of rank n, or n - 2t rows of full rank, whose "
+                         "lost dimensions are decoded as erasures")
     sp.add_argument("--noncoherent", action="store_true",
                     help="decode a lifted observation without the transfer")
     sp.add_argument("--out", default=None, help="message path (default stdout)")

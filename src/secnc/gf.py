@@ -30,10 +30,12 @@ built on first use, where log 0 points into a zero-filled tail of exp so
 a product is one gather, the lookup-table technique of the `galois`
 library (https://github.com/mhostetter/galois).  Every GF(q^m) sum,
 scalar or vector, is one rule, `ExtField._digitwise`: XOR when q = 2,
-else digit-wise mod q in one pass over the m base-q digits.  A GF(q^m)
-without tables (`vectorised` is False) has no vector products.  Vector
-operations carry other names than the scalar operations so that counts
-of those stay counts of scalar calls.
+else digit-wise mod q in one pass over the m base-q digits.  Vector sums
+(vsub, vneg) need no tables and work in every field; the vector products
+(vmul, vinv, vfrobenius) raise ParameterError in a GF(q^m) without
+tables, and `vectorised` is the one test of whether a field has them.
+Vector operations carry other names than the scalar operations so that
+counts of those stay counts of scalar calls.
 """
 
 from __future__ import annotations

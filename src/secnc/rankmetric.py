@@ -33,11 +33,6 @@ the split: `audit.brute_force_decode`, a nearest-codeword search over
 the codebook, and, in the tests, the full n x (2t + k + 1) system
 reduced as it stands.
 
-Erasures need no solver of their own: Frobenius is GF(q)-linear, so for
-a base-field A', (A' G^T)_il = (A' g)_i^(q^l) and A' G^T is the Moore
-matrix of the points A' g (D. Silva and F. R. Kschischang, "Universal
-Secure Network Coding via Rank-Metric Codes", arXiv:0809.3546).
-
 The codebook and the minimum rank weight behind the MRD certificate
 d = n - k + 1 and Proposition 1 both enumerate rows' combinations with
 `linalg.span`; the pairwise oracle assumes no linearity.
@@ -68,8 +63,8 @@ class DecodeOutcome:
     """Result of a decoding attempt.
 
     On success `message` holds the recovered column of k elements and
-    `error_rank` the rank of the error actually removed (None for
-    erasure decoding, where no additive error is present).
+    `error_rank` the rank of the error actually removed; `error_rank` is
+    None only on failure.
     """
 
     ok: bool
@@ -78,7 +73,7 @@ class DecodeOutcome:
     reason: str = ""
 
     @staticmethod
-    def success(message, error_rank=None):
+    def success(message, error_rank: int):
         return DecodeOutcome(True, tuple(int(x) for x in message), error_rank)
 
     @staticmethod
@@ -313,35 +308,6 @@ class GabidulinCode:
                     acc = F.sub(acc, F.mul(v[i], F.frobenius(f[l], i)))
             f[d] = F.frobenius(F.mul(acc, lead_inv), (F.m - tau) % F.m)
         return f
-
-    def erasure_decode(self, A_prime, y_prime, rho: int) -> DecodeOutcome:
-        """Recover u from A' G^T u = y' when A' lost rho of its n rows.
-
-        A' is a full-rank (n - rho) x n matrix over GF(q), entries in
-        0..q-1.  A' G^T is the Moore matrix of the points A' g, so this
-        is `decode` at radius 0 of the [n - rho, k] code at those points.
-        """
-        F, ar = self.F, self.n - rho
-        if rho < 0 or rho > self.n - self.k:
-            raise ParameterError(f"rho = {rho} exceeds n - k = {self.n - self.k}")
-        try:
-            got = np.shape(A_prime)
-        except ValueError:
-            got = "rows of unequal lengths"
-        if got != (ar, self.n):
-            raise ParameterError(f"expected a {ar} x {self.n} matrix, got {got}")
-        A_prime = [[F.base.check(a) for a in row] for row in la.to_lists(A_prime)]
-        try:  # the points A' g are independent iff A' has full row rank
-            seen = GabidulinCode(F, ar, self.k, g=la.matvec(F, A_prime, self.g))
-        except ParameterError:
-            raise ParameterError("A' must have full row rank") from None
-        y_prime = [F.check(int(v)) for v in y_prime]
-        if len(y_prime) != ar:
-            raise ParameterError(f"received word length {len(y_prime)} != {ar}")
-        out = seen.decode(y_prime, 0)
-        if not out.ok:
-            return DecodeOutcome.failure("received word outside the code image")
-        return DecodeOutcome.success(out.message)
 
     def __repr__(self):
         return (

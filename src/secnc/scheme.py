@@ -95,6 +95,14 @@ def _complete_transform(F: ExtField, G0, n: int):
     return la.transpose(Tt)
 
 
+def _mod_q(M, q: int, what: str):
+    """M as an array of its entries mod q; ragged rows are refused."""
+    try:
+        return np.asarray(M) % q
+    except ValueError:
+        raise ParameterError(f"{what} has rows of unequal lengths") from None
+
+
 class SchemeInstance:
     """A built scheme: outer code, its generator split, and the transform T.
 
@@ -147,50 +155,47 @@ class SchemeInstance:
             raise ParameterError("this instance has no decodable outer code")
 
     def coherent_decode(self, Y, A) -> DecodeOutcome:
-        """Recover S from Y = A expand(X) + D Z when A (rank n) is known.
+        """Recover S from Y = A expand(X) + D Z when the transfer A is known.
 
-        Premultiplying by a left inverse of A turns the channel into
-        expand(X) plus an error whose rank cannot exceed rank(D Z) <= t,
-        which one Gabidulin decode then removes.
+        A's row count N chooses the decode.  When N >= n (A of rank n), a
+        left inverse of A turns the channel into expand(X) plus an error of
+        rank <= rank(D Z) <= t, which one Gabidulin decode removes.  When
+        N = n - 2t (A of full row rank, no error), the 2t lost dimensions
+        are erasures: Frobenius is GF(q)-linear, so (A G0^T)_il =
+        (A g)_i^(q^l), the Moore matrix of the points A g (D. Silva and
+        F. R. Kschischang, arXiv:0809.3546), and Y is decoded at radius 0
+        in the Gabidulin code at those points.  Any other N is refused.
+        Entries of A and Y are taken mod q.
         """
         self._require_decodable()
-        p = self.params
-        A = np.asarray(A) % p.q
-        Y = np.asarray(Y) % p.q
+        p, F = self.params, self.F
+        A = _mod_q(A, p.q, "transfer matrix")
+        Y = _mod_q(Y, p.q, "observation")
         if A.ndim != 2 or A.shape[1] != p.n:
             raise ParameterError(f"transfer matrix must have {p.n} columns")
-        if Y.shape != (A.shape[0], p.m):
+        N = A.shape[0]
+        if Y.shape != (N, p.m):
+            raise ParameterError(f"observation must be {N} x {p.m}, got {Y.shape}")
+        y = la.contract(F, Y)
+        if N >= p.n:
+            # expand commutes with base-field maps: A+ acts on the packets
+            Aplus = la.left_inverse(F.base, A)
+            out = self.code.decode(la.matvec(F, Aplus, y), p.t)
+        elif N == p.n - 2 * p.t:
+            g = la.matvec(F, la.to_lists(A), self.code.g)
+            try:  # the points A g are independent iff A has full row rank
+                seen = GabidulinCode(F, N, p.k + p.mu, g=g)
+            except ParameterError:
+                raise ParameterError(
+                    "an erasure transfer must have full row rank") from None
+            out = seen.decode(y, 0)
+        else:
             raise ParameterError(
-                f"observation must be {A.shape[0]} x {p.m}, got {Y.shape}"
-            )
-        Aplus = la.left_inverse(self.F.base, A)
-        # expand commutes with base-field maps: A+ acts on the packets
-        y = la.matvec(self.F, Aplus, la.contract(self.F, Y))
-        out = self.code.decode(y, p.t)
+                f"transfer matrix has {N} rows; need at least n = {p.n}, or "
+                f"n - 2t = {p.n - 2 * p.t} for erasures")
         if not out.ok:
             return out
         return DecodeOutcome.success(out.message[: p.k], out.error_rank)
-
-    def erasure_decode_scheme(self, Y_prime, A_prime) -> DecodeOutcome:
-        """Recover S from Y' = A' expand(X), A' (mod q) full-rank (n-2t) x n.
-
-        The error-free but rank-deficient channel: 2t missing
-        dimensions are within what the outer code's distance covers.
-        """
-        self._require_decodable()
-        p = self.params
-        A_prime = np.asarray(A_prime) % p.q
-        Y_prime = np.asarray(Y_prime) % p.q
-        rho = 2 * p.t
-        if Y_prime.shape != (p.n - rho, p.m):
-            raise ParameterError(
-                f"observation must be {p.n - rho} x {p.m}, got {Y_prime.shape}"
-            )
-        y = la.contract(self.F, Y_prime)
-        out = self.code.erasure_decode(A_prime, y, rho)
-        if not out.ok:
-            return out
-        return DecodeOutcome.success(out.message[: p.k])
 
     def __repr__(self):
         p = self.params

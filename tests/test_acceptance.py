@@ -105,7 +105,7 @@ def test_criterion_5_erasure_decoding_all_subspaces(report):
     for S, V in itertools.product(range(16), repeat=2):
         X = la.expand(F, inst.encode([S], force_v=[V]))
         for Ap in maps:
-            out = inst.erasure_decode_scheme((Ap @ X) % 2, Ap)
+            out = inst.coherent_decode((Ap @ X) % 2, Ap)
             assert out.ok and out.message == (S,), (S, V, Ap)
             cases += 1
     assert cases == 35 * 256

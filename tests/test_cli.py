@@ -1,14 +1,16 @@
 """Command line behavior: round trips, determinism, exit code contract."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from secnc import fileio
 from secnc import linalg as la
-from secnc.cli import main
+from secnc.cli import build_parser, main
 from secnc.network import sample_realization, transmit_lifted
 from secnc.scheme import build_instance
 
@@ -27,6 +29,22 @@ def msg(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("# the message\n1010\n")
     return str(path)
+
+
+def test_readme_command_lines_parse():
+    # a README that names a removed subcommand or flag fails here; the
+    # lines are only parsed, so the files they name need not exist
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [shlex.split(line, comments=True)
+             for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("secnc ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for argv in lines:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {shlex.join(argv)}")
 
 
 def test_params_summary(cfg, capsys):
@@ -167,7 +185,7 @@ def test_decode_erasure_path(cfg, msg, tmp_path, capsys):
     fileio.write_packets(ypath, y, inst.F)
     fileio.write_matrix(apath, Ap, 2)
     assert main(["decode", "--config", cfg, "--payload", ypath,
-                 "--transfer", apath, "--erasure"]) == 0
+                 "--transfer", apath]) == 0
     assert fileio.strip_lines(capsys.readouterr().out) == ["1010"]
 
 
@@ -188,16 +206,26 @@ def test_decode_erasure_failure_is_exit_3(msg, tmp_path, capsys):
     fileio.write_matrix(apath, Ap, 2)
     capsys.readouterr()
     assert main(["decode", "--config", str(cfg), "--payload", ypath,
-                 "--transfer", apath, "--erasure"]) == 3
+                 "--transfer", apath]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "decode failed: received word outside the code image\n"
+    assert err == "decode failed: no codeword within rank radius\n"
 
 
 def test_decode_erasure_requires_transfer(cfg, msg, tmp_path, capsys):
+    # without --transfer the transfer is the n x n identity, so an
+    # observation of n - 2t packets is refused, not decoded as erasures
+    ypath = tmp_path / "y.txt"
+    ypath.write_text("1010\n0110\n")
+    assert main(["decode", "--config", cfg, "--payload", str(ypath)]) == 2
+    assert "observation must be 4 x 4" in capsys.readouterr().err
+
+
+def test_decode_erasure_flag_is_unknown(cfg, msg, capsys):
+    # a transfer's row count says whether it carries erasures
     assert main(["decode", "--config", cfg, "--payload", msg,
                  "--erasure"]) == 1
-    capsys.readouterr()
+    assert "unrecognized arguments: --erasure" in capsys.readouterr().err
 
 
 def test_decode_noncoherent_path(cfg, msg, tmp_path, capsys):
@@ -217,17 +245,17 @@ def test_decode_noncoherent_path(cfg, msg, tmp_path, capsys):
     assert fileio.strip_lines(capsys.readouterr().out) == ["1010"]
 
 
-@pytest.mark.parametrize("flags", [["--transfer", "A.txt"], ["--erasure"],
-                                   ["--transfer", "A.txt", "--erasure"]],
-                         ids=["transfer", "erasure", "both"])
-def test_decode_noncoherent_refuses_coherent_flags(cfg, tmp_path, capsys, flags):
+@pytest.mark.parametrize("transfer", ["4 4\n1000\n0100\n0010\n0001\n",
+                                      "2 4\n1000\n0100\n"],
+                         ids=["transfer", "erasure"])
+def test_decode_noncoherent_refuses_coherent_flags(cfg, tmp_path, capsys, transfer):
+    # --transfer is refused whatever the transfer's shape
     (tmp_path / "y.txt").write_text("5 8\n" + "10000000\n" * 5)
-    (tmp_path / "A.txt").write_text("4 4\n1000\n0100\n0010\n0001\n")
-    flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+    (tmp_path / "A.txt").write_text(transfer)
     assert main(["decode", "--config", cfg, "--payload", str(tmp_path / "y.txt"),
-                 "--noncoherent"] + flags) == 1
+                 "--noncoherent", "--transfer", str(tmp_path / "A.txt")]) == 1
     captured = capsys.readouterr()
-    assert flags[0] in captured.err and "does not apply" in captured.err
+    assert "--transfer does not apply" in captured.err
     assert captured.out == ""
 
 

@@ -84,14 +84,14 @@ def test_fuzz_packet_files(payload, noncoherent):
 
 
 @given(st.integers(0, 7), st.integers(0, 5), st.lists(line_text, max_size=7),
-       st.sampled_from([[], ["--erasure"]]))
+       st.sampled_from(["1010\n0101\n1111\n0000\n", "1010\n0101\n"]))
 @FUZZ
-def test_fuzz_transfer_files(rows, cols, body, erasure):
+def test_fuzz_transfer_files(rows, cols, body, payload):
+    # 4 packets for an n x n transfer, 2 = n - 2t for an erasure transfer
     transfer = "\n".join([f"{rows} {cols}"] + body)
-    files = {"cfg": json.dumps(P1), "y": "1010\n0101\n1111\n0000\n",
-             "A": transfer}
+    files = {"cfg": json.dumps(P1), "y": payload, "A": transfer}
     argv = ["decode", "--config", "cfg", "--payload", "y", "--transfer", "A"]
-    assert run(files, argv + erasure) in range(5)
+    assert run(files, argv) in range(5)
 
 
 @given(st.integers(0, 7), st.integers(6, 9), st.data())

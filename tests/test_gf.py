@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secnc import linalg as la
 from secnc.errors import ParameterError
 from secnc.gf import (
     DEFAULT_MODULI_GF2,
@@ -284,6 +285,20 @@ def test_table_less_field_has_no_vector_operations():
     assert not F.vectorised
     with pytest.raises(ParameterError):
         F.vmul(np.array([1]), np.array([1]))
+
+
+def test_table_less_field_has_vector_sums_but_no_vector_products():
+    # sums need no tables; `vectorised` says whether the products exist
+    F = ExtField(3, 11)
+    assert not F.vectorised
+    rng = np.random.default_rng(311)
+    a, b = rng.integers(0, F.order, size=(2, 50))
+    assert F.vsub(a, b).tolist() == [F.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    for op in (lambda: F.vmul(a, b), lambda: F.vinv(a), lambda: F.vfrobenius(a, 1)):
+        with pytest.raises(ParameterError, match="no tables"):
+            op()
+    with pytest.raises(ParameterError, match="no tables"):
+        la._rref_stack(F, a.reshape(5, 2, 5))
 
 
 # ----------------------------------------------------------------------

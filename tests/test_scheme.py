@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnc import linalg as la
-from secnc.errors import BudgetExceededError, ParameterError, ValidationError
+from secnc.errors import (BudgetExceededError, InconsistentSystemError,
+                          ParameterError, ValidationError)
 from secnc.gf import ExtField
+from secnc.rankmetric import DECODE_FAILURE
 from secnc.scheme import (
     SchemeParams,
     _complete_transform,
@@ -183,57 +185,135 @@ def test_erasure_decode_exhaustive(inst):
     for Ap in la.iter_full_rank(2, 2, 4):
         Apn = np.array(Ap)
         for (s, v), X in payloads.items():
-            out = inst.erasure_decode_scheme((Apn @ X) % 2, Ap)
+            out = inst.coherent_decode((Apn @ X) % 2, Ap)
             assert out.ok and out.message == (s,)
-
-
-def test_erasure_agrees_with_coherent_on_clean_square():
-    p = SchemeParams(q=2, m=4, n=4, t=0, mu=1, k=2)
-    i = build_instance(p)
-    rng = np.random.default_rng(45)
-    for _ in range(25):
-        S = [int(x) for x in rng.integers(0, 16, size=2)]
-        X = i.encode(S, rng=rng)
-        A = la.random_full_rank(i.F.base, 4, 4, rng)
-        Y = (np.array(A) @ la.expand(i.F, X)) % 2
-        a = i.coherent_decode(Y, A)
-        b = i.erasure_decode_scheme(Y, A)
-        assert a.ok and b.ok and a.message == b.message == tuple(S)
 
 
 @pytest.mark.parametrize("A_prime", [np.zeros(4, dtype=np.int64), [1, 0, 0, 0], 1,
                                      np.zeros((1, 2, 4), dtype=np.int64)],
                          ids=["array", "list", "scalar", "3-D"])
 def test_erasure_refuses_a_transfer_that_is_no_matrix(inst, A_prime):
-    # the same refusal coherent_decode makes, not a TypeError from iterating
+    # a ParameterError, not a TypeError from iterating
     Y = np.zeros((2, 4), dtype=np.int64)
-    with pytest.raises(ParameterError, match="expected a 2 x 4 matrix"):
-        inst.erasure_decode_scheme(Y, A_prime)
-    with pytest.raises(ParameterError, match="expected a 2 x 4 matrix"):
-        inst.code.erasure_decode(A_prime, [0, 0], 2)
+    with pytest.raises(ParameterError, match="transfer matrix must have 4 columns"):
+        inst.coherent_decode(Y, A_prime)
 
 
 def test_erasure_refuses_a_transfer_with_ragged_rows(inst):
     # a short row is refused, not read as if zero-padded
+    Y = np.zeros((2, 4), dtype=np.int64)
     with pytest.raises(ParameterError, match="rows of unequal lengths"):
-        inst.code.erasure_decode([[1, 0, 0, 0], [0, 1, 0]], [0, 0], 2)
+        inst.coherent_decode(Y, [[1, 0, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("ragged", ["transfer", "observation"])
+def test_coherent_decode_refuses_ragged_rows(inst, ragged):
+    # a ParameterError, not numpy's ValueError for an inhomogeneous shape
+    square = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    short = square[:3] + [[0, 0, 1]]
+    args = (short, square) if ragged == "observation" else (square, short)
+    with pytest.raises(ParameterError, match=f"^{ragged} .*rows of unequal lengths"):
+        inst.coherent_decode(*args)
 
 
 @pytest.mark.parametrize("params, entries", [((2, 4, 4, 1, 1, 1), (3, -1)),
                                              ((3, 4, 4, 1, 1, 1), (4, -2))], ids=str)
 def test_erasure_takes_transfer_entries_mod_q(params, entries):
-    # an entry past 0..q-1 is the constant it is mod q, as coherent_decode
-    # takes it, not the element of GF(q^m) its int names
+    # an entry past 0..q-1 is the constant it is mod q, in both transfer
+    # shapes, not the element of GF(q^m) its int names
     i = build_instance(SchemeParams(*params))
     q = i.params.q
     X = np.array(la.expand(i.F, i.encode([5], force_v=[9])))
     for a in entries:
         Ap = np.array([[a, 0, 0, 0], [0, 1, 0, 0]])
-        out = i.erasure_decode_scheme((Ap @ X) % q, Ap)
+        out = i.coherent_decode((Ap @ X) % q, Ap)
         assert out.ok and out.message == (5,)
         A = np.eye(4, dtype=np.int64)
         A[0, 0] = a
         assert i.coherent_decode((A @ X) % q, A).message == (5,)
+
+
+# ----------------------------------------------------------------------
+# The transfer's row count N chooses the decode: N >= n errors, N = n - 2t
+# erasures, anything else refused
+# ----------------------------------------------------------------------
+
+def _count_left_inverses(monkeypatch):
+    calls = []
+    real = la.left_inverse
+
+    def counted(field, A):
+        calls.append(len(A))
+        return real(field, A)
+
+    monkeypatch.setattr(la, "left_inverse", counted)
+    return calls
+
+
+def test_a_square_transfer_at_t0_takes_the_left_inverse(monkeypatch):
+    # at t = 0, n - 2t = n: the square transfer is no erasure transfer
+    i = build_instance(SchemeParams(q=2, m=4, n=4, t=0, mu=1, k=2))
+    calls = _count_left_inverses(monkeypatch)
+    rng = np.random.default_rng(45)
+    for _ in range(10):
+        S = [int(x) for x in rng.integers(0, 16, size=2)]
+        A = la.random_full_rank(i.F.base, 4, 4, rng)
+        Y = (np.array(A) @ la.expand(i.F, i.encode(S, rng=rng))) % 2
+        out = i.coherent_decode(Y, A)
+        assert out.ok and out.message == tuple(S) and out.error_rank == 0
+    assert calls == [4] * 10
+
+
+def test_n_minus_2t_rows_decode_as_erasures(inst, monkeypatch):
+    calls = _count_left_inverses(monkeypatch)
+    X = np.array(la.expand(inst.F, inst.encode([11], force_v=[6])))
+    Ap = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
+    out = inst.coherent_decode((Ap @ X) % 2, Ap)
+    assert out.ok and out.message == (11,) and out.error_rank == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("Ap, match", [
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "has 3 rows; need at least n = 4, "
+                                                 "or n - 2t = 2 for erasures"),
+    ([[1, 0, 0, 0]], "has 1 rows; need at least n = 4"),
+    ([[1, 1, 0, 0], [1, 1, 0, 0]], "^an erasure transfer must have full row rank$"),
+    ([[0, 1, 1, 0], [0, 0, 0, 0]], "^an erasure transfer must have full row rank$"),
+], ids=["between", "fewer", "repeated-row", "zero-row"])
+def test_other_transfer_shapes_are_refused(inst, Ap, match):
+    Y = np.zeros((len(Ap), 4), dtype=np.int64)
+    with pytest.raises(ParameterError, match=match):
+        inst.coherent_decode(Y, Ap)
+
+
+@pytest.mark.parametrize("params", [(2, 4, 4, 1, 1, 1), (3, 4, 4, 1, 0, 1),
+                                    (2, 5, 5, 1, 1, 1), (5, 3, 3, 1, 0, 1)], ids=str)
+def test_erasure_decode_equals_the_linear_solve_at_rho_2t(params):
+    # the scheme against A' G0^T u = y' solved over GF(q^m): clean, corrupted
+    # and random observations through random full-rank (n - 2t) x n A'; at
+    # k + mu = n - 2t the code seen through A' is all of GF(q^m)^(n - 2t)
+    i = build_instance(SchemeParams(*params))
+    F, p = i.F, i.params
+    N = p.n - 2 * p.t
+    rng = np.random.default_rng(sum(params))
+    outcomes = set()
+    for _ in range(30):
+        Ap = la.random_full_rank(F.base, N, p.n, rng)
+        S = rng.integers(0, F.order, size=p.k).tolist()
+        y = la.matvec(F, Ap, i.encode(S, rng=rng))
+        bad = y[:]
+        bad[0] = F.add(bad[0], int(rng.integers(1, F.order)))
+        noise = rng.integers(0, F.order, size=N).tolist()
+        for word in (y, bad, noise):
+            out = i.coherent_decode(la.expand(F, word), Ap)
+            try:
+                u = la.rref_solve(F, la.matmul(F, Ap, i._G0t), word)
+                want = (True, tuple(u[: p.k]), 0, "")
+            except InconsistentSystemError:
+                want = (False, None, None, DECODE_FAILURE)
+            assert (out.ok, out.message, out.error_rank, out.reason) == want
+            outcomes.add(out.ok)
+    assert outcomes == ({True, False} if p.k + p.mu < N else {True})
 
 
 def test_degenerate_mu_zero():
