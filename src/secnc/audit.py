@@ -60,7 +60,7 @@ from .network import (candidate_spaces, noncoherent_decode, sample_realization,
                       transmit, transmit_lifted)
 from .rankmetric import (DECODE_FAILURE, DEFAULT_ENUM_BUDGET, DecodeOutcome,
                          GabidulinCode)
-from .scheme import SchemeInstance
+from .scheme import SchemeInstance, _mod_q
 
 DEFAULT_AUDIT_BUDGET = 1 << 22
 
@@ -531,7 +531,7 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
-    Y = np.asarray(Y, dtype=np.int64) % q
+    Y = _mod_q(Y, q, "lifted observation")
     if Y.ndim != 2 or Y.shape[1] != n + m:
         raise ParameterError(f"lifted observation must have {n + m} columns")
     N = Y.shape[0]

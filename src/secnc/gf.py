@@ -10,49 +10,46 @@ For q = 2 the integer is exactly the coefficient bitmask, so the packed
 value doubles as the row vector of the element under the polynomial
 basis {1, x, ..., x^{m-1}}.
 
-For table-friendly fields (q^m <= 2^16) multiplication, inversion and
-the Frobenius map go through precomputed exp/log tables keyed by a
-primitive element; larger fields fall back to polynomial arithmetic.
+Every field is table-backed: FIELD_LIMIT bounds the order at 2^16, and
+each GF(q^m) builds exp/log tables keyed by a primitive element at
+construction, through the polynomial arithmetic `_mul_raw`/`_pow_raw`.
+Multiplication, inversion, powers and the Frobenius map are lookups in
+those tables.
 
 Both fields supply the row operations of the `linalg` elimination
 kernel, scale_row and sub_scaled_row (dst - f*src), and the inner
 product dot of `linalg.matvec`, with no mul call per entry: GF(q)
-reduces mod q inline, a table-backed GF(q^m) gathers exp[log f + log y].
-dot is such a gather with XOR sums only in a table-backed GF(2^m); any
-other GF(q^m) sums mul terms with `_digitwise`.
+reduces mod q inline, GF(q^m) gathers exp[log f + log y].  dot is such
+a gather with XOR sums in GF(2^m); at odd q it sums mul terms with
+`_digitwise`.
 
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
 vmul, vsub, vneg and vinv (and vfrobenius on GF(q^m)), with numpy
-broadcasting.  GF(q) reduces mod q and inverts through a table; a
-table-backed GF(q^m) gathers from numpy copies of its exp/log tables,
-built on first use, where log 0 points into a zero-filled tail of exp so
-a product is one gather, the lookup-table technique of the `galois`
-library (https://github.com/mhostetter/galois).  Every GF(q^m) sum,
-scalar or vector, is one rule, `ExtField._digitwise`: XOR when q = 2,
-else digit-wise mod q in one pass over the m base-q digits.  Vector sums
-(vsub, vneg) need no tables and work in every field; the vector products
-(vmul, vinv, vfrobenius) raise ParameterError in a GF(q^m) without
-tables, and `vectorised` is the one test of whether a field has them.
-Vector operations carry other names than the scalar operations so that
-counts of those stay counts of scalar calls.
+broadcasting.  GF(q) reduces mod q and inverts through a table; GF(q^m)
+gathers from numpy copies of its exp/log tables, built on first use,
+where log 0 points into a zero-filled tail of exp so a product is one
+gather, the lookup-table technique of the `galois` library
+(https://github.com/mhostetter/galois).  Every GF(q^m) sum, scalar or
+vector, is one rule, `ExtField._digitwise`: XOR when q = 2, else
+digit-wise mod q in one pass over the m base-q digits.  Vector
+operations carry other names than the scalar operations so that counts
+of those stay counts of scalar calls.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError
 
-# Largest field order for which exp/log tables are built.
-TABLE_LIMIT = 1 << 16
-
-# Largest field order a field may be built with.  Larger orders are
-# refused before the primality test and the irreducible search, whose
-# cost grows with the order.
-FIELD_LIMIT = 1 << 20
+# Largest field order a field may be built with, and so the largest
+# exp/log table.  Larger orders are refused before the primality test
+# and the irreducible search, whose cost grows with the order.
+FIELD_LIMIT = 1 << 16
 
 # Monic irreducible polynomials over GF(2), degree 1..16, as coefficient
 # tuples lowest degree first.  These are the usual primitive polynomials
@@ -201,7 +198,6 @@ class PrimeField:
         self.order = q
         self.zero = 0
         self.one = 1
-        self._np_inv = None
 
     def check(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -257,14 +253,15 @@ class PrimeField:
     def vneg(self, a):
         return (-a) % self.q
 
+    @cached_property
+    def _vector_inv(self):
+        q = self.q
+        return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+
     def vinv(self, a):
-        if self._np_inv is None:
-            q = self.q
-            self._np_inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)],
-                                    dtype=np.int64)
         if not np.all(a):
             raise ZeroDivisionError("0 has no inverse")
-        return self._np_inv[a]
+        return self._vector_inv[a]
 
     def elements(self):
         return range(self.q)
@@ -320,16 +317,9 @@ class ExtField:
         if q == 2:
             self._mod_int = sum(c << i for i, c in enumerate(modulus))
 
-        self._exp = None
-        self._log = None
-        self.primitive = None
-        if self.order <= TABLE_LIMIT:
-            self._build_tables()
-        self._np_exp = None  # numpy copies for the vector operations
-        self._np_log = None
-        self._np_qpow = None
+        self._exp, self._log, self.primitive = self._tables()
 
-    # -- raw polynomial arithmetic (no tables) --------------------------
+    # -- raw polynomial arithmetic, to build the tables ------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.q == 2:
@@ -357,7 +347,8 @@ class ExtField:
             e >>= 1
         return out
 
-    def _build_tables(self):
+    def _tables(self):
+        """(exp, log, primitive): exp[i] = primitive^i over two periods."""
         n1 = self.order - 1
         factors = _prime_factors(n1) if n1 > 1 else []
         prim = None
@@ -376,9 +367,7 @@ class ExtField:
             v = self._mul_raw(v, prim)
         for i in range(n1, 2 * n1):
             exp[i] = exp[i - n1]
-        self._exp = exp
-        self._log = log
-        self.primitive = prim
+        return exp, log, prim
 
     # -- public arithmetic ----------------------------------------------
 
@@ -408,19 +397,15 @@ class ExtField:
         return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self._exp is not None:
-            n1 = self.order - 1
-            return self._exp[(n1 - self._log[a]) % n1]
-        return self._pow_raw(a, self.order - 2)
+        n1 = self.order - 1
+        return self._exp[(n1 - self._log[a]) % n1]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -430,32 +415,26 @@ class ExtField:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            n1 = self.order - 1
-            return self._exp[(self._log[a] * e) % n1]
-        return self._pow_raw(a, e)
+        n1 = self.order - 1
+        return self._exp[(self._log[a] * e) % n1]
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i); the identity for i = 0 and for i = m."""
         if a == 0:
             return 0
         n1 = self.order - 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * pow(self.q, i, n1)) % n1]
-        return self._pow_raw(a, pow(self.q, i, n1))
+        return self._exp[(self._log[a] * pow(self.q, i, n1)) % n1]
 
     # -- row operations (see the module docstring) -----------------------
 
     def scale_row(self, s: int, row) -> list[int]:
-        if self._exp is None or s == 0:
-            return [self.mul(s, x) for x in row]
+        if s == 0:
+            return [0] * len(row)
         exp, log, ls = self._exp, self._log, self._log[s]
         return [exp[ls + log[x]] if x else 0 for x in row]
 
     def sub_scaled_row(self, dst, f: int, src) -> list[int]:
         """dst - f * src, entrywise."""
-        if self._exp is None:
-            return [self.sub(x, self.mul(f, y)) for x, y in zip(dst, src)]
         if f == 0:
             return list(dst)
         exp, log, lf = self._exp, self._log, self._log[f]
@@ -467,7 +446,7 @@ class ExtField:
     def dot(self, row, v) -> int:
         """sum of row[i] * v[i]; an entry of row < q is a constant of GF(q)."""
         acc = 0
-        if self._exp is None or self.q != 2:
+        if self.q != 2:
             dw, mul = self._digitwise, self.mul
             for a, x in zip(row, v):
                 if a and x:
@@ -481,33 +460,25 @@ class ExtField:
 
     # -- vector operations (see the module docstring) ---------------------
 
-    @property
-    def vectorised(self) -> bool:
-        return self._exp is not None
-
+    @cached_property
     def _vector_tables(self):
-        """(exp, log): exp has a zero tail from 2(order-1) on, log[0] points
-        into it, so exp[log a + log b] is a * b for zeros too."""
-        if self._np_exp is None:
-            if self._exp is None:
-                raise ParameterError(
-                    f"GF({self.q}^{self.m}) has no tables for vector operations")
-            n1 = self.order - 1
-            exp = np.zeros(4 * n1 + 1, dtype=np.int64)
-            exp[: 2 * n1] = self._exp[: 2 * n1]
-            log = np.array(self._log, dtype=np.int64)
-            log[0] = 2 * n1
-            self._np_qpow = np.array([pow(self.q, i, n1) for i in range(self.m)],
-                                     dtype=np.int64)
-            self._np_exp, self._np_log = exp, log
-        return self._np_exp, self._np_log
+        """(exp, log, qpow), numpy copies built on first use: exp has a zero
+        tail from 2(order-1) on, log[0] points into it, so exp[log a + log b]
+        is a * b for zeros too; qpow[i] = q^i mod (order-1)."""
+        n1 = self.order - 1
+        exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+        exp[: 2 * n1] = self._exp[: 2 * n1]
+        log = np.array(self._log, dtype=np.int64)
+        log[0] = 2 * n1
+        qpow = np.array([pow(self.q, i, n1) for i in range(self.m)], dtype=np.int64)
+        return exp, log, qpow
 
     def vmul(self, a, b):
-        exp, log = self._vector_tables()
+        exp, log, _ = self._vector_tables
         return exp[log[a] + log[b]]
 
     def vinv(self, a):
-        exp, log = self._vector_tables()
+        exp, log, _ = self._vector_tables
         if not np.all(a):
             raise ZeroDivisionError("0 has no inverse")
         n1 = self.order - 1
@@ -515,9 +486,9 @@ class ExtField:
 
     def vfrobenius(self, a, i):
         """a^(q^i) entrywise; i an int or an int array broadcast against a."""
-        exp, log = self._vector_tables()
+        exp, log, qpow = self._vector_tables
         n1 = self.order - 1
-        e = (log[a] * self._np_qpow[np.asarray(i) % self.m]) % n1
+        e = (log[a] * qpow[np.asarray(i) % self.m]) % n1
         return np.where(a != 0, exp[e], 0)
 
     def vsub(self, a, b):

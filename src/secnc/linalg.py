@@ -324,9 +324,9 @@ def span(F, rows, idx):
     itertools.product indices idx: returns (U, expand(U . rows)), an int64
     (B, K) array and a (B, n, m) stack.
 
-    One product over GF(q), with no field tables: expand(g u) = expand(u) M_g,
-    where row i of M_g expands g x^i, so expand(U . rows) is expand(U) times
-    the block matrix of the M_g for the entries g of rows.
+    One product over GF(q): expand(g u) = expand(u) M_g, where row i of
+    M_g expands g x^i, so expand(U . rows) is expand(U) times the block
+    matrix of the M_g for the entries g of rows.
     """
     rows = to_lists(rows)
     K, n = dims(rows)

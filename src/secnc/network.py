@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gf import ExtField, PrimeField
 from .rankmetric import DEFAULT_ENUM_BUDGET, DecodeOutcome
-from .scheme import SchemeInstance
+from .scheme import SchemeInstance, _mod_q
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
-    Y = np.asarray(Y, dtype=np.int64) % q
+    Y = _mod_q(Y, q, "lifted observation")
     if Y.ndim != 2 or Y.shape[1] != n + m:
         raise ParameterError(f"lifted observation must have {n + m} columns")
     N = Y.shape[0]

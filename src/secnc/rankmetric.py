@@ -96,8 +96,10 @@ class GabidulinCode:
     """[n, k] Gabidulin code over GF(q^m) with evaluation points g.
 
     The full n x n Moore matrix of the points (row i holds the q^i-th
-    Frobenius powers) is precomputed; the generator is its top k rows
-    and the secrecy layer slices other consecutive row bands.
+    Frobenius powers) is precomputed; the generator is its top k rows.
+    Any band of consecutive rows (`generator_rows`) generates an MRD code
+    too; the scheme's secrecy rows are such a band, which `SchemeInstance`
+    takes directly as G0[k:] of its outer generator.
     """
 
     def __init__(self, F: ExtField, n: int, k: int, g=None):
@@ -228,7 +230,7 @@ class GabidulinCode:
 
         Returns (ok, messages, error_ranks): bool (B,), int64 (B, k) and
         int64 (B,) arrays; a row that fails has a zero message and error
-        rank -1.  A field without tables decodes row by row with `decode`.
+        rank -1.
 
         Takes the cached E of `decode` and eliminates only the
         (B, n - k - t, t + 1) stack E_bot Yf, for the same kernel vector
@@ -244,8 +246,6 @@ class GabidulinCode:
         if bad.any():
             F.check(int(Y[bad][0]))  # the scalar decoder's refusal
         Y = Y.astype(np.int64)
-        if not F.vectorised:
-            return DecodeOutcome.stack([self.decode(y, t) for y in Y.tolist()], k)
         B = len(Y)
         moore = np.array(self.moore, dtype=np.int64)
         ar = np.arange(B)

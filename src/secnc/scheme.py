@@ -96,11 +96,15 @@ def _complete_transform(F: ExtField, G0, n: int):
 
 
 def _mod_q(M, q: int, what: str):
-    """M as an array of its entries mod q; ragged rows are refused."""
+    """M as an int64 array of its entries mod q; ragged rows and entries
+    that are not integers are refused."""
     try:
-        return np.asarray(M) % q
+        M = np.asarray(M)
     except ValueError:
         raise ParameterError(f"{what} has rows of unequal lengths") from None
+    if M.size and M.dtype.kind not in "biu":
+        raise ParameterError(f"{what} entries must be integers")
+    return M.astype(np.int64, copy=False) % q
 
 
 class SchemeInstance:

@@ -514,7 +514,8 @@ def test_zero_random_transfers_stay_valid_and_unseeded(p0cfg, capsys):
     {"q": 4294967291, "m": 1, "n": 1, "t": 0, "mu": 0, "k": 1},
     {"q": 2305843009213693951, "m": 1, "n": 1, "t": 0, "mu": 0, "k": 1},
     {**CFG, "q": 7, "m": 40},
-], ids=["q-2^32-5", "q-2^61-1", "q7-m40"])
+    {**CFG, "m": 17},
+], ids=["q-2^32-5", "q-2^61-1", "q7-m40", "q2-m17"])
 def test_oversized_field_is_refused_at_once(tmp_path, capsys, config):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(config))
@@ -523,6 +524,13 @@ def test_oversized_field_is_refused_at_once(tmp_path, capsys, config):
     assert time.monotonic() - start < 1
     err = capsys.readouterr().err
     assert "largest supported order" in err and "Traceback" not in err
+
+
+def test_the_largest_binary_field_is_accepted(tmp_path):
+    # GF(2^16) is gf.FIELD_LIMIT itself; GF(2^17) is refused above
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, "m": 16}))
+    assert main(["params", "--config", str(path)]) == 0
 
 
 def test_noncoherent_walk_over_budget_is_exit_4(cfg, tmp_path, capsys):

@@ -1,9 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secnc import linalg as la
 from secnc.errors import ParameterError
 from secnc.gf import (
     DEFAULT_MODULI_GF2,
@@ -149,17 +151,29 @@ def test_field_construction_rejects_bad_modulus():
 
 
 def test_fields_beyond_the_limit_are_refused_before_any_search():
-    assert FIELD_LIMIT == 1 << 20
-    for build in (lambda: PrimeField(1048583),      # the first prime > 2^20
+    assert FIELD_LIMIT == 1 << 16
+    for build in (lambda: PrimeField(65537),        # the first prime > 2^16
+                  lambda: PrimeField(1048583),
                   lambda: PrimeField(2 ** 61 - 1),
                   lambda: ExtField(4294967291, 1),
+                  lambda: ExtField(2, 17),
+                  lambda: ExtField(3, 11),          # 177,147
                   lambda: ExtField(2, 21),
-                  lambda: ExtField(3, 13),          # 1,594,323
+                  lambda: ExtField(3, 13),
                   lambda: ExtField(7, 10 ** 18)):
         with pytest.raises(ParameterError, match="largest supported order"):
             build()
-    assert PrimeField(1048573).order == 1048573     # the last prime < 2^20
-    assert ExtField(1048573, 1).order == 1048573
+    assert PrimeField(65521).order == 65521         # the last prime < 2^16
+    assert ExtField(65521, 1).order == 65521
+
+
+def test_readme_states_the_field_limit():
+    # every "2^e (`gf.FIELD_LIMIT`)" in the README names the constant's value
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    stated = re.findall(r"2\^(\d+)\s+\(`gf\.FIELD_LIMIT`\)",
+                        readme.read_text(encoding="utf-8"))
+    assert len(stated) >= 2
+    assert {1 << int(e) for e in stated} == {FIELD_LIMIT}
 
 
 def test_prime_field():
@@ -195,17 +209,6 @@ def test_gf256_axioms_sampled(a, b, c):
         assert F.div(F.mul(a, b), a) == b
 
 
-def test_large_field_fallback_path():
-    # order 2^17 exceeds the table limit, exercising raw polynomial arithmetic
-    F = ExtField(2, 17, find_irreducible(2, 17))
-    assert F.primitive is None
-    a, b = 0b1011011, 0b111000111
-    assert F.mul(a, b) == F.mul(b, a)
-    assert F.mul(a, F.inv(a)) == 1
-    assert F.frobenius(a, F.m) == a
-    assert F.pow(a, 5) == F.mul(a, F.mul(a, F.mul(a, F.mul(a, a))))
-
-
 def test_primitive_element_generates(f8):
     seen = set()
     v = 1
@@ -216,7 +219,7 @@ def test_primitive_element_generates(f8):
 
 
 ROW_OP_FIELDS = [PrimeField(2), PrimeField(5), ExtField(2, 4), ExtField(3, 2),
-                 ExtField(2, 17)]  # the last has no exp/log tables
+                 ExtField(2, 16)]  # the largest GF(2^m)
 
 
 @pytest.mark.parametrize("field", ROW_OP_FIELDS, ids=repr)
@@ -261,7 +264,6 @@ def test_vector_operations_match_scalar_operations_on_every_pair(field):
     with pytest.raises(ZeroDivisionError):
         field.vinv(e)
     if isinstance(field, ExtField):
-        assert field.vectorised
         for i in range(field.m + 1):
             assert field.vfrobenius(e, i).tolist() == [
                 field.frobenius(x, i) for x in range(n)]
@@ -280,25 +282,20 @@ def test_vector_operations_broadcast():
                                          for x in range(9)]
 
 
-def test_table_less_field_has_no_vector_operations():
-    F = ExtField(2, 17)
-    assert not F.vectorised
-    with pytest.raises(ParameterError):
-        F.vmul(np.array([1]), np.array([1]))
-
-
-def test_table_less_field_has_vector_sums_but_no_vector_products():
-    # sums need no tables; `vectorised` says whether the products exist
-    F = ExtField(3, 11)
-    assert not F.vectorised
-    rng = np.random.default_rng(311)
-    a, b = rng.integers(0, F.order, size=(2, 50))
-    assert F.vsub(a, b).tolist() == [F.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    for op in (lambda: F.vmul(a, b), lambda: F.vinv(a), lambda: F.vfrobenius(a, 1)):
-        with pytest.raises(ParameterError, match="no tables"):
-            op()
-    with pytest.raises(ParameterError, match="no tables"):
-        la._rref_stack(F, a.reshape(5, 2, 5))
+@pytest.mark.parametrize("q,m", [(2, 16), (3, 10), (251, 2), (65521, 1)])
+def test_vector_products_match_scalar_products_at_the_top_of_the_range(q, m):
+    # every field up to FIELD_LIMIT has tables, so every one has vmul,
+    # vinv and vfrobenius; checked on random elements, as the largest
+    # fields are too big for every pair
+    F = ExtField(q, m)
+    rng = np.random.default_rng(q * 100 + m)
+    a, b = rng.integers(1, F.order, size=(2, 500))
+    a[:5] = 0  # zeros go through the zero tail of the vector exp table
+    i = rng.integers(0, m + 1, size=500)
+    pairs = list(zip(a.tolist(), b.tolist(), i.tolist()))
+    assert F.vmul(a, b).tolist() == [F.mul(x, y) for x, y, _ in pairs]
+    assert F.vinv(b).tolist() == [F.inv(y) for _, y, _ in pairs]
+    assert F.vfrobenius(a, i).tolist() == [F.frobenius(x, e) for x, _, e in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +320,9 @@ def test_sums_match_digit_lists_on_every_pair(q, m):
     _check_sums(F, [(a, b) for a in F.elements() for b in F.elements()])
 
 
-@pytest.mark.parametrize("q,m", [(3, 8), (5, 6), (3, 11), (2, 17)])
+@pytest.mark.parametrize("q,m", [(3, 8), (5, 6), (3, 10), (2, 16)])
 def test_sums_match_digit_lists_on_random_pairs(q, m):
-    # the last two have no exp/log tables
+    # the last two are the largest fields at q = 3 and q = 2
     F = ExtField(q, m)
     rng = np.random.default_rng(q * 100 + m)
     pairs = rng.integers(0, F.order, size=(2000, 2)).tolist()

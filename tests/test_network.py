@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnc import linalg as la
+from secnc.audit import noncoherent_consistency_oracle
 from secnc.errors import ParameterError
 from secnc.network import (
     ChannelRealization,
@@ -258,6 +259,21 @@ def test_noncoherent_rejects_bad_shapes(inst):
         noncoherent_decode(inst, np.zeros((4, 7), dtype=int))
     with pytest.raises(ParameterError):
         noncoherent_decode(inst, np.zeros((3, 8), dtype=int))
+
+
+@pytest.mark.parametrize("decoder", [noncoherent_decode,
+                                     noncoherent_consistency_oracle],
+                         ids=["decoder", "oracle"])
+def test_lifted_readers_refuse_entries_that_are_not_integers(inst, decoder):
+    # a ParameterError: lift(X) + 0.5 is not read as lift(X), and None or a
+    # short row raises no TypeError or numpy ValueError
+    L = lift(inst.F, inst.encode([5], force_v=[9]))
+    assert noncoherent_decode(inst, L).message == (5,)
+    for Y, reason in [(L + 0.5, "entries must be integers"),
+                      ([[None] * 8] * 4, "entries must be integers"),
+                      (L.tolist()[:3] + [[0] * 7], "has rows of unequal lengths")]:
+        with pytest.raises(ParameterError, match=f"^lifted observation {reason}"):
+            decoder(inst, Y)
 
 
 def test_transmit_shape_mismatches(inst):

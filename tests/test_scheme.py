@@ -216,6 +216,18 @@ def test_coherent_decode_refuses_ragged_rows(inst, ragged):
         inst.coherent_decode(*args)
 
 
+@pytest.mark.parametrize("bad", ["half", "none"])
+@pytest.mark.parametrize("where", ["transfer matrix", "observation"])
+def test_coherent_decode_refuses_entries_that_are_not_integers(inst, where, bad):
+    # a ParameterError: 1.5 * I_4 is not read as I_4, and None raises no
+    # TypeError
+    X = la.expand(inst.F, inst.encode([5], force_v=[9]))
+    args = {"observation": X, "transfer matrix": np.eye(4, dtype=np.int64)}
+    args[where] = 1.5 * args[where] if bad == "half" else [[None] * 4] * 4
+    with pytest.raises(ParameterError, match=f"^{where} entries must be integers"):
+        inst.coherent_decode(args["observation"], args["transfer matrix"])
+
+
 @pytest.mark.parametrize("params, entries", [((2, 4, 4, 1, 1, 1), (3, -1)),
                                              ((3, 4, 4, 1, 1, 1), (4, -2))], ids=str)
 def test_erasure_takes_transfer_entries_mod_q(params, entries):
