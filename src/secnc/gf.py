@@ -16,12 +16,17 @@ construction, through the polynomial arithmetic `_mul_raw`/`_pow_raw`.
 Multiplication, inversion, powers and the Frobenius map are lookups in
 those tables.
 
-Both fields supply the row operations of the `linalg` elimination
-kernel, scale_row and sub_scaled_row (dst - f*src), and the inner
-product dot of `linalg.matvec`, with no mul call per entry: GF(q)
-reduces mod q inline, GF(q^m) gathers exp[log f + log y].  dot is such
-a gather with XOR sums in GF(2^m); at odd q it sums mul terms with
-`_digitwise`.
+Both fields supply the rows of the `linalg` elimination kernel: their
+row form, made from a 2-D int64 array by pack and read back by unpack
+(a column range) and column (one column's entries), and the row
+operations scale_row and sub_scaled_row (dst - f*src) on that form.
+GF(2) packs a row into one Python int, bit c holding column c, for any
+width, so its row operations are a XOR; GF(q^m) and odd GF(q) keep a
+list of entries per row.  They also supply the inner product dot of
+`linalg.matvec` and `linalg.matmul`, on lists.  None of these calls mul
+per entry: GF(q) reduces mod q inline, GF(q^m) gathers
+exp[log f + log y].  dot is such a gather with XOR sums in GF(2^m); at
+odd q it sums mul terms with `_digitwise`.
 
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
@@ -227,15 +232,38 @@ class PrimeField:
     def pow(self, a, e):
         return pow(a, e, self.q) if e >= 0 else pow(self.inv(a), -e, self.q)
 
+    # -- rows of the elimination kernel (see the module docstring) -------
+
+    def pack(self, A):
+        """The rows of the 2-D int64 array A in this field's row form."""
+        if self.q != 2:
+            return A.tolist()
+        bits = np.packbits(A, axis=1, bitorder="little").tolist()
+        return [int.from_bytes(row, "little") for row in bits]
+
+    def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
+        """Columns lo..hi-1 of rows in the row form, a list per row."""
+        if self.q != 2:
+            return [row[lo:hi] for row in rows]
+        return [[(row >> c) & 1 for c in range(lo, hi)] for row in rows]
+
+    def column(self, rows, c: int) -> list[int]:
+        """Column c of rows in the row form, one entry per row."""
+        if self.q != 2:
+            return [row[c] for row in rows]
+        return [(row >> c) & 1 for row in rows]
+
     def scale_row(self, s, row):
         q = self.q
+        if q == 2:
+            return row if s else 0
         return [(s * x) % q for x in row]
 
     def sub_scaled_row(self, dst, f, src):
         """dst - f * src, entrywise."""
         q = self.q
         if q == 2:
-            return [x ^ y for x, y in zip(dst, src)] if f else list(dst)
+            return dst ^ src if f else dst
         return [(x - f * y) % q for x, y in zip(dst, src)]
 
     def dot(self, row, v):
@@ -425,7 +453,16 @@ class ExtField:
         n1 = self.order - 1
         return self._exp[(self._log[a] * pow(self.q, i, n1)) % n1]
 
-    # -- row operations (see the module docstring) -----------------------
+    # -- rows of the elimination kernel (see the module docstring) -------
+
+    def pack(self, A) -> list[list[int]]:
+        return A.tolist()
+
+    def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
+        return [row[lo:hi] for row in rows]
+
+    def column(self, rows, c: int) -> list[int]:
+        return [row[c] for row in rows]
 
     def scale_row(self, s: int, row) -> list[int]:
         if s == 0:

@@ -3,15 +3,19 @@
 Matrices over the base field are numpy integer arrays (entries reduced
 mod q); matrices over the extension field are lists of lists of packed
 field elements.  Every elimination runs one kernel, `_rref_in_place`,
-written against the field protocol of `gf` (inv and the row operations
-scale_row / sub_scaled_row); only GF(2) ranks pack rows into bitmasks:
-`rank_gf2` for one matrix, and `vector_rank`, in scalar and stack form,
-on GF(2^m) elements, whose ints already are their expanded rows.
-Stacks of matrices, as int64 arrays of shape (B, R, C), are reduced
-together by `_rref_stack` with the fields' vector operations.  Every
-matrix-vector product, base-field maps applied to packets and the
-columns of `matmul` included, runs `matvec`, one field-supplied inner
-product `dot` per row.  Every enumeration of GF(q^m)-combinations of
+written against the field protocol of `gf` (inv, the row operations
+scale_row / sub_scaled_row and the row form: pack, unpack, column).
+A row is the field's: a Python-int bitmask at GF(2), bit c holding
+column c, so a row operation is one XOR at any width; a list of
+entries in every other field.  Callers pack an int64 matrix, run the
+kernel, and unpack only the columns and rows they return.  GF(2) ranks
+take the packed rows to `rank_gf2`; `vector_rank`, in scalar and stack
+form, eliminates GF(2^m) elements, whose ints already are their
+expanded rows.  Stacks of matrices, as int64 arrays of shape (B, R, C),
+are reduced together by `_rref_stack` with the fields' vector
+operations.  Every product runs the field-supplied inner product `dot`:
+`matvec` one per row, base-field maps applied to packets included, and
+`matmul` one per entry.  Every enumeration of GF(q^m)-combinations of
 rows (codebooks, audit payloads, distance certificates) runs `span`;
 every enumeration of base-field matrices by rank runs
 `iter_rank_blocks`, which the audits consume as int64 blocks.
@@ -40,6 +44,8 @@ from .errors import (
 )
 from .gf import PrimeField
 
+_GF2 = PrimeField(2)
+
 
 def to_lists(M) -> list[list[int]]:
     if isinstance(M, np.ndarray) and M.ndim == 2 and M.dtype.kind in "iu":
@@ -47,12 +53,8 @@ def to_lists(M) -> list[list[int]]:
     return [list(map(int, row)) for row in M]
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int, one: int = 1) -> list[list[int]]:
-    return [[one if i == j else 0 for j in range(n)] for i in range(n)]
+def identity(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def transpose(M) -> list[list[int]]:
@@ -67,41 +69,48 @@ def dims(M) -> tuple[int, int]:
     return (len(M), len(M[0]) if M else 0)
 
 
+def _int_matrix(M) -> np.ndarray:
+    """M as a 2-D int64 array; [] is the 0 x 0 matrix."""
+    A = np.asarray(M, dtype=np.int64)
+    return A.reshape(0, 0) if A.ndim == 1 and not A.size else A
+
+
 # ----------------------------------------------------------------------
 # Elimination: one kernel, row operations supplied by the field
 # ----------------------------------------------------------------------
 
-def _rref_in_place(field, M: list[list[int]], cols: int | None = None) -> list[int]:
-    """Reduce M to RREF, pivoting in its first `cols` columns (default all).
+def _rref_in_place(field, M: list, cols: int) -> list[int]:
+    """Reduce the rows M, in `field`'s row form (`field.pack`), to RREF,
+    pivoting in their first `cols` columns.
 
     Row operations apply to whole rows, so columns past `cols` carry
     along whatever was appended to M.  Returns the pivot column list.
     """
     rows = len(M)
-    if cols is None:
-        cols = len(M[0]) if rows else 0
+    column, inv = field.column, field.inv
     scale_row, sub_scaled_row = field.scale_row, field.sub_scaled_row
     pivots = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
+        col = column(M, c)  # read once: only row r changes before the f are read
         for pr in range(r, rows):
-            if M[pr][c]:
+            if col[pr]:
                 break
         else:
             continue
         M[r], M[pr] = M[pr], M[r]
-        s = field.inv(M[r][c])
+        s = inv(col[pr])
+        col[pr], col[r] = col[r], 0  # the pivot row is not eliminated
         if s != 1:
             M[r] = scale_row(s, M[r])
         pivot = M[r]
-        for i in range(rows):
-            f = M[i][c]
-            if f and i != r:
+        for i, f in enumerate(col):
+            if f:
                 M[i] = sub_scaled_row(M[i], f, pivot)
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
     return pivots
 
 
@@ -136,15 +145,17 @@ def _rref_stack(field, M):
 
 
 def rref(field, M) -> tuple[list[list[int]], list[int]]:
-    M = to_lists(M)
-    return M, _rref_in_place(field, M)
+    A = _int_matrix(M)
+    R = field.pack(A)
+    pivots = _rref_in_place(field, R, A.shape[1])
+    return field.unpack(R, 0, A.shape[1]), pivots
 
 
 def rank(field, M) -> int:
-    M = to_lists(M)
-    if M and field.order == 2:
-        return rank_gf2([pack_row_gf2(row) for row in M])
-    return len(_rref_in_place(field, M))
+    A = _int_matrix(M)
+    if field.order == 2:  # GF(2^1) has the elements of GF(2)
+        return rank_gf2(_GF2.pack(A))
+    return len(_rref_in_place(field, field.pack(A), A.shape[1]))
 
 
 def vector_rank(F, v):
@@ -172,18 +183,19 @@ def vector_rank(F, v):
     return rank(F.base, expand(F, v))
 
 
-def row_reduce_transform(field, M) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Returns (E, R, pivots) with E square invertible and E @ M = R in RREF.
+def _reduce_beside_identity(field, A: np.ndarray):
+    """[A | I] in `field`'s row form, reduced pivoting in A only: (rows,
+    pivots).  The right block of the rows records E with E A in RREF."""
+    aug = field.pack(np.hstack([A, np.eye(len(A), dtype=np.int64)]))
+    return aug, _rref_in_place(field, aug, A.shape[1])
 
-    Reduces [M | I], pivoting in M only; the right block records E.
-    """
-    M = to_lists(M)
-    cols = len(M[0]) if M else 0
-    aug = [row + e for row, e in zip(M, identity(len(M), field.one))]
-    pivots = _rref_in_place(field, aug, cols)
-    E = [row[cols:] for row in aug]
-    R = [row[:cols] for row in aug]
-    return E, R, pivots
+
+def row_reduce_transform(field, M) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Returns (E, R, pivots) with E square invertible and E @ M = R in RREF."""
+    A = _int_matrix(M)
+    rows, cols = A.shape
+    aug, pivots = _reduce_beside_identity(field, A)
+    return field.unpack(aug, cols, cols + rows), field.unpack(aug, 0, cols), pivots
 
 
 def rref_solve(field, A, Y):
@@ -192,55 +204,53 @@ def rref_solve(field, A, Y):
     Raises InconsistentSystemError when no solution exists and
     UnderdeterminedSystemError when there are many.
     """
-    A = to_lists(A)
-    if isinstance(Y, np.ndarray):
-        vector_rhs = Y.ndim == 1
-    else:
-        Y = list(Y)
-        vector_rhs = bool(Y) and not isinstance(Y[0], (list, tuple, np.ndarray))
-    Yl = [[int(y)] for y in Y] if vector_rhs else to_lists(Y)
-    rows, cols = dims(A)
-    if len(Yl) != rows:
-        raise ParameterError(f"rhs has {len(Yl)} rows, expected {rows}")
-    aug = [A[i] + Yl[i] for i in range(rows)]
-    pivots = _rref_in_place(field, aug)
-    if any(p >= cols for p in pivots):
+    A = _int_matrix(A)
+    Y = np.asarray(Y, dtype=np.int64)
+    rows, cols = A.shape
+    if len(Y) != rows:
+        raise ParameterError(f"rhs has {len(Y)} rows, expected {rows}")
+    aug = np.concatenate([A, Y[:, None] if Y.ndim == 1 else Y], axis=1)
+    width = aug.shape[1]
+    aug = field.pack(aug)
+    pivots = _rref_in_place(field, aug, cols)
+    # the rows past the rank are zero in A: Y must be zero there too
+    if any(map(any, field.unpack(aug[len(pivots):], cols, width))):
         raise InconsistentSystemError("A X = Y has no solution")
     if len(pivots) < cols:
         raise UnderdeterminedSystemError(
             f"solution space has dimension {cols - len(pivots)}"
         )
-    X = [row[cols:] for row in aug[:cols]]  # the pivots are 0..cols-1
-    return [row[0] for row in X] if vector_rhs else X
+    X = field.unpack(aug[:cols], cols, width)  # the pivots are 0..cols-1
+    return [row[0] for row in X] if Y.ndim == 1 else X
 
 
 def inverse(field, A) -> list[list[int]]:
-    A = to_lists(A)
-    n, c = dims(A)
+    A = _int_matrix(A)
+    n, c = A.shape
     if n != c:
         raise ParameterError("inverse requires a square matrix")
     return left_inverse(field, A)
 
 
 def left_inverse(field, A) -> list[list[int]]:
-    """For A of shape N x n with full column rank, a B with B @ A = I_n."""
-    A = to_lists(A)
-    rows, cols = dims(A)
+    """For A of shape N x n with full column rank, a B with B @ A = I_n:
+    the first n rows of E of `row_reduce_transform`, the only rows unpacked."""
+    A = _int_matrix(A)
+    rows, cols = A.shape
     if rows < cols:
         raise ParameterError("left inverse requires rows >= cols")
-    E, _, pivots = row_reduce_transform(field, A)
+    aug, pivots = _reduce_beside_identity(field, A)
     if len(pivots) != cols:
         raise SingularMatrixError(
             f"matrix has column rank {len(pivots)} < {cols}"
         )
-    return E[:cols]
+    return field.unpack(aug[:cols], cols, cols + rows)
 
 
 def null_space(field, A) -> list[list[int]]:
     """Basis of the right kernel of A, one vector per free column."""
-    A = to_lists(A)
-    rows, cols = dims(A)
     R, pivots = rref(field, A)
+    cols = len(R[0]) if R else 0
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -269,8 +279,8 @@ def matmul(field, A, B) -> list[list[int]]:
     rb, cb = dims(B)
     if ca != rb:
         raise ParameterError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    cols = [matvec(field, A, col) for col in transpose(B)]
-    return transpose(cols) if cols else zeros(ra, 0)
+    dot, cols = field.dot, transpose(B)
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def matvec(field, A, v) -> list[int]:
@@ -348,14 +358,6 @@ def rank_distance(field, X, Y) -> int:
 # ----------------------------------------------------------------------
 # GF(2) fast path: a row is a bitmask, a matrix a tuple of bitmasks
 # ----------------------------------------------------------------------
-
-def pack_row_gf2(row) -> int:
-    out = 0
-    for i, x in enumerate(row):
-        if int(x) & 1:
-            out |= 1 << i
-    return out
-
 
 def rank_fq(M, q: int) -> int:
     """Rank over GF(q) for prime q; packed fast path when q = 2."""

@@ -180,11 +180,10 @@ class SchemeInstance:
         N = A.shape[0]
         if Y.shape != (N, p.m):
             raise ParameterError(f"observation must be {N} x {p.m}, got {Y.shape}")
-        y = la.contract(F, Y)
         if N >= p.n:
-            # expand commutes with base-field maps: A+ acts on the packets
+            # expand commutes with base-field maps: un-mix before contracting
             Aplus = la.left_inverse(F.base, A)
-            out = self.code.decode(la.matvec(F, Aplus, y), p.t)
+            out = self.code.decode(la.contract(F, Aplus @ Y % p.q), p.t)
         elif N == p.n - 2 * p.t:
             g = la.matvec(F, la.to_lists(A), self.code.g)
             try:  # the points A g are independent iff A has full row rank
@@ -192,7 +191,7 @@ class SchemeInstance:
             except ParameterError:
                 raise ParameterError(
                     "an erasure transfer must have full row rank") from None
-            out = seen.decode(y, 0)
+            out = seen.decode(la.contract(F, Y), 0)
         else:
             raise ParameterError(
                 f"transfer matrix has {N} rows; need at least n = {p.n}, or "

@@ -228,10 +228,13 @@ def test_row_operations_match_scalar_operations(field):
     for _ in range(40):
         dst, src = ([int(x) for x in rng.integers(0, field.order, size=6)]
                     for _ in range(2))
+        # the row operations act on the field's row form
+        pdst, psrc = field.pack(np.array([dst, src], dtype=np.int64))
         for f in (0, 1, int(rng.integers(1, field.order))):
-            assert field.scale_row(f, src) == [field.mul(f, y) for y in src]
-            assert field.sub_scaled_row(dst, f, src) == [
-                field.sub(x, field.mul(f, y)) for x, y in zip(dst, src)]
+            assert field.unpack([field.scale_row(f, psrc)], 0, 6) == [
+                [field.mul(f, y) for y in src]]
+            assert field.unpack([field.sub_scaled_row(pdst, f, psrc)], 0, 6) == [
+                [field.sub(x, field.mul(f, y)) for x, y in zip(dst, src)]]
         # dot against a sum of mul terms, also for a row of base-field
         # constants, as matvec applies a base-field map to packets
         consts = [int(x) for x in rng.integers(0, field.q, size=6)]

@@ -39,9 +39,10 @@ def test_rank_gf2_matches_generic():
     rng = np.random.default_rng(3)
     for _ in range(50):
         M = rng.integers(0, 2, size=(5, 7))
-        packed = [la.pack_row_gf2(row) for row in M]
+        packed = F2.pack(M)
         generic = len(la.rref(F2, M)[1])
         assert la.rank_gf2(packed) == generic == la.rank(F2, M)
+        assert la.rank(ExtField(2, 1), M) == generic
 
 
 def test_rank_distance():
@@ -294,6 +295,30 @@ def test_left_inverse_is_a_left_inverse(fm):
     assert _product(field, B, A) == la.identity(cols)
 
 
+@given(field_and_matrix(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rref_solve_agrees_with_the_ranks_of_a_and_a_y(fm, data):
+    field, A = fm
+    rows, cols = len(A), len(A[0])
+    k = data.draw(st.integers(0, 2))  # 0: a vector right-hand side
+    row = st.lists(st.integers(0, field.order - 1), min_size=max(k, 1), max_size=max(k, 1))
+    Y = _product(field, A, data.draw(st.lists(row, min_size=cols, max_size=cols)))
+    if data.draw(st.booleans()):  # an arbitrary Y, mostly inconsistent
+        Y = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    rank_a = la.rank(field, A)
+    rank_ay = la.rank(field, [a + y for a, y in zip(A, Y)])
+    rhs = [y[0] for y in Y] if k == 0 else Y
+    if rank_ay > rank_a:
+        with pytest.raises(InconsistentSystemError):
+            la.rref_solve(field, A, rhs)
+    elif rank_a < cols:
+        with pytest.raises(UnderdeterminedSystemError):
+            la.rref_solve(field, A, rhs)
+    else:
+        got = la.rref_solve(field, A, rhs)
+        assert _product(field, A, [[x] for x in got] if k == 0 else got) == Y
+
+
 @given(st.sampled_from([ExtField(2, 4), ExtField(3, 2), ExtField(3, 3)]),
        st.data())
 @settings(max_examples=100, deadline=None)
@@ -424,10 +449,11 @@ def test_rref_stack_equals_rref_in_place_matrix_by_matrix(fs):
     before = M.copy()
     R, pivots, ranks = la._rref_stack(field, M)
     assert (M == before).all()  # the input is left alone
+    C = M.shape[2]
     for b in range(len(M)):
-        want = M[b].tolist()
-        piv = la._rref_in_place(field, want)
-        assert R[b].tolist() == want
+        rows = field.pack(M[b])
+        piv = la._rref_in_place(field, rows, C)
+        assert R[b].tolist() == field.unpack(rows, 0, C)
         assert np.flatnonzero(pivots[b]).tolist() == piv
         assert ranks[b] == len(piv)
 
@@ -505,3 +531,106 @@ def test_span_needs_no_field_tables():
     for j, i in enumerate(idx.tolist()):
         u, want = _span_oracle(F, rows, i)
         assert U[j].tolist() == u and E[j].tolist() == want
+
+
+# ----------------------------------------------------------------------
+# Packed GF(2) rows against the list-row elimination loop
+# ----------------------------------------------------------------------
+
+def _list_rref_gf2(M, cols):
+    """The elimination loop on list rows, with XOR row operations: the
+    reference for GF(2) rows packed into bitmasks.  Same pivot search
+    (the first nonzero row at or below r) and same swap as the kernel;
+    at GF(2) every pivot is 1, so no row is scaled."""
+    rows = len(M)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        for pr in range(r, rows):
+            if M[pr][c]:
+                break
+        else:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        for i in range(rows):
+            if M[i][c] and i != r:
+                M[i] = [x ^ y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def _list_transform_gf2(M):
+    """(E, R, pivots) from [M | I] reduced by `_list_rref_gf2`."""
+    rows, cols = len(M), len(M[0])
+    aug = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(M)]
+    pivots = _list_rref_gf2(aug, cols)
+    return [row[cols:] for row in aug], [row[:cols] for row in aug], pivots
+
+
+def _gf2_matrices(rng, count):
+    """1 x 1 matrices, then random GF(2) matrices, wide and tall, some of
+    their rows and columns zeroed."""
+    yield from (np.array([[0]]), np.array([[1]]))
+    for _ in range(count):
+        rows, cols = (int(x) for x in rng.integers(1, 9, size=2))
+        M = rng.integers(0, 2, size=(rows, cols))
+        M[rng.random(rows) < 0.2] = 0
+        M[:, rng.random(cols) < 0.2] = 0
+        yield M
+
+
+def test_packed_gf2_transform_equals_the_list_row_loop():
+    rng = np.random.default_rng(41)
+    for M in _gf2_matrices(rng, 300):
+        assert la.row_reduce_transform(F2, M) == _list_transform_gf2(M.tolist())
+
+
+def _check_left_inverse_gf2(A):
+    n = A.shape[1]
+    E, _, pivots = _list_transform_gf2(A.tolist())
+    if len(pivots) < n:
+        with pytest.raises(SingularMatrixError,
+                           match=rf"^matrix has column rank {len(pivots)} < {n}$"):
+            la.left_inverse(F2, A)
+        return False
+    B = la.left_inverse(F2, A)
+    assert B == E[:n]
+    assert (np.array(B) @ A % 2 == np.eye(n, dtype=np.int64)).all()
+    return True
+
+
+@pytest.mark.parametrize("n, t", [(1, 0), (2, 1), (4, 1), (8, 2)])
+def test_packed_gf2_left_inverse_equals_the_list_row_loop(n, t):
+    rng = np.random.default_rng(43 + n)
+    for N in (n, n + 1, n + t):
+        ok = [_check_left_inverse_gf2(rng.integers(0, 2, size=(N, n)))
+              for _ in range(60)]
+        assert any(ok) and not all(ok)  # full rank and rank-deficient seen
+
+
+@pytest.mark.parametrize("N", [63, 64, 70, 130])
+def test_packed_gf2_rows_wider_than_int64(N):
+    # a row of [A | I_N] has n + N bits, past what an int64 holds
+    rng = np.random.default_rng(N)
+    n = 4
+    A = la.random_full_rank(F2, N, n, rng)
+    assert la.row_reduce_transform(F2, A) == _list_transform_gf2(A.tolist())
+    assert _check_left_inverse_gf2(A)
+    A[:, -1] = A[:, 0]  # column rank n - 1
+    assert not _check_left_inverse_gf2(A)
+    A[:, 1:] = 0
+    assert not _check_left_inverse_gf2(A)
+
+
+def test_matmul_is_the_matvec_of_each_column():
+    rng = np.random.default_rng(47)
+    for F in (F8, ExtField(3, 2), F3):
+        for ra, ca, cb in ((3, 4, 2), (1, 1, 1), (2, 3, 0), (4, 2, 5)):
+            A = rng.integers(0, F.order, size=(ra, ca)).tolist()
+            B = rng.integers(0, F.order, size=(ca, cb)).tolist()
+            cols = [la.matvec(F, A, col) for col in la.transpose(B)]
+            want = la.transpose(cols) if cols else [[] for _ in range(ra)]
+            assert la.matmul(F, A, B) == want
