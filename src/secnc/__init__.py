@@ -2,7 +2,7 @@
 
 Subpackages:
     gf          arithmetic in GF(q) and GF(q^m)
-    linalg      matrices over both fields, expansion, rank distance
+    linalg      matrices over both fields, expansion, rank enumeration
     rankmetric  Gabidulin codes: encode, rank-error decoding
     scheme      combined secrecy + error-correction layer; one decoder
                 for a known transfer, of errors or of erasures

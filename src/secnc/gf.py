@@ -569,9 +569,6 @@ class ExtField:
     def elements(self):
         return range(self.order)
 
-    def nonzero_elements(self):
-        return range(1, self.order)
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtField)

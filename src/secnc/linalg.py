@@ -53,10 +53,6 @@ def to_lists(M) -> list[list[int]]:
     return [list(map(int, row)) for row in M]
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(M) -> list[list[int]]:
     M = to_lists(M)
     if not M:
@@ -224,14 +220,6 @@ def rref_solve(field, A, Y):
     return [row[0] for row in X] if Y.ndim == 1 else X
 
 
-def inverse(field, A) -> list[list[int]]:
-    A = _int_matrix(A)
-    n, c = A.shape
-    if n != c:
-        raise ParameterError("inverse requires a square matrix")
-    return left_inverse(field, A)
-
-
 def left_inverse(field, A) -> list[list[int]]:
     """For A of shape N x n with full column rank, a B with B @ A = I_n:
     the first n rows of E of `row_reduce_transform`, the only rows unpacked."""
@@ -249,8 +237,9 @@ def left_inverse(field, A) -> list[list[int]]:
 
 def null_space(field, A) -> list[list[int]]:
     """Basis of the right kernel of A, one vector per free column."""
+    A = _int_matrix(A)
     R, pivots = rref(field, A)
-    cols = len(R[0]) if R else 0
+    cols = A.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -307,7 +296,7 @@ def mat_sub(field, A, B) -> list[list[int]]:
 
 
 # ----------------------------------------------------------------------
-# The vector <-> matrix identification and rank distance
+# The vector <-> matrix identification
 # ----------------------------------------------------------------------
 
 def expand(F, v) -> np.ndarray:
@@ -346,13 +335,6 @@ def span(F, rows, idx):
     W = expand(F, [[[F.mul(g, x) for g in row] for x in basis] for row in rows])
     E = expand(F, U).reshape(len(U), K * F.m) @ W.reshape(K * F.m, n * F.m) % F.q
     return U, E.reshape(len(U), n, F.m)
-
-
-def rank_distance(field, X, Y) -> int:
-    X, Y = to_lists(X), to_lists(Y)
-    if dims(X) != dims(Y):
-        raise ParameterError(f"shapes differ: {dims(X)} vs {dims(Y)}")
-    return rank(field, mat_sub(field, Y, X))
 
 
 # ----------------------------------------------------------------------
@@ -492,14 +474,6 @@ def iter_rank_exactly(q: int, rows: int, cols: int, r: int):
 def iter_rank_at_most(q: int, rows: int, cols: int, t: int):
     for block in iter_rank_blocks(q, rows, cols, range(t + 1)):
         yield from block.tolist()
-
-
-def iter_full_rank(q: int, rows: int, cols: int):
-    yield from iter_rank_exactly(q, rows, cols, min(rows, cols))
-
-
-def iter_invertible(q: int, n: int):
-    yield from iter_rank_exactly(q, n, n, n)
 
 
 def gaussian_binomial(c: int, r: int, q: int) -> int:

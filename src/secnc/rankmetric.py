@@ -97,8 +97,8 @@ class GabidulinCode:
 
     The full n x n Moore matrix of the points (row i holds the q^i-th
     Frobenius powers) is precomputed; the generator is its top k rows.
-    Any band of consecutive rows (`generator_rows`) generates an MRD code
-    too; the scheme's secrecy rows are such a band, which `SchemeInstance`
+    Any band of consecutive rows of `moore` generates an MRD code too;
+    the scheme's secrecy rows are such a band, which `SchemeInstance`
     takes directly as G0[k:] of its outer generator.
     """
 
@@ -128,28 +128,11 @@ class GabidulinCode:
         for _ in range(n - 1):
             self.moore.append([F.frobenius(x) for x in self.moore[-1]])
         self._Gt = la.transpose(self.moore[:k])
-        self._H = None
         self._table = None
         self._splits = {}  # t -> E as lists, and as an int64 array
 
     def generator_matrix(self) -> list[list[int]]:
         return [row[:] for row in self.moore[: self.k]]
-
-    def generator_rows(self, start: int, stop: int) -> list[list[int]]:
-        """Rows start..stop-1 of the Moore matrix (a consecutive-row subcode)."""
-        if not 0 <= start < stop <= self.n:
-            raise ParameterError(f"bad row band [{start}, {stop})")
-        return [row[:] for row in self.moore[start:stop]]
-
-    def parity_check_matrix(self) -> list[list[int]]:
-        """(n-k) x n matrix H with H c = 0 exactly on codewords."""
-        if self._H is None:
-            self._H = la.null_space(self.F, self.generator_matrix())
-        return [row[:] for row in self._H]
-
-    def contains(self, y) -> bool:
-        H = self.parity_check_matrix()
-        return all(v == 0 for v in la.matvec(self.F, H, [int(x) for x in y]))
 
     def encode(self, u) -> list[int]:
         """Codeword G^T u as a column of n elements."""
@@ -372,8 +355,3 @@ def min_rank_weight(F: ExtField, rows, budget: int = DEFAULT_ENUM_BUDGET):
                     return best
     return best
 
-
-def code_min_rank_distance(code: GabidulinCode,
-                           budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Minimum rank distance of a Gabidulin code by full enumeration."""
-    return min_rank_weight(code.F, code.generator_matrix(), budget)

@@ -77,24 +77,6 @@ class SchemeParams:
         return self.k * self.m * math.log2(self.q)
 
 
-def _complete_transform(F: ExtField, G0, n: int):
-    """Invertible n x n T whose last len(G0) columns are G0^T.
-
-    The remaining columns are standard-basis vectors chosen greedily in
-    index order, so encoder and decoder derive the same T from the
-    parameters alone.
-    """
-    k0 = len(G0)
-    # a column of [G0^T | I] is a pivot exactly when it is independent of
-    # the columns before it, so the pivots past k0 are the greedy picks
-    eye = la.identity(n)
-    _, pivots = la.rref(F, [col + e for col, e in zip(la.transpose(G0), eye)])
-    if pivots[:k0] != list(range(k0)):
-        raise ParameterError("generator rows are linearly dependent")
-    Tt = [eye[p - k0] for p in pivots[k0:]] + [list(r) for r in G0]
-    return la.transpose(Tt)
-
-
 def _mod_q(M, q: int, what: str):
     """M as an int64 array of its entries mod q; ragged rows and entries
     that are not integers are refused."""
@@ -108,21 +90,20 @@ def _mod_q(M, q: int, what: str):
 
 
 class SchemeInstance:
-    """A built scheme: outer code, its generator split, and the transform T.
+    """A built scheme: the outer code and its generator split.
 
     Immutable after construction.  `broken` marks the deliberately
     non-MRD negative-control variant, on which only encoding (and hence
     the secrecy audit) is meaningful.
     """
 
-    def __init__(self, params: SchemeParams, F: ExtField, code, G0, T,
+    def __init__(self, params: SchemeParams, F: ExtField, code, G0,
                  broken: bool = False):
         self.params = params
         self.F = F
         self.code = code
         self.G0 = [list(r) for r in G0]
         self.G = [list(r) for r in self.G0[params.k:]]  # last mu rows
-        self.T = [list(r) for r in T]
         self.broken = broken
         self._G0t = la.transpose(self.G0)
 
@@ -143,14 +124,6 @@ class SchemeInstance:
                 raise ParameterError("encode needs an rng when V is not forced")
             V = [int(x) for x in rng.integers(0, self.F.order, size=p.mu)]
         return la.matvec(self.F, self._G0t, S + V)
-
-    def encode_via_transform(self, S, V) -> list[int]:
-        """The same payload as T [0; S; V]; the two views must agree."""
-        p = self.params
-        stacked = [0] * (p.n - p.k - p.mu) + [int(s) for s in S] + [
-            int(v) for v in V
-        ]
-        return la.matvec(self.F, self.T, stacked)
 
     # -- decoding ---------------------------------------------------------
 
@@ -214,9 +187,7 @@ def build_instance(params: SchemeParams) -> SchemeInstance:
     params.validate()
     F = ExtField(params.q, params.m, params.modulus)
     code = GabidulinCode(F, params.n, params.k + params.mu, g=params.g)
-    G0 = code.generator_matrix()
-    T = _complete_transform(F, G0, params.n)
-    return SchemeInstance(params, F, code, G0, T)
+    return SchemeInstance(params, F, code, code.generator_matrix())
 
 
 def build_broken_instance(params: SchemeParams) -> SchemeInstance:
@@ -239,40 +210,7 @@ def build_broken_instance(params: SchemeParams) -> SchemeInstance:
             "all-ones replacement collapsed the generator; choose other "
             "evaluation points"
         )
-    T = _complete_transform(F, G0, params.n)
-    return SchemeInstance(params, F, None, G0, T, broken=True)
-
-
-# ----------------------------------------------------------------------
-# Plain coset coding (secrecy only, no error correction)
-# ----------------------------------------------------------------------
-
-def coset_syndrome_matrix(F: ExtField, T, k: int):
-    """H = first k rows of T^-1; the syndrome map of the coset code."""
-    return [row[:] for row in la.inverse(F, T)[:k]]
-
-
-def coset_encode(F: ExtField, T, S, rng=None, force_v=None) -> list[int]:
-    """X = T [S; V], uniform over the coset {x : H x = S}."""
-    n = len(T)
-    S = [F.check(int(s)) for s in S]
-    k = len(S)
-    if k > n:
-        raise ParameterError(f"message length {k} exceeds n = {n}")
-    if force_v is not None:
-        V = [F.check(int(v)) for v in force_v]
-        if len(V) != n - k:
-            raise ParameterError(f"forced V length {len(V)} != n - k = {n - k}")
-    else:
-        if rng is None:
-            raise ParameterError("coset_encode needs an rng when V is not forced")
-        V = [int(x) for x in rng.integers(0, F.order, size=n - k)]
-    return la.matvec(F, T, S + V)
-
-
-def coset_decode(F: ExtField, H, X) -> list[int]:
-    """Recover the syndrome S = H X."""
-    return la.matvec(F, H, [int(x) for x in X])
+    return SchemeInstance(params, F, None, G0, broken=True)
 
 
 def proposition1_check(F: ExtField, T, k: int,

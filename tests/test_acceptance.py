@@ -21,8 +21,9 @@ from secnc.audit import (
 from secnc.errors import ValidationError
 from secnc.gf import ExtField, PrimeField
 from secnc.network import noncoherent_decode, sample_realization, transmit_lifted
-from secnc.rankmetric import GabidulinCode, code_min_rank_distance
+from secnc.rankmetric import GabidulinCode, min_rank_weight
 from secnc.scheme import SchemeParams, build_broken_instance, build_instance
+from test_scheme import _complete_transform
 
 STANDARD = SchemeParams(q=2, m=4, n=4, t=1, mu=1, k=1)
 
@@ -47,7 +48,7 @@ def test_criterion_1_mrd_distance_exact(report):
     F = ExtField(2, 4)
     for k in (1, 2, 3):
         code = GabidulinCode(F, 4, k)
-        assert code_min_rank_distance(code) == 4 - k + 1
+        assert min_rank_weight(code.F, code.generator_matrix()) == 4 - k + 1
     report(1, "exhaustive min rank distance n-k+1 for k=1,2,3", start, 10)
 
 
@@ -192,23 +193,26 @@ def test_criterion_8_property_suites(report):
     for i in range(10 ** 4):
         field = field2 if i % 2 else field3
         X, Y, Z = (rng.integers(0, field.q, size=(3, 4)) for _ in range(3))
-        dxy = la.rank_distance(field, X, Y)
-        dyx = la.rank_distance(field, Y, X)
-        dxz = la.rank_distance(field, X, Z)
-        dyz = la.rank_distance(field, Y, Z)
+        dxy = la.rank(field, la.mat_sub(field, Y, X))
+        dyx = la.rank(field, la.mat_sub(field, X, Y))
+        dxz = la.rank(field, la.mat_sub(field, Z, X))
+        dyz = la.rank(field, la.mat_sub(field, Z, Y))
         assert dxy == dyx >= 0
         assert (dxy == 0) == (X == Y).all()
         assert dxz <= dxy + dyz
 
-    # the two encoder views agree on 10^3 random inputs
+    # the two encoder views G0^T [S; V] and T [0; S; V] agree on 10^3
+    # random inputs
     insts = [build_instance(STANDARD),
              build_instance(SchemeParams(q=3, m=4, n=4, t=1, mu=1, k=1))]
+    Ts = [_complete_transform(inst.F, inst.G0, inst.params.n) for inst in insts]
     for i in range(10 ** 3):
-        inst = insts[i % 2]
+        inst, T = insts[i % 2], Ts[i % 2]
         o, p = inst.F.order, inst.params
         S = [int(v) for v in rng.integers(0, o, size=p.k)]
         V = [int(v) for v in rng.integers(0, o, size=p.mu)]
-        assert inst.encode(S, force_v=V) == inst.encode_via_transform(S, V)
+        zeros = [0] * (p.n - p.k - p.mu)
+        assert inst.encode(S, force_v=V) == la.matvec(inst.F, T, zeros + S + V)
 
     report(8, "field axioms, metric axioms, encoder-view equivalence",
             start, 60)

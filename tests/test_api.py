@@ -1,5 +1,7 @@
-"""The public surface: every exported name resolves, the entry point runs."""
+"""The public surface: every exported name resolves, the entry point runs,
+and every function in the package has a caller in the package or the demos."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +10,18 @@ from pathlib import Path
 import secnc
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Functions kept without a caller in src/secnc or demos/.
+UNCALLED_ON_PURPOSE = {
+    "error": "argparse calls the parser's error hook",
+    "div": "field protocol: every field divides",
+    "elements": "field protocol: every field lists its elements",
+    "write_packets": "fileio writer, the pair of read_packets",
+    "write_matrix": "fileio writer, the pair of read_matrix",
+    "iter_full_col_rank": "list view of the C stacks, for tests and perfbench",
+    "iter_rank_exactly": "list view of iter_rank_blocks, for tests and perfbench",
+    "iter_rank_at_most": "list view of iter_rank_blocks, for tests and perfbench",
+}
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +38,22 @@ def test_module_help_exits_zero():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage: secnc" in proc.stdout
+
+
+def test_every_function_has_a_caller():
+    sources = sorted((ROOT / "src" / "secnc").glob("*.py"))
+    defined, used = set(), set()
+    for path in sources + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if path in sources:
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name.rsplit(".", 1)[-1])
+    uncalled = {name for name in defined - used - set(secnc.__all__)
+                if not (name.startswith("__") and name.endswith("__"))}
+    assert uncalled == set(UNCALLED_ON_PURPOSE)

@@ -33,7 +33,7 @@ def test_gf8_known_values(f8):
 
 
 def test_gf8_inverse_matches_exhaustive_search(f8):
-    for a in f8.nonzero_elements():
+    for a in range(1, f8.order):
         hits = [b for b in f8.elements() if f8.mul(a, b) == 1]
         assert hits == [f8.inv(a)]
 
@@ -215,7 +215,7 @@ def test_primitive_element_generates(f8):
     for _ in range(f8.order - 1):
         seen.add(v)
         v = f8.mul(v, f8.primitive)
-    assert seen == set(f8.nonzero_elements())
+    assert seen == set(range(1, f8.order))
 
 
 ROW_OP_FIELDS = [PrimeField(2), PrimeField(5), ExtField(2, 4), ExtField(3, 2),

@@ -45,22 +45,26 @@ def test_rank_gf2_matches_generic():
         assert la.rank(ExtField(2, 1), M) == generic
 
 
+def _rank_distance(field, X, Y):
+    return la.rank(field, la.mat_sub(field, Y, X))
+
+
 def test_rank_distance():
     I3 = np.eye(3, dtype=int)
-    assert la.rank_distance(F2, I3, I3) == 0
-    assert la.rank_distance(F2, I3, np.zeros((3, 3), dtype=int)) == 3
+    assert _rank_distance(F2, I3, I3) == 0
+    assert _rank_distance(F2, I3, np.zeros((3, 3), dtype=int)) == 3
     with pytest.raises(ParameterError):
-        la.rank_distance(F2, I3, np.zeros((2, 3), dtype=int))
+        _rank_distance(F2, I3, np.zeros((2, 3), dtype=int))
 
 
 def test_rank_distance_is_a_metric_on_random_triples():
     rng = np.random.default_rng(11)
     for _ in range(40):
         X, Y, Z = (rng.integers(0, 2, size=(3, 4)) for _ in range(3))
-        dxy = la.rank_distance(F2, X, Y)
-        assert dxy == la.rank_distance(F2, Y, X)
+        dxy = _rank_distance(F2, X, Y)
+        assert dxy == _rank_distance(F2, Y, X)
         assert (dxy == 0) == (X == Y).all()
-        assert dxy <= la.rank_distance(F2, X, Z) + la.rank_distance(F2, Z, Y)
+        assert dxy <= _rank_distance(F2, X, Z) + _rank_distance(F2, Z, Y)
 
 
 def test_rref_solve_identity_and_inconsistent():
@@ -94,13 +98,13 @@ def test_rref_solve_matrix_rhs_round_trip():
 def test_inverse():
     rng = np.random.default_rng(9)
     A = la.random_full_rank(F8, 3, 3, rng)
-    Inv = la.inverse(F8, A)
-    assert la.matmul(F8, Inv, A) == la.identity(3)
-    assert la.matmul(F8, A, Inv) == la.identity(3)
+    Inv = la.left_inverse(F8, A)
+    assert la.matmul(F8, Inv, A) == np.eye(3, dtype=int).tolist()
+    assert la.matmul(F8, A, Inv) == np.eye(3, dtype=int).tolist()
     with pytest.raises(SingularMatrixError):
-        la.inverse(F2, [[1, 1], [1, 1]])
+        la.left_inverse(F2, [[1, 1], [1, 1]])
     with pytest.raises(ParameterError):
-        la.inverse(F2, [[1, 1]])
+        la.left_inverse(F2, [[1, 1]])
 
 
 def test_left_inverse():
@@ -110,9 +114,7 @@ def test_left_inverse():
     for _ in range(20):
         B = la.random_full_rank(F2, 5, 3, rng)
         L = la.left_inverse(F2, B)
-        assert la.matmul(F2, L, B) == la.identity(3)
-    sq = la.random_full_rank(F3, 3, 3, rng)
-    assert la.left_inverse(F3, sq) == la.inverse(F3, sq)
+        assert la.matmul(F2, L, B) == np.eye(3, dtype=int).tolist()
     with pytest.raises(SingularMatrixError):
         la.left_inverse(F2, [[1, 1], [1, 1], [0, 0]])
 
@@ -121,6 +123,10 @@ def test_null_space():
     ns = la.null_space(F2, [[1, 1, 0], [0, 0, 1]])
     assert ns == [[1, 1, 0]]
     assert la.kernel_vector(F2, np.eye(3, dtype=int)) is None
+    # no rows: every vector is in the kernel
+    no_rows = np.zeros((0, 3), dtype=np.int64)
+    assert la.null_space(F3, no_rows) == np.eye(3, dtype=int).tolist()
+    assert la.kernel_vector(F3, no_rows) == [1, 0, 0]
     A = [[1, 2, 0, 1], [0, 0, 1, 2]]
     for v in la.null_space(F3, A):
         assert la.matvec(F3, A, v) == [0, 0]
@@ -199,14 +205,14 @@ def test_full_rank_fraction_2x2_gf2():
         total += 1
         full += la.rank(F2, M) == 2
     assert (full, total) == (6, 16)
-    assert sum(1 for _ in la.iter_invertible(2, 2)) == 6
+    assert sum(1 for _ in la.iter_rank_exactly(2, 2, 2, 2)) == 6
 
 
 def test_enumeration_counts():
     assert sum(1 for _ in la.iter_full_col_rank(2, 4, 1)) == 15
     assert sum(1 for _ in la.iter_rref_full_row_rank(2, 2, 4)) == 35
     assert la.gaussian_binomial(4, 2, 2) == 35
-    assert sum(1 for _ in la.iter_full_rank(2, 2, 4)) == 210
+    assert sum(1 for _ in la.iter_rank_exactly(2, 2, 4, 2)) == 210
     assert sum(1 for _ in la.iter_rank_exactly(2, 4, 4, 1)) == 225
     assert sum(1 for _ in la.iter_rank_at_most(2, 4, 4, 1)) == 226
     assert la.count_rank_exactly(2, 4, 4, 1) == 225
@@ -229,7 +235,7 @@ def test_enumeration_is_exact_and_duplicate_free():
 def test_matmul_shapes():
     with pytest.raises(ParameterError):
         la.matmul(F2, [[1, 0]], [[1, 0]])
-    assert la.matmul(F2, la.identity(2), [[1], [0]]) == [[1], [0]]
+    assert la.matmul(F2, np.eye(2, dtype=int), [[1], [0]]) == [[1], [0]]
 
 
 @given(st.integers(0, 2**12 - 1))
@@ -292,7 +298,7 @@ def test_left_inverse_is_a_left_inverse(fm):
             la.left_inverse(field, A)
         return
     B = la.left_inverse(field, A)
-    assert _product(field, B, A) == la.identity(cols)
+    assert _product(field, B, A) == np.eye(cols, dtype=int).tolist()
 
 
 @given(field_and_matrix(), st.data())

@@ -16,7 +16,6 @@ from secnc.gf import ExtField
 from secnc.rankmetric import (
     DECODE_FAILURE,
     GabidulinCode,
-    code_min_rank_distance,
     min_rank_distance_exhaustive,
     min_rank_weight,
     singleton_bound,
@@ -57,45 +56,46 @@ def test_encode_frozen_and_matches_direct_sum(F16, code42):
 
 
 def test_parity_check_annihilates_code(F16, code42):
-    H = code42.parity_check_matrix()
+    H = la.null_space(F16, code42.generator_matrix())
     assert la.dims(H)[0] == 2
     for u in [(0, 0), (1, 0), (5, 11), (15, 15)]:
         c = code42.encode(u)
         assert all(v == 0 for v in la.matvec(F16, H, c))
-        assert code42.contains(c)
 
 
-def test_contains_rejects_non_codeword(code42):
+def test_contains_rejects_non_codeword(F16, code42):
+    H = la.null_space(F16, code42.generator_matrix())
     c = code42.encode((3, 7))
     c[0] ^= 1
-    assert not code42.contains(c)
+    assert any(la.matvec(F16, H, c))
 
 
 def test_min_distance_meets_singleton_equality(F16):
     # distance n - k + 1 attained for every dimension, the defining MRD fact
     for k in (1, 2, 3):
         code = GabidulinCode(F16, 4, k)
-        d = code_min_rank_distance(code)
+        d = min_rank_weight(F16, code.generator_matrix())
         assert d == 4 - k + 1
         assert F16.order ** k == singleton_bound(4, 4, d, 2)
 
 
 def test_small_code_distance_frozen():
     F8 = ExtField(2, 3)
-    assert code_min_rank_distance(GabidulinCode(F8, 3, 1)) == 3
+    assert min_rank_weight(F8, GabidulinCode(F8, 3, 1).generator_matrix()) == 3
 
 
 def test_nonbinary_code_distance():
     F9 = ExtField(3, 2)
     code = GabidulinCode(F9, 2, 1)
     assert [tuple(r) for r in code.generator_matrix()] == [(1, 3)]
-    assert code_min_rank_distance(code) == 2
+    assert min_rank_weight(F9, code.generator_matrix()) == 2
 
 
 def test_distance_over_several_span_chunks():
     # 256^2 combinations, of which min_rank_weight ranks the 257 with a
     # leading coefficient of 1; none has weight 1
-    assert code_min_rank_distance(GabidulinCode(ExtField(2, 8), 3, 2)) == 2
+    code = GabidulinCode(ExtField(2, 8), 3, 2)
+    assert min_rank_weight(code.F, code.generator_matrix()) == 2
 
 
 def test_codeword_table_is_one_encode_per_message():
@@ -145,7 +145,7 @@ def test_distance_budget_refusal():
 def test_subcode_of_consecutive_rows_distance(F16):
     # rows k..k+extra of the Moore matrix span another MRD code
     big = GabidulinCode(F16, 4, 3)
-    sub = big.generator_rows(1, 3)
+    sub = big.moore[1:3]
     assert [tuple(r) for r in sub] == [(1, 4, 3, 12), (1, 3, 5, 15)]
     words = []
     for u in itertools.product(range(16), repeat=2):
@@ -226,7 +226,7 @@ def test_erasure_decode_exhaustive_all_full_rank_maps(F16, code42):
     messages = [(0, 0), (3, 7), (15, 1), (8, 8)]
     cws = {u: code42.encode(u) for u in messages}
     count = 0
-    for Ap in la.iter_full_rank(2, 2, 4):
+    for Ap in la.iter_rank_exactly(2, 2, 4, 2):
         count += 1
         for u, c in cws.items():
             y = la.matvec(F16, Ap, c)
@@ -503,7 +503,7 @@ def test_decode_at_the_edge_shapes_of_the_split(qm, n, k, t):
     F = code.F
     E = code._split(t)[0]
     M = la.transpose(code.moore[: k + t])
-    assert la.matmul(F, E, M) == [row[: k + t] for row in la.identity(n)]
+    assert la.matmul(F, E, M) == np.eye(n, k + t, dtype=int).tolist()
     rng = np.random.default_rng(n * 100 + k * 10 + t)
     words = _received_words(code, t, 150, rng)
     _assert_decode_matches_full_system(code, words, t)

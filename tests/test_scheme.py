@@ -10,16 +10,30 @@ from secnc.gf import ExtField
 from secnc.rankmetric import DECODE_FAILURE
 from secnc.scheme import (
     SchemeParams,
-    _complete_transform,
     build_broken_instance,
     build_instance,
-    coset_decode,
-    coset_encode,
-    coset_syndrome_matrix,
     proposition1_check,
 )
 
 PARAMS = SchemeParams(q=2, m=4, n=4, t=1, mu=1, k=1)
+
+
+def _complete_transform(F, G0, n):
+    """Invertible n x n T whose last len(G0) columns are G0^T, so that
+    T [0; S; V] = G0^T [S; V]: the expository form of the encoder.
+
+    The remaining columns are standard-basis vectors chosen greedily in
+    index order.
+    """
+    k0 = len(G0)
+    # a column of [G0^T | I] is a pivot exactly when it is independent of
+    # the columns before it, so the pivots past k0 are the greedy picks
+    eye = np.eye(n, dtype=int).tolist()
+    _, pivots = la.rref(F, [col + e for col, e in zip(la.transpose(G0), eye)])
+    if pivots[:k0] != list(range(k0)):
+        raise ParameterError("generator rows are linearly dependent")
+    Tt = [eye[p - k0] for p in pivots[k0:]] + [list(r) for r in G0]
+    return la.transpose(Tt)
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +82,19 @@ def test_instance_structure(inst):
     assert p.min_distance == 3  # n - k - mu + 1 = 3 >= 2t + 1
     assert len(inst.G0) == p.k + p.mu
     assert inst.G == inst.G0[p.k:]
-    Tt = la.transpose(inst.T)
-    assert Tt[p.n - p.k - p.mu:] == inst.G0
-    assert la.rank(inst.F, inst.T) == p.n
+    T = _complete_transform(inst.F, inst.G0, p.n)
+    assert la.transpose(T)[p.n - p.k - p.mu:] == inst.G0
+    assert la.rank(inst.F, T) == p.n
 
 
 def test_encoder_views_agree(inst):
     # X = G0^T U and X = T [0; U] are the same map
+    T = _complete_transform(inst.F, inst.G0, 4)
     rng = np.random.default_rng(41)
     for _ in range(100):
         S = [int(rng.integers(0, 16))]
         V = [int(rng.integers(0, 16))]
-        assert inst.encode(S, force_v=V) == inst.encode_via_transform(S, V)
+        assert inst.encode(S, force_v=V) == la.matvec(inst.F, T, [0, 0] + S + V)
 
 
 def test_encode_zero_and_block_structure(inst):
@@ -182,7 +197,7 @@ def test_erasure_decode_exhaustive(inst):
     for s in range(16):
         for v in range(16):
             payloads[(s, v)] = la.expand(F, inst.encode([s], force_v=[v]))
-    for Ap in la.iter_full_rank(2, 2, 4):
+    for Ap in la.iter_rank_exactly(2, 2, 4, 2):
         Apn = np.array(Ap)
         for (s, v), X in payloads.items():
             out = inst.coherent_decode((Apn @ X) % 2, Ap)
@@ -354,43 +369,20 @@ def test_degenerate_t_zero():
         assert out.ok and out.message == tuple(S)
 
 
-def test_coset_round_trip_and_cardinality():
-    F = ExtField(2, 3)
-    i = build_instance(SchemeParams(q=2, m=3, n=3, t=0, mu=2, k=1))
-    H = coset_syndrome_matrix(F, i.T, 1)
-    for S in range(8):
-        payloads = set()
-        for v0 in range(8):
-            for v1 in range(8):
-                X = coset_encode(F, i.T, [S], force_v=[v0, v1])
-                assert coset_decode(F, H, X) == [S]
-                payloads.add(tuple(X))
-        assert len(payloads) == 64  # q^(m(n-k)) member coset
-
-
-def test_coset_encode_rng_path():
-    F = ExtField(2, 3)
-    i = build_instance(SchemeParams(q=2, m=3, n=3, t=0, mu=2, k=1))
-    H = coset_syndrome_matrix(F, i.T, 1)
-    rng = np.random.default_rng(48)
-    for _ in range(20):
-        X = coset_encode(F, i.T, [5], rng=rng)
-        assert coset_decode(F, H, X) == [5]
-
-
 def test_proposition1_check(inst):
-    ok, dist = proposition1_check(inst.F, inst.T, 3)
+    T = _complete_transform(inst.F, inst.G0, 4)
+    ok, dist = proposition1_check(inst.F, T, 3)
     assert ok and dist == 4  # [4, 1] MRD: distance n - mu + 1
-    ok2, dist2 = proposition1_check(inst.F, inst.T, 2)
+    ok2, dist2 = proposition1_check(inst.F, T, 2)
     assert ok2 and dist2 == 3  # last two rows: the [4, 2] code G0
-    broken = build_broken_instance(PARAMS)
-    okb, distb = proposition1_check(inst.F, broken.T, 3)
+    Tb = _complete_transform(inst.F, build_broken_instance(PARAMS).G0, 4)
+    okb, distb = proposition1_check(inst.F, Tb, 3)
     assert not okb and distb == 1
-    assert proposition1_check(inst.F, inst.T, 0) == (True, 1)
+    assert proposition1_check(inst.F, T, 0) == (True, 1)
     with pytest.raises(ParameterError):
-        proposition1_check(inst.F, inst.T, 4)
+        proposition1_check(inst.F, T, 4)
     with pytest.raises(BudgetExceededError):
-        proposition1_check(inst.F, inst.T, 1, budget=10)
+        proposition1_check(inst.F, T, 1, budget=10)
 
 
 def test_broken_instance_shape(inst):
@@ -509,7 +501,7 @@ def test_complete_transform_is_the_greedy_completion(F, data):
     Tt = la.transpose(T)
     assert Tt[n - k0:] == G0
     # e_i is picked exactly when it lies outside span(G0, e_0, ..., e_{i-1})
-    eye = la.identity(n)
+    eye = np.eye(n, dtype=int).tolist()
     picked = [eye[i] for i in range(n)
               if la.rank(F, G0 + eye[: i + 1]) > la.rank(F, G0 + eye[:i])]
     assert Tt[: n - k0] == picked
