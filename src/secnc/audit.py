@@ -300,7 +300,8 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
 
     The budget counts cases, a lifted one once per candidate error space
     its decode solves for; the N x (n + N) matrix [A | I_N] that a left
-    inverse reduces must fit it too.  Refusals come before any draw.
+    inverse reduces must fit it too (a sampled trial reduces the smaller
+    [A | Y]).  Refusals come before any draw.
     """
     p = inst.params
     F = inst.F
@@ -400,8 +401,8 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
                 if lifted:
                     Y = transmit_lifted(F, X, real).Y
                 else:
-                    Aplus = np.array(la.left_inverse(F.base, real.A), dtype=np.int64)
-                    Y = Aplus @ transmit(F, X, real).Y % q
+                    Y = la.expand(F, la.left_inverse(F.base, real.A,
+                                                     transmit(F, X, real).Y))
                 yield ((np.array([Y]), np.array([S], dtype=np.int64)),
                        lambda i: "sampled")
     else:

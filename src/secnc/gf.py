@@ -22,9 +22,11 @@ row form, made from a 2-D int64 array by pack and read back by unpack
 operations scale_row and sub_scaled_row (dst - f*src) on that form.
 GF(2) packs a row into one Python int, bit c holding column c, for any
 width, so its row operations are a XOR; GF(q^m) and odd GF(q) keep a
-list of entries per row.  They also supply the inner product dot of
-`linalg.matvec` and `linalg.matmul`, on lists.  None of these calls mul
-per entry: GF(q) reduces mod q inline, GF(q^m) gathers
+list of entries per row.  GF(q) also reads a column range of each row
+as one GF(q^m) element, contract (a shift and a mask at GF(2)), for the
+packets a left inverse un-mixes.  They also supply the inner product
+dot of `linalg.matvec` and `linalg.matmul`, on lists.  None of these
+calls mul per entry: GF(q) reduces mod q inline, GF(q^m) gathers
 exp[log f + log y].  dot is such a gather with XOR sums in GF(2^m); at
 odd q it sums mul terms with `_digitwise`.
 
@@ -252,6 +254,16 @@ class PrimeField:
         if self.q != 2:
             return [row[c] for row in rows]
         return [(row >> c) & 1 for row in rows]
+
+    def contract(self, rows, lo: int, hi: int) -> list[int]:
+        """Columns lo..hi-1 of rows in the row form, each row read as one
+        base-q number, column lo its lowest digit: the GF(q^(hi-lo))
+        elements whose expansions they are."""
+        if self.q == 2:
+            mask = (1 << (hi - lo)) - 1
+            return [(row >> lo) & mask for row in rows]
+        weights = [self.q ** i for i in range(hi - lo)]
+        return [sum(d * w for d, w in zip(row[lo:hi], weights)) for row in rows]
 
     def scale_row(self, s, row):
         q = self.q

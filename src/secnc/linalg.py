@@ -8,11 +8,13 @@ scale_row / sub_scaled_row and the row form: pack, unpack, column).
 A row is the field's: a Python-int bitmask at GF(2), bit c holding
 column c, so a row operation is one XOR at any width; a list of
 entries in every other field.  Callers pack an int64 matrix, run the
-kernel, and unpack only the columns and rows they return.  GF(2) ranks
-take the packed rows to `rank_gf2`; `vector_rank`, in scalar and stack
-form, eliminates GF(2^m) elements, whose ints already are their
-expanded rows.  Stacks of matrices, as int64 arrays of shape (B, R, C),
-are reduced together by `_rref_stack` with the fields' vector
+kernel, and unpack only the columns and rows they return; `left_inverse`
+of a transfer A beside its observation Y reduces [A | Y] and reads the
+un-mixed packets straight from the rows (the base field's `contract`).
+GF(2) ranks take the packed rows to `rank_gf2`; `vector_rank`, in scalar
+and stack form, eliminates GF(2^m) elements, whose ints already are
+their expanded rows.  Stacks of matrices, as int64 arrays of shape
+(B, R, C), are reduced together by `_rref_stack` with the fields' vector
 operations.  Every product runs the field-supplied inner product `dot`:
 `matvec` one per row, base-field maps applied to packets included, and
 `matmul` one per entry.  Every enumeration of GF(q^m)-combinations of
@@ -179,10 +181,11 @@ def vector_rank(F, v):
     return rank(F.base, expand(F, v))
 
 
-def _reduce_beside_identity(field, A: np.ndarray):
-    """[A | I] in `field`'s row form, reduced pivoting in A only: (rows,
-    pivots).  The right block of the rows records E with E A in RREF."""
-    aug = field.pack(np.hstack([A, np.eye(len(A), dtype=np.int64)]))
+def _reduce_beside(field, A: np.ndarray, B: np.ndarray):
+    """[A | B] in `field`'s row form, reduced pivoting in A only: (rows,
+    pivots).  The right block of the rows is E B, for the E with E A in
+    RREF; B = I records E itself."""
+    aug = field.pack(np.concatenate([A, B], axis=1))
     return aug, _rref_in_place(field, aug, A.shape[1])
 
 
@@ -190,7 +193,7 @@ def row_reduce_transform(field, M) -> tuple[list[list[int]], list[list[int]], li
     """Returns (E, R, pivots) with E square invertible and E @ M = R in RREF."""
     A = _int_matrix(M)
     rows, cols = A.shape
-    aug, pivots = _reduce_beside_identity(field, A)
+    aug, pivots = _reduce_beside(field, A, np.eye(rows, dtype=np.int64))
     return field.unpack(aug, cols, cols + rows), field.unpack(aug, 0, cols), pivots
 
 
@@ -220,19 +223,29 @@ def rref_solve(field, A, Y):
     return [row[0] for row in X] if Y.ndim == 1 else X
 
 
-def left_inverse(field, A) -> list[list[int]]:
+def left_inverse(field, A, Y=None):
     """For A of shape N x n with full column rank, a B with B @ A = I_n:
-    the first n rows of E of `row_reduce_transform`, the only rows unpacked."""
+    the first n rows of E of `row_reduce_transform`, the only rows unpacked.
+
+    Given Y, N x m over the prime field `field`, returns B @ Y instead, as
+    n elements of GF(q^m) (`field.contract`): [A | Y] is reduced in place
+    of [A | I_N], to the same pivots and E, with no N x N block.
+    """
     A = _int_matrix(A)
     rows, cols = A.shape
     if rows < cols:
         raise ParameterError("left inverse requires rows >= cols")
-    aug, pivots = _reduce_beside_identity(field, A)
+    B = np.eye(rows, dtype=np.int64) if Y is None else _int_matrix(Y)
+    if len(B) != rows:
+        raise ParameterError(f"rhs has {len(B)} rows, expected {rows}")
+    aug, pivots = _reduce_beside(field, A, B)
     if len(pivots) != cols:
         raise SingularMatrixError(
             f"matrix has column rank {len(pivots)} < {cols}"
         )
-    return field.unpack(aug[:cols], cols, cols + rows)
+    if Y is None:
+        return field.unpack(aug[:cols], cols, cols + rows)
+    return field.contract(aug[:cols], cols, cols + B.shape[1])
 
 
 def null_space(field, A) -> list[list[int]]:

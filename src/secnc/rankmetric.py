@@ -22,16 +22,20 @@ E with E M = [I; 0] (M has full column rank) into E_bot Yf v = 0 and
 nn = E_top Yf v; the kernels correspond one to one.  E depends only on
 t, so each code reduces M once per radius (`linalg.row_reduce_transform`)
 and caches E.  Both decoders then eliminate only the
-(n - k - t) x (t + 1) block E_bot Yf and take its first kernel vector:
-`decode` one word with scalar field operations, `decode_stack` a whole
-(B, n) stack of words with the fields' vector operations and
-`linalg._rref_stack`, for the audits, whose stacks span their phases.
-Both rank the residual with `linalg.vector_rank`, which at q = 2
-eliminates the element ints as row bitmasks.  The two take the same
-kernel vector and agree row for row.  Their oracles are independent of
-the split: `audit.brute_force_decode`, a nearest-codeword search over
-the codebook, and, in the tests, the full n x (2t + k + 1) system
-reduced as it stands.
+(n - k - t) x (t + 1) block P_bot of P = E Yf and take its first kernel
+vector.  P is GF(q)-linear in y, as Frobenius is, so each code caches
+beside E the base-field matrix W_t of y -> P: `decode` gets P of one
+word as one float64 product expand(y) W_t mod q, then uses scalar field
+operations.  `decode_stack` accumulates P for a (B, n) stack of words
+with the fields' vector operations and eliminates with
+`linalg._rref_stack`, for the audits, whose stacks span their phases (a
+product with W_t would take ~270 MB for 2^14 words at m = 16).  Both
+rank the residual with `linalg.vector_rank`, which at q = 2 eliminates
+the element ints as row bitmasks.  The two compute P independently,
+take the same kernel vector and agree row for row, so `decode_stack`
+checks W_t.  Their oracles are independent of the split:
+`audit.brute_force_decode`, a nearest-codeword search over the codebook,
+and, in the tests, the full n x (2t + k + 1) system reduced as it stands.
 
 The codebook and the minimum rank weight behind the MRD certificate
 d = n - k + 1 and Proposition 1 both enumerate rows' combinations with
@@ -129,7 +133,7 @@ class GabidulinCode:
             self.moore.append([F.frobenius(x) for x in self.moore[-1]])
         self._Gt = la.transpose(self.moore[:k])
         self._table = None
-        self._splits = {}  # t -> E as lists, and as an int64 array
+        self._splits = {}  # t -> E as an int64 array, and W_t
 
     def generator_matrix(self) -> list[list[int]]:
         return [row[:] for row in self.moore[: self.k]]
@@ -167,22 +171,23 @@ class GabidulinCode:
         """Correct up to t rank errors; requires 2t <= n - k.
 
         Returns a failure outcome when no codeword lies within rank
-        distance t of y.  Eliminates only E_bot Yf (module docstring):
-        v is its first kernel vector and nn = E_top (Yf v).
+        distance t of y.  P = E Yf is one base-field product expand(y) W_t
+        (module docstring); v is the first kernel vector of P_bot and
+        nn = P_top v.
         """
-        F, k = self.F, self.k
+        F, n, k = self.F, self.n, self.k
         y = [F.check(int(v)) for v in y]
-        if len(y) != self.n:
-            raise ParameterError(f"received word length {len(y)} != n = {self.n}")
+        if len(y) != n:
+            raise ParameterError(f"received word length {len(y)} != n = {n}")
         self._check_radius(t)
-        E = self._split(t)[0]
-        Yf = [[x] + [F.frobenius(x, i) for i in range(1, t + 1)] for x in y]
-        # E_bot is empty only when k + t = n, that is k = n and t = 0
-        bot = E[k + t:]
-        v = la.kernel_vector(F, la.matmul(F, bot, Yf)) if bot else [1]
+        W = self._split(t)[1]
+        D = (la.expand(F, y).reshape(-1) @ W).astype(np.int64) % F.q  # E Yf's digits
+        P = D.reshape(n, t + 1, F.m) @ F.q ** np.arange(F.m)
+        # P_bot is empty only when k + t = n, that is k = n and t = 0
+        v = la.kernel_vector(F, P[k + t:]) if k + t < n else [1]
         if v is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
-        u = self._divide_left(v, la.matvec(F, E[: k + t], la.matvec(F, Yf, v)))
+        u = self._divide_left(v, la.matvec(F, P[: k + t], v))
         if u is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
         c = self.encode(u)
@@ -200,12 +205,18 @@ class GabidulinCode:
             )
 
     def _split(self, t: int):
-        """(E, E as an int64 array) with E M = [I; 0] for the n x (k + t)
-        Moore block M_jl = g_j^(q^l); one reduction per t, cached."""
+        """(E, W_t), cached per t.  E, int64, has E M = [I; 0] for the
+        n x (k + t) Moore block M_jl = g_j^(q^l).  Row (j, d) of W_t, float64
+        (n m) x (n (t + 1) m), expands E_lj (x^d)^(q^i) over (l, i), so
+        expand(y) W_t = expand(E Yf) mod q, exactly: its sums stay below
+        n m (q - 1)^2 <= m^2 (q - 1)^2 < 2^53 when q^m <= FIELD_LIMIT."""
         if t not in self._splits:
+            F, n, m = self.F, self.n, self.F.m
             M = la.transpose(self.moore[: self.k + t])
-            E = la.row_reduce_transform(self.F, M)[0]
-            self._splits[t] = (E, np.array(E, dtype=np.int64))
+            E = np.array(la.row_reduce_transform(F, M)[0], dtype=np.int64)
+            x = F.vfrobenius(F.q ** np.arange(m)[:, None], np.arange(t + 1))
+            W = la.expand(F, F.vmul(E.T[:, None, :, None], x[None, :, None, :]))
+            self._splits[t] = (E, W.reshape(n * m, -1).astype(np.float64))
         return self._splits[t]
 
     def decode_stack(self, Y, t: int):
@@ -217,7 +228,8 @@ class GabidulinCode:
 
         Takes the cached E of `decode` and eliminates only the
         (B, n - k - t, t + 1) stack E_bot Yf, for the same kernel vector
-        v; nn = E_top Yf v.
+        v; nn = E_top Yf v.  E Yf is accumulated with vector operations,
+        not taken from W_t (module docstring).
         """
         F, n, k = self.F, self.n, self.k
         Y = np.asarray(Y)
@@ -233,7 +245,7 @@ class GabidulinCode:
         moore = np.array(self.moore, dtype=np.int64)
         ar = np.arange(B)
         # 1. P = -E Yf, accumulated with vsub; -E_bot Yf has E_bot Yf's kernel
-        E = self._split(t)[1]
+        E = self._split(t)[0]
         Yf = F.vfrobenius(Y[:, :, None], np.arange(t + 1))
         P = np.zeros((B, n, t + 1), dtype=np.int64)
         for j in range(n):

@@ -136,9 +136,11 @@ class SchemeInstance:
 
         A's row count N chooses the decode.  When N >= n (A of rank n), a
         left inverse of A turns the channel into expand(X) plus an error of
-        rank <= rank(D Z) <= t, which one Gabidulin decode removes.  When
-        N = n - 2t (A of full row rank, no error), the 2t lost dimensions
-        are erasures: Frobenius is GF(q)-linear, so (A G0^T)_il =
+        rank <= rank(D Z) <= t, which one Gabidulin decode removes.  Expansion
+        commutes with base-field maps, so the un-mix is one elimination of
+        [A | Y] over GF(q) that yields the n packets (`linalg.left_inverse`).
+        When N = n - 2t (A of full row rank, no error), the 2t lost
+        dimensions are erasures: Frobenius is GF(q)-linear, so (A G0^T)_il =
         (A g)_i^(q^l), the Moore matrix of the points A g (D. Silva and
         F. R. Kschischang, arXiv:0809.3546), and Y is decoded at radius 0
         in the Gabidulin code at those points.  Any other N is refused.
@@ -154,9 +156,7 @@ class SchemeInstance:
         if Y.shape != (N, p.m):
             raise ParameterError(f"observation must be {N} x {p.m}, got {Y.shape}")
         if N >= p.n:
-            # expand commutes with base-field maps: un-mix before contracting
-            Aplus = la.left_inverse(F.base, A)
-            out = self.code.decode(la.contract(F, Aplus @ Y % p.q), p.t)
+            out = self.code.decode(la.left_inverse(F.base, A, Y), p.t)
         elif N == p.n - 2 * p.t:
             g = la.matvec(F, la.to_lists(A), self.code.g)
             try:  # the points A g are independent iff A has full row rank

@@ -301,6 +301,50 @@ def test_left_inverse_is_a_left_inverse(fm):
     assert _product(field, B, A) == np.eye(cols, dtype=int).tolist()
 
 
+@st.composite
+def transfer_and_observation(draw):
+    """(q, A, Y): an N x n transfer over GF(q), N = n..n+3, often of full
+    column rank, and an N x m observation, its packets over 63 bits wide
+    at q = 2 as often as not."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 5))
+    N = draw(st.integers(n, n + 3))
+    m = draw(st.integers(1, 128 if q == 2 else 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 3)):
+        A = la.random_full_rank(PrimeField(q), N, n, rng)
+    else:
+        A = rng.integers(0, q, size=(N, n))
+    return q, A, rng.integers(0, q, size=(N, m))
+
+
+@given(transfer_and_observation())
+@settings(max_examples=150, deadline=None)
+def test_left_inverse_beside_an_observation_is_the_product(qAY):
+    # the packets of B @ Y, read as base-q numbers in Python ints, digit 0
+    # lowest: the contract of the product at any width
+    q, A, Y = qAY
+    field = PrimeField(q)
+    try:
+        B = la.left_inverse(field, A)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
+            la.left_inverse(field, A, Y)
+        return
+    want = [sum(int(d) * q ** i for i, d in enumerate(row))
+            for row in np.array(B) @ Y % q]
+    assert la.left_inverse(field, A, Y) == want
+
+
+def test_left_inverse_beside_an_observation_refuses_as_without():
+    with pytest.raises(ParameterError, match="^left inverse requires rows >= cols$"):
+        la.left_inverse(F2, [[1, 1]], [[1, 0, 1]])
+    with pytest.raises(ParameterError, match="rhs has 2 rows, expected 3"):
+        la.left_inverse(F3, [[1, 0], [0, 1], [1, 1]], [[1, 2], [0, 1]])
+    with pytest.raises(SingularMatrixError, match="^matrix has column rank 1 < 2$"):
+        la.left_inverse(F2, [[1, 1], [1, 1], [0, 0]], np.ones((3, 70), dtype=int))
+
+
 @given(field_and_matrix(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_rref_solve_agrees_with_the_ranks_of_a_and_a_y(fm, data):

@@ -12,7 +12,7 @@ from secnc.errors import (
     InconsistentSystemError,
     ParameterError,
 )
-from secnc.gf import ExtField
+from secnc.gf import FIELD_LIMIT, ExtField
 from secnc.rankmetric import (
     DECODE_FAILURE,
     GabidulinCode,
@@ -508,6 +508,46 @@ def test_decode_at_the_edge_shapes_of_the_split(qm, n, k, t):
     words = _received_words(code, t, 150, rng)
     _assert_decode_matches_full_system(code, words, t)
     _assert_stack_matches_scalar(code, words, t)
+
+
+@pytest.mark.parametrize("qm, n, k", [((2, 4), 4, 2), ((2, 8), 8, 4),
+                                      ((3, 3), 3, 1), ((5, 3), 3, 1)], ids=str)
+def test_w_t_is_the_base_field_matrix_of_e_yf(qm, n, k):
+    # E Yf with scalar field operations, entry for entry against
+    # expand(y) W_t mod q: on every basis word x^d e_j, so on every row of
+    # W_t, and on received words
+    code = GabidulinCode(ExtField(*qm), n, k)
+    F = code.F
+    basis = [[F.q ** d if i == j else 0 for i in range(n)]
+             for j in range(n) for d in range(F.m)]
+    rng = np.random.default_rng(n * 10 + k)
+    for t in range((n - k) // 2 + 1):
+        E, W = code._split(t)
+        assert W.shape == (n * F.m, n * (t + 1) * F.m)
+        for y in basis + _received_words(code, t, 40, rng):
+            want = [[0] * (t + 1) for _ in range(n)]
+            for l in range(n):
+                for i in range(t + 1):
+                    for j in range(n):
+                        term = F.mul(int(E[l][j]), F.frobenius(y[j], i))
+                        want[l][i] = F.add(want[l][i], term)
+            got = la.expand(F, y).reshape(-1) @ W % F.q
+            assert got.reshape(n, t + 1, F.m).tolist() == la.expand(F, want).tolist()
+
+
+def test_the_float64_product_with_w_t_is_exact_in_every_field():
+    # an entry of expand(y) W_t sums n m products of digits < q, and n <= m:
+    # below 2^53, so exact in float64, for every prime q and q^m <= FIELD_LIMIT
+    prime = np.ones(FIELD_LIMIT + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, int(FIELD_LIMIT ** 0.5) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    fields = [(q, m) for q in np.flatnonzero(prime).tolist()
+              for m in range(1, 17) if q ** m <= FIELD_LIMIT]
+    assert prime.sum() == 6542  # the primes below 2^16
+    assert (2, 16) in fields and (3, 10) in fields and (65521, 1) in fields
+    assert max(m * m * (q - 1) ** 2 for q, m in fields) < 2 ** 53
 
 
 def test_the_split_of_one_radius_is_not_reused_at_another():
