@@ -299,9 +299,10 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     alone.
 
     The budget counts cases, a lifted one once per candidate error space
-    its decode solves for; the N x (n + N) matrix [A | I_N] that a left
-    inverse reduces must fit it too (a sampled trial reduces the smaller
-    [A | Y]).  Refusals come before any draw.
+    its decode solves for.  The matrix one un-mix reduces must fit it
+    too: N x (n + N), [A | I_N], for a random transfer's left inverse,
+    and N x (n + m), [A | Y], for a sampled trial.  Refusals come before
+    any draw.
     """
     p = inst.params
     F = inst.F
@@ -391,7 +392,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise ParameterError(f"trials must be >= 1, got {trials}")
         check_budget(trials * cost(N), budget, "reliability trials", unit)
         if not lifted:
-            check_budget(N * (N + n), budget, "one trial's un-mix", "entries")
+            check_budget(N * (n + m), budget, "one trial's un-mix", "entries")
 
         def parts():
             for _ in range(trials):

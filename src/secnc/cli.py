@@ -210,7 +210,8 @@ def cmd_audit(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     budget_help = ("refuse, before any work, a run that needs more: it counts "
                    "cases, candidate solves for lifted decodes, and the "
-                   "N * (n + N) entries of one trial's un-mix")
+                   "entries one un-mix reduces: N * (n + m) for a sampled "
+                   "trial, N * (n + N) for an audited random transfer")
     parser = _Parser(
         prog="secnc",
         description="Rank-metric coset coding for secure network coding.",

@@ -12,9 +12,12 @@ basis {1, x, ..., x^{m-1}}.
 
 Every field is table-backed: FIELD_LIMIT bounds the order at 2^16, and
 each GF(q^m) builds exp/log tables keyed by a primitive element at
-construction, through the polynomial arithmetic `_mul_raw`/`_pow_raw`.
-Multiplication, inversion, powers and the Frobenius map are lookups in
-those tables.
+construction.  Multiplication by c is GF(q)-linear on digit rows, so one
+product of every element's digits with its m x m matrix M_c gives the
+whole permutation a -> a*c; the least c whose cycle through 1 holds
+every unit is the primitive element, and that cycle is the exp table,
+as the `galois` library builds its tables.  Multiplication, inversion,
+powers and the Frobenius map are lookups in those tables.
 
 Both fields supply the rows of the `linalg` elimination kernel: their
 row form, made from a 2-D int64 array by pack and read back by unpack
@@ -101,20 +104,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Polynomials over GF(q): coefficient lists, lowest degree first.
 # ----------------------------------------------------------------------
@@ -123,17 +112,6 @@ def _poly_trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _poly_trim(out)
 
 
 def _poly_mod(a, mod, q):
@@ -167,7 +145,10 @@ def find_irreducible(q: int, m: int) -> tuple[int, ...]:
     """Deterministic search for a monic irreducible of degree m over GF(q)."""
     if q == 2 and m in DEFAULT_MODULI_GF2:
         return DEFAULT_MODULI_GF2[m]
-    for tail in itertools.product(range(q), repeat=m):
+    # past degree 1 a zero constant term means x divides, so those come
+    # first in this order and are skipped
+    lowest = range(1 if m > 1 else 0, q)
+    for tail in itertools.product(lowest, *[range(q)] * (m - 1)):
         cand = list(tail) + [1]
         if is_irreducible(cand, q):
             return tuple(cand)
@@ -353,61 +334,58 @@ class ExtField:
         # constant, so fall back to the reduction of the monomial.
         self.x = q % self.order if m > 1 else (-modulus[0]) % q
 
-        self._mod_int = None  # q=2 only: modulus as bitmask
-        if q == 2:
-            self._mod_int = sum(c << i for i, c in enumerate(modulus))
-
         self._exp, self._log, self.primitive = self._tables()
 
-    # -- raw polynomial arithmetic, to build the tables ------------------
+    # -- construction of the tables --------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.q == 2:
-            p = 0
-            top = 1 << self.m
-            while b:
-                if b & 1:
-                    p ^= a
-                a <<= 1
-                if a & top:
-                    a ^= self._mod_int
-                b >>= 1
-            return p
-        prod = _poly_mul(list(self.as_row(a)), list(self.as_row(b)), self.q)
-        red = _poly_mod(prod, self.modulus, self.q)
-        return self.from_row((red + [0] * self.m)[: self.m])
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return out
+    def _mul_matrix(self, b: int) -> np.ndarray:
+        """The m x m GF(q) matrix M_b of a -> a*b on digit rows: row j holds
+        the digits of b*x^j, row j-1 shifted up one degree less its top
+        digit times the modulus."""
+        q, m = self.q, self.m
+        low = np.array(self.modulus[:m], dtype=np.int64)
+        M = np.zeros((m, m), dtype=np.int64)
+        M[0] = self.as_row(b)
+        for j in range(1, m):
+            M[j, 1:] = M[j - 1, :-1]
+            M[j] = (M[j] - M[j - 1, -1] * low) % q
+        return M
 
     def _tables(self):
-        """(exp, log, primitive): exp[i] = primitive^i over two periods."""
-        n1 = self.order - 1
-        factors = _prime_factors(n1) if n1 > 1 else []
-        prim = None
-        for cand in range(1, self.order):
-            if all(self._pow_raw(cand, n1 // p) != 1 for p in factors):
-                prim = cand
+        """(exp, log, primitive): exp[i] = primitive^i over two periods.
+
+        The digits of every element times M_c, one float64 product mod q
+        (exact: its sums stay <= m(q-1)^2 < 2^53), is the permutation
+        a -> a*c; its cycle through 1 is the subgroup <c>.  The primitive
+        element is the least c whose cycle holds all order - 1 units, and
+        that cycle is exp.  The elements of a shorter cycle lie in a
+        proper subgroup, so they are skipped as candidates."""
+        q, m, n1 = self.q, self.m, self.order - 1
+        weights = np.array(self._weights, dtype=np.float64)
+        # row a holds the digits of a, lowest first
+        digits = np.indices((q,) * m, dtype=np.float64).T.reshape(-1, m)
+        tried = np.zeros(self.order, dtype=bool)
+        for c in range(1 if n1 == 1 else 2, self.order):
+            if tried[c]:
+                continue
+            # P mod q as P - q floor(P / q): exact on these integers, and
+            # several times faster than float64 %, an fmod per entry
+            P = digits @ self._mul_matrix(c)
+            perm = ((P - q * np.floor(P / q)) @ weights).astype(np.int64).tolist()
+            cycle = [1]
+            for _ in range(n1 - 1):  # no cycle outgrows the unit group
+                v = perm[cycle[-1]]
+                if v == 1:
+                    break
+                cycle.append(v)
+            if len(cycle) == n1:
                 break
-        if prim is None:  # unreachable: the unit group is cyclic
+            tried[cycle] = True
+        else:  # unreachable: the unit group is cyclic
             raise RuntimeError("no primitive element found")
-        exp = [0] * (2 * n1 if n1 > 0 else 1)
-        log = [0] * self.order
-        v = 1
-        for i in range(n1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, prim)
-        for i in range(n1, 2 * n1):
-            exp[i] = exp[i - n1]
-        return exp, log, prim
+        log = np.zeros(self.order, dtype=np.int64)
+        log[cycle] = np.arange(n1)
+        return cycle * 2, log.tolist(), c
 
     # -- public arithmetic ----------------------------------------------
 

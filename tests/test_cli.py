@@ -322,16 +322,23 @@ def test_simulate_n_sets_the_transfer_rows(cfg, capsys):
     assert "error_ranks=0:45,1:255\n" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("N", ["20000", "2047"])
+@pytest.mark.parametrize("N", ["20000000", "524289"])
 def test_simulate_refuses_an_unmix_past_the_budget(cfg, capsys, N):
-    # the left inverse reduces the N x (n + N) matrix [A | I_N]; the
-    # default budget 2^22 admits N = 2046
+    # a trial's un-mix reduces the N x (n + m) matrix [A | Y]; the
+    # default budget 2^22 admits N = 524,288 at n + m = 8
     start = time.monotonic()
     assert main(["simulate", "--config", cfg, "--N", N, "--seed", "1"]) == 4
     assert time.monotonic() - start < 1
     captured = capsys.readouterr()
     assert "un-mix needs" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_simulate_admits_a_tall_transfer_within_the_unmix_budget(cfg, capsys):
+    # N * (n + N) entries of [A | I_N] would exceed the default budget
+    assert main(["simulate", "--config", cfg, "--N", "2047", "--trials", "1",
+                 "--seed", "3"]) == 0
+    assert "cases=1 failures=0" in capsys.readouterr().out
 
 
 def test_simulate_trivial_channel(tmp_path, capsys):
@@ -531,6 +538,14 @@ def test_the_largest_binary_field_is_accepted(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**CFG, "m": 16}))
     assert main(["params", "--config", str(path)]) == 0
+
+
+def test_the_largest_odd_field_is_accepted(tmp_path, capsys):
+    # GF(3^10), the largest field at q = 3, builds its tables at once
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, "q": 3, "m": 10}))
+    assert main(["params", "--config", str(path)]) == 0
+    assert "status=ok" in capsys.readouterr().out
 
 
 def test_noncoherent_walk_over_budget_is_exit_4(cfg, tmp_path, capsys):

@@ -209,13 +209,27 @@ def test_gf256_axioms_sampled(a, b, c):
         assert F.div(F.mul(a, b), a) == b
 
 
-def test_primitive_element_generates(f8):
+# moduli over which x is not primitive, so the primitive element is not x
+NON_PRIMITIVE_MODULI = [(2, 4, (1, 1, 1, 1, 1)),            # x^5 = 1
+                        (2, 6, (1, 0, 0, 1, 0, 0, 1)),      # x^9 = 1
+                        (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # x^51 = 1
+                        (3, 2, (1, 0, 1)),                  # x^4 = 1
+                        (5, 2, (2, 0, 1))]                  # x^8 = 1
+
+
+@pytest.mark.parametrize(
+    "q,m,modulus",
+    [(2, 3, None), (3, 2, None), (5, 2, None), (7, 2, None), (3, 5, None),
+     (13, 1, None)] + NON_PRIMITIVE_MODULI,
+    ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_primitive_element_generates(q, m, modulus):
+    F = ExtField(q, m, modulus)
     seen = set()
     v = 1
-    for _ in range(f8.order - 1):
+    for _ in range(F.order - 1):
         seen.add(v)
-        v = f8.mul(v, f8.primitive)
-    assert seen == set(range(1, f8.order))
+        v = F.mul(v, F.primitive)
+    assert seen == set(range(1, F.order))
 
 
 ROW_OP_FIELDS = [PrimeField(2), PrimeField(5), ExtField(2, 4), ExtField(3, 2),
@@ -347,3 +361,92 @@ def test_vector_sums_match_digit_lists(q, m):
     assert F.vneg(a).tolist() == want
     assert F.vsub(0, a).tolist() == want
     assert F.vsub(a, 0).tolist() == a.tolist()
+
+
+# ----------------------------------------------------------------------
+# Tables against a reference built from polynomial products
+# ----------------------------------------------------------------------
+
+def _schoolbook_mul(F, a, b):
+    """a * b from the digit lists: the schoolbook product, reduced by the
+    modulus from the top degree down; no tables and no linear map."""
+    q, m = F.q, F.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(F.as_row(a)):
+        for j, y in enumerate(F.as_row(b)):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d]
+        for j, r in enumerate(F.modulus):
+            prod[d - m + j] = (prod[d - m + j] - c * r) % q
+    return F.from_row(prod[:m])
+
+
+def _schoolbook_pow(F, a, e):
+    out = 1
+    while e:
+        if e & 1:
+            out = _schoolbook_mul(F, out, a)
+        a = _schoolbook_mul(F, a, a)
+        e >>= 1
+    return out
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _generates(F, c):
+    """The order test: c^((order-1)/p) != 1 for every prime p | order-1."""
+    n1 = F.order - 1
+    return all(_schoolbook_pow(F, c, n1 // p) != 1 for p in _prime_factors(n1))
+
+
+def _small_fields():
+    for q in range(2, 257):
+        if all(q % d for d in range(2, int(q ** 0.5) + 1)):
+            m = 1
+            while q ** m <= 256:
+                yield q, m, None
+                m += 1
+    yield from NON_PRIMITIVE_MODULI
+
+
+def test_tables_match_schoolbook_products_in_every_small_field():
+    # every prime power up to 256, as criterion 8, and the moduli over
+    # which x is not primitive: the primitive element is the least c that
+    # passes the order test, and exp walks its powers over two periods
+    for q, m, modulus in _small_fields():
+        F = ExtField(q, m, modulus)
+        n1 = F.order - 1
+        want = next(c for c in range(1, F.order) if _generates(F, c))
+        assert F.primitive == want, (q, m, modulus)
+        powers = [1]
+        for _ in range(n1 - 1):
+            powers.append(_schoolbook_mul(F, powers[-1], want))
+        assert F._exp == powers * 2, (q, m, modulus)
+        assert [F._log[v] for v in powers] == list(range(n1)), (q, m, modulus)
+
+
+@pytest.mark.parametrize("q,m", [(3, 10), (251, 2), (65521, 1)])
+def test_tables_match_schoolbook_products_at_the_top_of_the_range(q, m):
+    # too big for every entry: sampled powers, the successor of each, and
+    # the order test on every candidate below the primitive element
+    F = ExtField(q, m)
+    n1 = F.order - 1
+    g = F.primitive
+    assert _generates(F, g)
+    assert not any(_generates(F, c) for c in range(1, g))
+    rng = np.random.default_rng(q + m)
+    for i in rng.integers(0, n1, size=50).tolist():
+        v = F._exp[i]
+        assert v == _schoolbook_pow(F, g, i) == F._exp[i + n1]
+        assert F._log[v] == i
+        assert F._exp[(i + 1) % n1] == _schoolbook_mul(F, v, g)
