@@ -35,13 +35,12 @@ from .network import (
     transmit,
     transmit_lifted,
 )
-from .rankmetric import GabidulinCode, min_rank_distance_exhaustive, singleton_bound
+from .rankmetric import GabidulinCode
 from .scheme import (
     SchemeInstance,
     SchemeParams,
     build_broken_instance,
     build_instance,
-    proposition1_check,
 )
 
 __version__ = "0.1.0"
@@ -67,13 +66,10 @@ __all__ = [
     "entropy_of_distribution",
     "find_irreducible",
     "is_irreducible",
-    "min_rank_distance_exhaustive",
     "noncoherent_decode",
-    "proposition1_check",
     "reliability_audit",
     "sample_realization",
     "secrecy_audit",
-    "singleton_bound",
     "transmit",
     "transmit_lifted",
     "__version__",

@@ -61,6 +61,10 @@ from .errors import ParameterError
 # and the irreducible search, whose cost grows with the order.
 FIELD_LIMIT = 1 << 16
 
+# Elements per float64 product while the tables are built: bounds the
+# build's temporaries at a few MB at any order.
+_TABLE_CHUNK = 1 << 13
+
 # Monic irreducible polynomials over GF(2), degree 1..16, as coefficient
 # tuples lowest degree first.  These are the usual primitive polynomials
 # (x^4+x+1 -> (1,1,0,0,1), etc.); all are re-validated at field build.
@@ -354,7 +358,7 @@ class ExtField:
     def _tables(self):
         """(exp, log, primitive): exp[i] = primitive^i over two periods.
 
-        The digits of every element times M_c, one float64 product mod q
+        The digits of every element times M_c, a float64 product mod q
         (exact: its sums stay <= m(q-1)^2 < 2^53), is the permutation
         a -> a*c; its cycle through 1 is the subgroup <c>.  The primitive
         element is the least c whose cycle holds all order - 1 units, and
@@ -362,19 +366,24 @@ class ExtField:
         proper subgroup, so they are skipped as candidates."""
         q, m, n1 = self.q, self.m, self.order - 1
         weights = np.array(self._weights, dtype=np.float64)
-        # row a holds the digits of a, lowest first
-        digits = np.indices((q,) * m, dtype=np.float64).T.reshape(-1, m)
+        # row a holds the digits of a, lowest first; q < 2^16
+        digits = np.indices((q,) * m, dtype=np.uint16).T.reshape(-1, m)
+        perm = np.empty(self.order, dtype=np.int64)
         tried = np.zeros(self.order, dtype=bool)
         for c in range(1 if n1 == 1 else 2, self.order):
             if tried[c]:
                 continue
-            # P mod q as P - q floor(P / q): exact on these integers, and
-            # several times faster than float64 %, an fmod per entry
-            P = digits @ self._mul_matrix(c)
-            perm = ((P - q * np.floor(P / q)) @ weights).astype(np.int64).tolist()
+            M = self._mul_matrix(c).astype(np.float64)
+            # in row chunks, which bound the float64 temporaries; P mod q as
+            # P - q floor(P / q): exact on these integers, and several
+            # times faster than float64 %, an fmod per entry
+            for lo in range(0, self.order, _TABLE_CHUNK):
+                P = digits[lo:lo + _TABLE_CHUNK] @ M
+                perm[lo:lo + _TABLE_CHUNK] = (P - q * np.floor(P / q)) @ weights
+            perm_list = perm.tolist()
             cycle = [1]
             for _ in range(n1 - 1):  # no cycle outgrows the unit group
-                v = perm[cycle[-1]]
+                v = perm_list[cycle[-1]]
                 if v == 1:
                     break
                 cycle.append(v)

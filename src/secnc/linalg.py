@@ -18,7 +18,7 @@ their expanded rows.  Stacks of matrices, as int64 arrays of shape
 operations.  Every product runs the field-supplied inner product `dot`:
 `matvec` one per row, base-field maps applied to packets included, and
 `matmul` one per entry.  Every enumeration of GF(q^m)-combinations of
-rows (codebooks, audit payloads, distance certificates) runs `span`;
+rows (codebooks, audit payloads) runs `span`;
 every enumeration of base-field matrices by rank runs
 `iter_rank_blocks`, which the audits consume as int64 blocks.
 It builds the full-column-rank factors C as whole stacks: candidates
@@ -301,13 +301,6 @@ def matvec(field, A, v) -> list[int]:
     return [dot(row, v) for row in A]
 
 
-def mat_sub(field, A, B) -> list[list[int]]:
-    A, B = to_lists(A), to_lists(B)
-    if dims(A) != dims(B):
-        raise ParameterError("dimension mismatch")
-    return [[field.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 # ----------------------------------------------------------------------
 # The vector <-> matrix identification
 # ----------------------------------------------------------------------
@@ -421,7 +414,8 @@ def iter_rref_full_row_rank(q: int, r: int, c: int):
 
 
 # About the matrices of one `iter_rank_blocks` block (at least one C times
-# every RREF), and the candidates `iter_full_col_rank` ranks at a time.
+# every RREF), and so the most candidates `_full_col_rank_stacks` ranks
+# at a time.
 _ENUM_CHUNK = 1 << 14
 
 
@@ -448,16 +442,6 @@ def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
             yield Cs
 
 
-def iter_full_col_rank(q: int, rows: int, r: int):
-    """All rows x r matrices over GF(q) with linearly independent columns,
-    lexicographic in the columns."""
-    if r == 0:
-        yield [[] for _ in range(rows)]
-        return
-    for Cs in _full_col_rank_stacks(q, rows, r, _ENUM_CHUNK):
-        yield from Cs.tolist()
-
-
 def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
     """All rows x cols matrices whose rank is in `ranks`, each exactly once,
     as int64 blocks (b, rows, cols): rank by rank in the order given.
@@ -476,17 +460,6 @@ def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
             per = max(1, _ENUM_CHUNK // len(rrefs))
             for Cs in _full_col_rank_stacks(q, rows, r, per):
                 yield (Cs[:, None] @ rrefs[None] % q).reshape(-1, rows, cols)
-
-
-def iter_rank_exactly(q: int, rows: int, cols: int, r: int):
-    """All rows x cols matrices of rank exactly r, each exactly once."""
-    for block in iter_rank_blocks(q, rows, cols, [r]):
-        yield from block.tolist()
-
-
-def iter_rank_at_most(q: int, rows: int, cols: int, t: int):
-    for block in iter_rank_blocks(q, rows, cols, range(t + 1)):
-        yield from block.tolist()
 
 
 def gaussian_binomial(c: int, r: int, q: int) -> int:

@@ -23,23 +23,24 @@ nn = E_top Yf v; the kernels correspond one to one.  E depends only on
 t, so each code reduces M once per radius (`linalg.row_reduce_transform`)
 and caches E.  Both decoders then eliminate only the
 (n - k - t) x (t + 1) block P_bot of P = E Yf and take its first kernel
-vector.  P is GF(q)-linear in y, as Frobenius is, so each code caches
-beside E the base-field matrix W_t of y -> P: `decode` gets P of one
-word as one float64 product expand(y) W_t mod q, then uses scalar field
-operations.  `decode_stack` accumulates P for a (B, n) stack of words
-with the fields' vector operations and eliminates with
+vector.  P is GF(q)-linear in y, as Frobenius is, so `decode` caches,
+from its first call at a radius, the base-field matrix W_t of y -> P:
+it gets P of one word as one float64 product expand(y) W_t mod q, then
+uses scalar field operations.  `decode_stack` accumulates P for a (B, n)
+stack of words with the fields' vector operations and eliminates with
 `linalg._rref_stack`, for the audits, whose stacks span their phases (a
-product with W_t would take ~270 MB for 2^14 words at m = 16).  Both
-rank the residual with `linalg.vector_rank`, which at q = 2 eliminates
-the element ints as row bitmasks.  The two compute P independently,
-take the same kernel vector and agree row for row, so `decode_stack`
-checks W_t.  Their oracles are independent of the split:
+product with W_t would take ~270 MB for 2^14 words at m = 16); it never
+builds W_t.  Both rank the residual with `linalg.vector_rank`, which at
+q = 2 eliminates the element ints as row bitmasks.  The two compute P
+independently, take the same kernel vector and agree row for row, so
+`decode_stack` checks W_t.  Their oracles are independent of the split:
 `audit.brute_force_decode`, a nearest-codeword search over the codebook,
 and, in the tests, the full n x (2t + k + 1) system reduced as it stands.
 
-The codebook and the minimum rank weight behind the MRD certificate
-d = n - k + 1 and Proposition 1 both enumerate rows' combinations with
-`linalg.span`; the pairwise oracle assumes no linearity.
+The codebook enumerates the messages' combinations of the generator rows
+with `linalg.span`, in bounded chunks; the certificates of the distance
+d = n - k + 1 and of Proposition 1 are the tests' and enumerate the same
+way.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ import numpy as np
 
 from . import linalg as la
 from .errors import ParameterError, check_budget
-from .gf import ExtField, PrimeField
+from .gf import ExtField
 
-# Cap on exhaustive codeword/pair enumeration; callers may raise it.
+# Cap on an exhaustive enumeration; callers may raise it.
 DEFAULT_ENUM_BUDGET = 1 << 20
 
 # Combinations per `linalg.span` call: bounds a stack's memory.
@@ -133,7 +134,8 @@ class GabidulinCode:
             self.moore.append([F.frobenius(x) for x in self.moore[-1]])
         self._Gt = la.transpose(self.moore[:k])
         self._table = None
-        self._splits = {}  # t -> E as an int64 array, and W_t
+        self._splits = {}  # t -> E as an int64 array
+        self._w = {}  # t -> W_t, for decode only
 
     def generator_matrix(self) -> list[list[int]]:
         return [row[:] for row in self.moore[: self.k]]
@@ -180,7 +182,7 @@ class GabidulinCode:
         if len(y) != n:
             raise ParameterError(f"received word length {len(y)} != n = {n}")
         self._check_radius(t)
-        W = self._split(t)[1]
+        W = self._w_t(t)
         D = (la.expand(F, y).reshape(-1) @ W).astype(np.int64) % F.q  # E Yf's digits
         P = D.reshape(n, t + 1, F.m) @ F.q ** np.arange(F.m)
         # P_bot is empty only when k + t = n, that is k = n and t = 0
@@ -205,19 +207,26 @@ class GabidulinCode:
             )
 
     def _split(self, t: int):
-        """(E, W_t), cached per t.  E, int64, has E M = [I; 0] for the
-        n x (k + t) Moore block M_jl = g_j^(q^l).  Row (j, d) of W_t, float64
-        (n m) x (n (t + 1) m), expands E_lj (x^d)^(q^i) over (l, i), so
-        expand(y) W_t = expand(E Yf) mod q, exactly: its sums stay below
-        n m (q - 1)^2 <= m^2 (q - 1)^2 < 2^53 when q^m <= FIELD_LIMIT."""
+        """E, int64, cached per t: E M = [I; 0] for the n x (k + t) Moore
+        block M_jl = g_j^(q^l)."""
         if t not in self._splits:
-            F, n, m = self.F, self.n, self.F.m
             M = la.transpose(self.moore[: self.k + t])
-            E = np.array(la.row_reduce_transform(F, M)[0], dtype=np.int64)
+            self._splits[t] = np.array(la.row_reduce_transform(self.F, M)[0],
+                                       dtype=np.int64)
+        return self._splits[t]
+
+    def _w_t(self, t: int):
+        """W_t, float64 (n m) x (n (t + 1) m), cached per t.  Row (j, d)
+        expands E_lj (x^d)^(q^i) over (l, i), so expand(y) W_t =
+        expand(E Yf) mod q, exactly: its sums stay below
+        n m (q - 1)^2 <= m^2 (q - 1)^2 < 2^53 when q^m <= FIELD_LIMIT."""
+        if t not in self._w:
+            F, n, m = self.F, self.n, self.F.m
+            E = self._split(t)
             x = F.vfrobenius(F.q ** np.arange(m)[:, None], np.arange(t + 1))
             W = la.expand(F, F.vmul(E.T[:, None, :, None], x[None, :, None, :]))
-            self._splits[t] = (E, W.reshape(n * m, -1).astype(np.float64))
-        return self._splits[t]
+            self._w[t] = W.reshape(n * m, -1).astype(np.float64)
+        return self._w[t]
 
     def decode_stack(self, Y, t: int):
         """`decode` of every row of the (B, n) array Y of received words.
@@ -245,7 +254,7 @@ class GabidulinCode:
         moore = np.array(self.moore, dtype=np.int64)
         ar = np.arange(B)
         # 1. P = -E Yf, accumulated with vsub; -E_bot Yf has E_bot Yf's kernel
-        E = self._split(t)[0]
+        E = self._split(t)
         Yf = F.vfrobenius(Y[:, :, None], np.arange(t + 1))
         P = np.zeros((B, n, t + 1), dtype=np.int64)
         for j in range(n):
@@ -308,62 +317,3 @@ class GabidulinCode:
         return (
             f"GabidulinCode(n={self.n}, k={self.k}, q={self.F.q}, m={self.F.m})"
         )
-
-
-def singleton_bound(n: int, m: int, d: int, q: int) -> int:
-    """Largest cardinality of a length-n code over GF(q^m) with rank distance d."""
-    if not 1 <= d <= min(n, m):
-        raise ParameterError(f"need 1 <= d <= min(n, m) = {min(n, m)}, got d={d}")
-    return q ** (max(n, m) * (min(n, m) - d + 1))
-
-
-def min_rank_distance_exhaustive(matrices, q: int, *,
-                                 budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Exact minimum rank distance over all distinct pairs.
-
-    `matrices` is a sequence of equal-shape base-field matrices.  The
-    pairwise oracle for `min_rank_weight`: it assumes no linearity.
-    Refuses (rather than samples) when the required rank computations
-    exceed the budget.
-    """
-    mats = [la.to_lists(M) for M in matrices]
-    if len(mats) < 2:
-        raise ParameterError("need at least two matrices")
-    field = PrimeField(q)
-    check_budget(len(mats) * (len(mats) - 1) // 2, budget,
-                 "pairwise rank computations")
-    best = None
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            d = la.rank(field, la.mat_sub(field, mats[i], mats[j]))
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
-
-
-def min_rank_weight(F: ExtField, rows, budget: int = DEFAULT_ENUM_BUDGET):
-    """Least rank weight of a nonzero vector in the span of `rows`, by
-    enumeration (`linalg._rref_stack` on `linalg.span` chunks) stopping at
-    weight 1; None when the span is zero.
-
-    A nonzero c of GF(q^m) keeps the rank weight (expand(c v) = expand(v) M_c
-    with M_c invertible), so only the combinations whose leading nonzero
-    coefficient is 1 are ranked: the index ranges [Q^j, 2 Q^j) for j below
-    the number K of rows, Q = q^m.  The budget counts all Q^K combinations.
-    """
-    K, Q = len(rows), F.order
-    check_budget(Q ** K, budget, "codeword enumeration")
-    best = None
-    for j in range(K):
-        for lo in range(Q ** j, 2 * Q ** j, _SPAN_CHUNK):
-            _, E = la.span(F, rows, np.arange(lo, min(lo + _SPAN_CHUNK, 2 * Q ** j)))
-            r = la._rref_stack(F.base, E)[2]
-            r = r[r > 0]
-            if len(r) and (best is None or r.min() < best):
-                best = int(r.min())
-                if best == 1:
-                    return best
-    return best
-

@@ -24,8 +24,7 @@ import numpy as np
 from . import linalg as la
 from .errors import ParameterError, ValidationError
 from .gf import ExtField
-from .rankmetric import (DEFAULT_ENUM_BUDGET, DecodeOutcome, GabidulinCode,
-                         min_rank_weight)
+from .rankmetric import DecodeOutcome, GabidulinCode
 
 
 @dataclass(frozen=True)
@@ -211,23 +210,3 @@ def build_broken_instance(params: SchemeParams) -> SchemeInstance:
             "evaluation points"
         )
     return SchemeInstance(params, F, None, G0, broken=True)
-
-
-def proposition1_check(F: ExtField, T, k: int,
-                       budget: int = DEFAULT_ENUM_BUDGET):
-    """Does the last n-k rows of T^T generate an [n, n-k] MRD code?
-
-    Returns (ok, certificate) where the certificate is the exhaustively
-    computed minimum rank distance; MRD means it equals k + 1.  The
-    k = 0 case is vacuous: the rows span everything, so the minimum
-    distance is 1 by the rank-1 vector (1, 0, ..., 0).
-    """
-    n = len(T)
-    if not 0 <= k <= n:
-        raise ParameterError(f"need 0 <= k <= n = {n}, got k = {k}")
-    if k == n:
-        raise ParameterError("no rows left to check when k = n")
-    if k == 0:
-        return True, 1
-    best = min_rank_weight(F, la.transpose(T)[k:], budget)
-    return best == k + 1, best

@@ -21,6 +21,7 @@ from secnc.network import (
 )
 from secnc.rankmetric import GabidulinCode
 from secnc.scheme import SchemeParams, build_broken_instance, build_instance
+from test_linalg import _rank_matrices
 
 
 @pytest.fixture(scope="module")
@@ -234,8 +235,8 @@ def test_exemplars_name_cases_decoded_after_later_parts_were_queued(monkeypatch)
     monkeypatch.setattr(audit, "_CHUNK", 100)
     p0 = build_instance(SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1))
     rep = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=2)
-    identity = list(la.iter_rank_at_most(2, 3, 3, 1))
-    transfer = list(la.iter_rank_at_most(2, 4, 3, 1))
+    identity = _rank_matrices(2, 3, 3, range(2))
+    transfer = _rank_matrices(2, 4, 3, range(2))
     assert [ex.split(" S=")[0] for ex in rep.exemplars] == [
         f"A=I E={audit._matrix_id(identity[95 // 8], 2)}",
         f"A#0 E={audit._matrix_id(transfer[102], 2)}",

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,19 @@ def test_tables_match_schoolbook_products_in_every_small_field():
             powers.append(_schoolbook_mul(F, powers[-1], want))
         assert F._exp == powers * 2, (q, m, modulus)
         assert [F._log[v] for v in powers] == list(range(n1)), (q, m, modulus)
+
+
+def test_the_largest_table_build_stays_small():
+    # the digit product is taken in row chunks: a 2^16 x 16 float64 array,
+    # of the digits or of their product with M_c, is 8 MB, and the build
+    # must not hold two of them at once
+    tracemalloc.start()
+    try:
+        ExtField(2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("q,m", [(3, 10), (251, 2), (65521, 1)])

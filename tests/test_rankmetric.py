@@ -7,19 +7,50 @@ import pytest
 
 from secnc import linalg as la
 from secnc.audit import brute_force_decode
-from secnc.errors import (
-    BudgetExceededError,
-    InconsistentSystemError,
-    ParameterError,
-)
-from secnc.gf import FIELD_LIMIT, ExtField
-from secnc.rankmetric import (
-    DECODE_FAILURE,
-    GabidulinCode,
-    min_rank_distance_exhaustive,
-    min_rank_weight,
-    singleton_bound,
-)
+from secnc.errors import (BudgetExceededError, InconsistentSystemError,
+                          ParameterError, check_budget)
+from secnc.gf import FIELD_LIMIT, ExtField, PrimeField
+from secnc.rankmetric import (_SPAN_CHUNK, DECODE_FAILURE, DEFAULT_ENUM_BUDGET,
+                              GabidulinCode)
+from test_linalg import _rank_matrices
+
+
+def min_rank_weight(F, rows, budget=DEFAULT_ENUM_BUDGET):
+    """Least rank weight of a nonzero vector in the span of `rows`, by
+    enumeration (`linalg._rref_stack` on `linalg.span` chunks) stopping at
+    weight 1; None when the span is zero.
+
+    A nonzero c of GF(q^m) keeps the rank weight (expand(c v) = expand(v) M_c
+    with M_c invertible), so only the combinations whose leading nonzero
+    coefficient is 1 are ranked: the index ranges [Q^j, 2 Q^j) for j below
+    the number K of rows, Q = q^m.  The budget counts all Q^K combinations.
+    """
+    K, Q = len(rows), F.order
+    check_budget(Q ** K, budget, "codeword enumeration")
+    best = None
+    for j in range(K):
+        for lo in range(Q ** j, 2 * Q ** j, _SPAN_CHUNK):
+            _, E = la.span(F, rows, np.arange(lo, min(lo + _SPAN_CHUNK, 2 * Q ** j)))
+            r = la._rref_stack(F.base, E)[2]
+            r = r[r > 0]
+            if len(r) and (best is None or r.min() < best):
+                best = int(r.min())
+                if best == 1:
+                    return best
+    return best
+
+
+def min_rank_distance_exhaustive(matrices, q, *, budget=DEFAULT_ENUM_BUDGET):
+    """Exact minimum rank distance over all distinct pairs of equal-shape
+    base-field matrices, refused (not sampled) past the budget: the
+    pairwise oracle for `min_rank_weight`, as it assumes no linearity."""
+    mats = [np.asarray(M, dtype=np.int64) for M in matrices]
+    if len(mats) < 2:
+        raise ParameterError("need at least two matrices")
+    check_budget(len(mats) * (len(mats) - 1) // 2, budget,
+                 "pairwise rank computations")
+    return min(la.rank(PrimeField(q), (X - Y) % q)
+               for X, Y in itertools.combinations(mats, 2))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +107,7 @@ def test_min_distance_meets_singleton_equality(F16):
         code = GabidulinCode(F16, 4, k)
         d = min_rank_weight(F16, code.generator_matrix())
         assert d == 4 - k + 1
-        assert F16.order ** k == singleton_bound(4, 4, d, 2)
+        assert F16.order ** k == 2 ** (4 * (4 - d + 1))  # q^(m(n - d + 1))
 
 
 def test_small_code_distance_frozen():
@@ -114,16 +145,6 @@ def test_codeword_table_across_span_chunks():
     assert msgs == list(itertools.product(range(256), repeat=2))
     for i in list(range(16380, 16390)) + list(range(0, 65536, 997)) + [65535]:
         assert words[i].tolist() == code.encode(msgs[i])
-
-
-def test_singleton_bound_values():
-    assert singleton_bound(3, 3, 3, 2) == 8
-    assert singleton_bound(4, 4, 1, 2) == 65536
-    assert singleton_bound(3, 5, 2, 2) == 1024
-    with pytest.raises(ParameterError):
-        singleton_bound(4, 4, 0, 2)
-    with pytest.raises(ParameterError):
-        singleton_bound(4, 4, 5, 2)
 
 
 def test_pairwise_distance_of_explicit_set():
@@ -164,7 +185,7 @@ def test_decode_clean_and_all_rank_one_errors(F16, code42):
     c = code42.encode(u)
     out = code42.decode(c, 1)
     assert out.ok and out.message == u and out.error_rank == 0
-    for E in la.iter_rank_exactly(2, 4, 4, 1):
+    for E in _rank_matrices(2, 4, 4, [1]):
         e = la.contract(F16, np.array(E))
         y = [F16.add(a, b) for a, b in zip(c, e)]
         out = code42.decode(y, 1)
@@ -226,7 +247,7 @@ def test_erasure_decode_exhaustive_all_full_rank_maps(F16, code42):
     messages = [(0, 0), (3, 7), (15, 1), (8, 8)]
     cws = {u: code42.encode(u) for u in messages}
     count = 0
-    for Ap in la.iter_rank_exactly(2, 2, 4, 2):
+    for Ap in _rank_matrices(2, 2, 4, [2]):
         count += 1
         for u, c in cws.items():
             y = la.matvec(F16, Ap, c)
@@ -365,7 +386,7 @@ def test_decode_stack_on_the_whole_p0_reliability_grid():
     F = ExtField(2, 3)
     code = GabidulinCode(F, 3, 1)
     words = [[a ^ b for a, b in zip(code.encode([u]), la.contract(F, E))]
-             for E in la.iter_rank_at_most(2, 3, 3, 1) for u in range(8)]
+             for E in _rank_matrices(2, 3, 3, range(2)) for u in range(8)]
     assert len(words) == 400
     _assert_stack_matches_scalar(code, words, 1)
     assert code.decode_stack(words, 1)[0].all()
@@ -377,7 +398,7 @@ def test_decode_stack_longer_than_an_audit_chunk(F16):
     code = GabidulinCode(F16, 4, 2)
     msgs, cw = code.codeword_table()
     errs = np.array([la.contract(F16, np.array(E))
-                     for E in la.iter_rank_at_most(2, 4, 4, 1)])
+                     for E in _rank_matrices(2, 4, 4, range(2))])
     words = (cw[None, :, :] ^ errs[:, None, :]).reshape(-1, 4)
     ok, got, ranks = code.decode_stack(words, 1)
     assert ok.all()
@@ -501,7 +522,7 @@ def test_decode_at_the_edge_shapes_of_the_split(qm, n, k, t):
     # k = n, t = 0: E_bot is empty and v = e_0; n - k = 2t: E_bot has t rows
     code = GabidulinCode(ExtField(*qm), n, k)
     F = code.F
-    E = code._split(t)[0]
+    E = code._split(t)
     M = la.transpose(code.moore[: k + t])
     assert la.matmul(F, E, M) == np.eye(n, k + t, dtype=int).tolist()
     rng = np.random.default_rng(n * 100 + k * 10 + t)
@@ -522,7 +543,7 @@ def test_w_t_is_the_base_field_matrix_of_e_yf(qm, n, k):
              for j in range(n) for d in range(F.m)]
     rng = np.random.default_rng(n * 10 + k)
     for t in range((n - k) // 2 + 1):
-        E, W = code._split(t)
+        E, W = code._split(t), code._w_t(t)
         assert W.shape == (n * F.m, n * (t + 1) * F.m)
         for y in basis + _received_words(code, t, 40, rng):
             want = [[0] * (t + 1) for _ in range(n)]
@@ -565,6 +586,20 @@ def test_the_split_of_one_radius_is_not_reused_at_another():
     assert all((a == b).all() for a, b in zip(got, want))
     assert sum(fresh.decode(y, 1).ok for y in words) > sum(fresh.decode(y, 0).ok
                                                             for y in words)
+
+
+def test_decode_stack_builds_e_and_no_w_t():
+    # the audits decode stacks only: they cache E per radius and no W_t;
+    # the first decode at a radius builds W_t from that E
+    code = GabidulinCode(ExtField(2, 6), 6, 2)
+    words = _received_words(code, 2, 40, np.random.default_rng(41))
+    for t in (1, 2):
+        code.decode_stack(words, t)
+    assert set(code._splits) == {1, 2} and not code._w
+    E = code._split(2)
+    code.decode(words[0], 2)
+    assert set(code._w) == {2} and code._split(2) is E
+    _assert_stack_matches_scalar(code, words, 2)
 
 
 @pytest.mark.parametrize("qm, n, k", [((2, 5), 5, 1), ((2, 6), 6, 2)], ids=str)

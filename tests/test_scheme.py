@@ -7,15 +7,31 @@ from secnc import linalg as la
 from secnc.errors import (BudgetExceededError, InconsistentSystemError,
                           ParameterError, ValidationError)
 from secnc.gf import ExtField
-from secnc.rankmetric import DECODE_FAILURE
-from secnc.scheme import (
-    SchemeParams,
-    build_broken_instance,
-    build_instance,
-    proposition1_check,
-)
+from secnc.rankmetric import DECODE_FAILURE, DEFAULT_ENUM_BUDGET
+from secnc.scheme import SchemeParams, build_broken_instance, build_instance
+from test_linalg import _rank_matrices
+from test_rankmetric import min_rank_weight
 
 PARAMS = SchemeParams(q=2, m=4, n=4, t=1, mu=1, k=1)
+
+
+def proposition1_check(F, T, k, budget=DEFAULT_ENUM_BUDGET):
+    """Do the last n-k rows of T^T generate an [n, n-k] MRD code?
+
+    Returns (ok, certificate) where the certificate is the exhaustively
+    computed minimum rank distance; MRD means it equals k + 1.  The
+    k = 0 case is vacuous: the rows span everything, so the minimum
+    distance is 1 by the rank-1 vector (1, 0, ..., 0).
+    """
+    n = len(T)
+    if not 0 <= k <= n:
+        raise ParameterError(f"need 0 <= k <= n = {n}, got k = {k}")
+    if k == n:
+        raise ParameterError("no rows left to check when k = n")
+    if k == 0:
+        return True, 1
+    best = min_rank_weight(F, la.transpose(T)[k:], budget)
+    return best == k + 1, best
 
 
 def _complete_transform(F, G0, n):
@@ -139,7 +155,7 @@ def test_coherent_decode_clean(inst):
 
 def test_coherent_decode_all_rank1_errors_identity_A(inst):
     F = inst.F
-    errors = list(la.iter_rank_at_most(2, 4, 4, 1))
+    errors = _rank_matrices(2, 4, 4, range(2))
     for s, v in [(3, 14), (0, 0), (15, 7)]:
         X = la.expand(F, inst.encode([s], force_v=[v]))
         for E in errors:
@@ -169,7 +185,7 @@ def test_coherent_decode_output_independent_of_A(inst):
     rng = np.random.default_rng(44)
     F = inst.F
     X = inst.encode([13], force_v=[5])
-    E = np.array(next(iter(la.iter_rank_exactly(2, 5, 4, 1))))
+    E = next(la.iter_rank_blocks(2, 5, 4, [1]))[0]
     outs = set()
     for _ in range(15):
         A = la.random_full_rank(F.base, 5, 4, rng)
@@ -197,7 +213,7 @@ def test_erasure_decode_exhaustive(inst):
     for s in range(16):
         for v in range(16):
             payloads[(s, v)] = la.expand(F, inst.encode([s], force_v=[v]))
-    for Ap in la.iter_rank_exactly(2, 2, 4, 2):
+    for Ap in _rank_matrices(2, 2, 4, [2]):
         Apn = np.array(Ap)
         for (s, v), X in payloads.items():
             out = inst.coherent_decode((Apn @ X) % 2, Ap)
@@ -351,7 +367,7 @@ def test_degenerate_mu_zero():
     for _ in range(20):
         S = [int(x) for x in rng.integers(0, 16, size=2)]
         X = i.encode(S, force_v=[])
-        E = np.array(next(iter(la.iter_rank_exactly(2, 4, 4, 1))))
+        E = next(la.iter_rank_blocks(2, 4, 4, [1]))[0]
         Y = (la.expand(i.F, X) + E) % 2
         out = i.coherent_decode(Y, np.eye(4, dtype=int))
         assert out.ok and out.message == tuple(S)
