@@ -4,8 +4,10 @@ The secrecy audit enumerates every message and every randomness draw,
 computes the eavesdropper's view under every full-rank tap matrix B,
 and reports the mutual information I(S; W) per B from exact integer
 counts.  Its taps come as int64 blocks from `linalg.iter_rank_blocks`,
-and the views of a stack of taps are one product over the whole (S, V)
-grid.  Zero leakage is detected exactly, by comparing the sorted view
+and the views of a stack of taps are one 2-D float64 product over the
+whole (S, V) grid, (taps x rows, n) times every payload side by side,
+(n, pairs x cols), reduced by `linalg.mod` as every sum of the audits
+is.  Zero leakage is detected exactly, by comparing the sorted view
 keys of each message across messages, for all taps of a stack at once
 and before any floating-point arithmetic; only a leaking tap is
 counted and scored.  A report of 0 means identical distributions, not
@@ -248,20 +250,25 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
                             for _ in range(samples)])]
 
     records = []
+    cols = payloads.shape[2]
+    # every payload side by side, (n, pairs * cols): a stack of taps times
+    # it is every view of the stack, one exact float64 product, as its
+    # sums stay <= n (q - 1)^2 < 2^53 (n <= m, q^m <= FIELD_LIMIT)
+    wide = payloads.transpose(1, 0, 2).reshape(p.n, -1).astype(np.float64)
     per = max(1, _CHUNK // n_pairs)  # taps a stack of views holds
     for (T,), _ in _restack((([T], None) for T in blocks), per):
-        views = np.matmul(T[:, None], payloads[None]) % q
+        views = la.mod(T.reshape(-1, p.n).astype(np.float64) @ wide, q)
+        views = views.reshape(len(T), rows, n_pairs, cols).swapaxes(1, 2)
+        W = _view_keys(views.reshape(len(T) * n_pairs, rows * cols), q)
+        W = W.reshape(len(T), n_pairs)
         # each message's views, sorted: equal rows are equal conditionals
-        keys = np.sort(_view_keys(views.reshape(len(T) * n_pairs, *views.shape[2:]), q)
-                       .reshape(len(T), inst.F.order ** p.k, -1), axis=2)
+        keys = np.sort(W.reshape(len(T), inst.F.order ** p.k, -1), axis=2)
         # identical conditionals: exactly zero, no floats involved
         leaking = (keys != keys[:, :1]).any(axis=(1, 2)).tolist()
-        for B, W, leaks in zip(T, views, leaking):
+        for B, w_keys, leaks in zip(T, W, leaking):
             leak = 0.0
             if leaks:
-                joint = Counter()
-                for S, w in zip(s_index, W):
-                    joint[(S, w.tobytes())] += 1
+                joint = Counter(zip(s_index, w_keys.tolist()))
                 leak = mutual_information_from_joint(joint)
             records.append((_matrix_id(B, q), leak))
     return SecrecyReport(
@@ -367,7 +374,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
             for Es, e, w in _grid(la.iter_rank_blocks(q, n, cols, range(t + 1)),
                                   n_pairs):
-                yield (((payloads[w] + Es[e]) % q, msgs[w]),
+                yield ((la.mod(payloads[w] + Es[e], q), msgs[w]),
                        lambda i, Es=Es, e=e: f"A=I E={_matrix_id(Es[e[i]], q)}")
             def transfer_grid():
                 return _grid(la.iter_rank_blocks(q, N, cols, range(t + 1)), 1)
@@ -382,8 +389,10 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
                                                      dtype=np.int64)
                 X = A @ payloads[uidx]
                 for Es, e, _ in kept or transfer_grid():
-                    Y = (X + Es) % q
-                    yield ((Y if lifted else Aplus @ Y % q, msgs[[uidx] * len(e)]),
+                    Y = la.mod(X + Es, q)
+                    if not lifted:
+                        Y = la.mod(Aplus @ Y, q)
+                    yield ((Y, msgs[[uidx] * len(e)]),
                            lambda i, Es=Es, j=j: f"A#{j} E={_matrix_id(Es[i], q)}")
     elif mode == "sampled":
         if rng is None:

@@ -36,15 +36,18 @@ odd q it sums mul terms with `_digitwise`.
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
 vmul, vsub, vneg and vinv (and vfrobenius on GF(q^m)), with numpy
-broadcasting.  GF(q) reduces mod q and inverts through a table; GF(q^m)
-gathers from numpy copies of its exp/log tables, built on first use,
-where log 0 points into a zero-filled tail of exp so a product is one
-gather, the lookup-table technique of the `galois` library
-(https://github.com/mhostetter/galois).  Every GF(q^m) sum, scalar or
-vector, is one rule, `ExtField._digitwise`: XOR when q = 2, else
-digit-wise mod q in one pass over the m base-q digits.  Vector
-operations carry other names than the scalar operations so that counts
-of those stay counts of scalar calls.
+broadcasting; their inputs must be elements, reduced.  GF(q) reduces mod
+q, as AND and XOR at q = 2 like its rows, and inverts through a table.
+GF(q^m) gathers from numpy copies of its exp/log tables, where log 0
+points into a zero-filled tail of exp so a product is one gather, the
+lookup-table technique of the `galois` library
+(https://github.com/mhostetter/galois); vinv and vfrobenius are one
+gather each, from an inverse table and an m x order table of Frobenius
+powers.  All are built on first use, never by the constructor.  Every
+GF(q^m) sum, scalar or vector, is one rule, `ExtField._digitwise`: XOR
+when q = 2, else digit-wise mod q in one pass over the m base-q digits.
+Vector operations carry other names than the scalar operations so that
+counts of those stay counts of scalar calls.
 """
 
 from __future__ import annotations
@@ -270,13 +273,13 @@ class PrimeField:
     # -- vector operations (see the module docstring) ---------------------
 
     def vmul(self, a, b):
-        return (a * b) % self.q
+        return a & b if self.q == 2 else (a * b) % self.q
 
     def vsub(self, a, b):
-        return (a - b) % self.q
+        return a ^ b if self.q == 2 else (a - b) % self.q
 
     def vneg(self, a):
-        return (-a) % self.q
+        return self.vsub(0, a)
 
     @cached_property
     def _vector_inv(self):
@@ -498,34 +501,51 @@ class ExtField:
 
     @cached_property
     def _vector_tables(self):
-        """(exp, log, qpow), numpy copies built on first use: exp has a zero
-        tail from 2(order-1) on, log[0] points into it, so exp[log a + log b]
-        is a * b for zeros too; qpow[i] = q^i mod (order-1)."""
+        """(exp, log), numpy copies built on first use: exp has a zero tail
+        from 2(order-1) on, log[0] points into it, so exp[log a + log b] is
+        a * b for zeros too."""
         n1 = self.order - 1
         exp = np.zeros(4 * n1 + 1, dtype=np.int64)
         exp[: 2 * n1] = self._exp[: 2 * n1]
         log = np.array(self._log, dtype=np.int64)
         log[0] = 2 * n1
-        qpow = np.array([pow(self.q, i, n1) for i in range(self.m)], dtype=np.int64)
-        return exp, log, qpow
+        return exp, log
+
+    @cached_property
+    def _inv_table(self):
+        """inv[a] = a^-1, inv[0] = 0; built on first use."""
+        exp, log = self._vector_tables
+        n1 = self.order - 1
+        inv = exp[n1 - log % n1]  # log[0] = 2 n1: 0 -> exp[n1] = 1, fixed below
+        inv[0] = 0
+        return inv
+
+    @cached_property
+    def _frobenius_table(self):
+        """frob[i, a] = a^(q^i) for 0 <= i < m, int64, m order entries; built
+        on first use.  Row i is a -> a^q gathered at row i - 1."""
+        exp, log = self._vector_tables
+        n1 = self.order - 1
+        power = exp[log * self.q % n1]  # log[0] = 2 n1: 0 -> exp[0] = 1, fixed below
+        power[0] = 0
+        frob = np.empty((self.m, self.order), dtype=np.int64)
+        frob[0] = np.arange(self.order)
+        for i in range(1, self.m):
+            frob[i] = power[frob[i - 1]]
+        return frob
 
     def vmul(self, a, b):
-        exp, log, _ = self._vector_tables
+        exp, log = self._vector_tables
         return exp[log[a] + log[b]]
 
     def vinv(self, a):
-        exp, log, _ = self._vector_tables
         if not np.all(a):
             raise ZeroDivisionError("0 has no inverse")
-        n1 = self.order - 1
-        return exp[(n1 - log[a]) % n1]
+        return self._inv_table[a]
 
     def vfrobenius(self, a, i):
         """a^(q^i) entrywise; i an int or an int array broadcast against a."""
-        exp, log, qpow = self._vector_tables
-        n1 = self.order - 1
-        e = (log[a] * qpow[np.asarray(i) % self.m]) % n1
-        return np.where(a != 0, exp[e], 0)
+        return self._frobenius_table[np.asarray(i) % self.m, a]
 
     def vsub(self, a, b):
         return self._digitwise(a, b, -1)

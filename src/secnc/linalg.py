@@ -13,13 +13,17 @@ of a transfer A beside its observation Y reduces [A | Y] and reads the
 un-mixed packets straight from the rows (the base field's `contract`).
 GF(2) ranks take the packed rows to `rank_gf2`; `vector_rank`, in scalar
 and stack form, eliminates GF(2^m) elements, whose ints already are
-their expanded rows.  Stacks of matrices, as int64 arrays of shape
-(B, R, C), are reduced together by `_rref_stack` with the fields' vector
-operations.  Every product runs the field-supplied inner product `dot`:
-`matvec` one per row, base-field maps applied to packets included, and
-`matmul` one per entry.  Every enumeration of GF(q^m)-combinations of
-rows (codebooks, audit payloads) runs `span`;
-every enumeration of base-field matrices by rank runs
+their expanded rows, a stack along its batch axis: each step is one
+elementwise pass over the batch.  Stacks of matrices, as int64 arrays
+of shape (B, R, C), are reduced together by `_rref_stack` with the
+fields' vector operations.  Arrays are reduced mod q by one rule, `mod`:
+& 1 at q = 2, an int64 % otherwise, and for a float64 product whose
+sums stay below 2^53 the exact X - q floor(X / q); `span` takes its
+product in float64, one BLAS call.  Every product runs the
+field-supplied inner product `dot`: `matvec` one per row, base-field
+maps applied to packets included, and `matmul` one per entry.  Every
+enumeration of GF(q^m)-combinations of rows (codebooks, audit payloads)
+runs `span`; every enumeration of base-field matrices by rank runs
 `iter_rank_blocks`, which the audits consume as int64 blocks.
 It builds the full-column-rank factors C as whole stacks: candidates
 enumerated by index in bounded chunks, kept by their `_rref_stack` rank,
@@ -65,6 +69,23 @@ def transpose(M) -> list[list[int]]:
 def dims(M) -> tuple[int, int]:
     M = list(M)
     return (len(M), len(M[0]) if M else 0)
+
+
+def mod(X, q: int) -> np.ndarray:
+    """X mod q entrywise, an int64 array in [0, q): the one rule for
+    reducing an int64 array or a float64 product.
+
+    At q = 2 it is & 1 (exact for negative int64 entries too, in two's
+    complement), else an int64 %.  A float64 X must hold integers x with
+    q - 2^53 <= x < 2^53, as a product of digit arrays does while its sums
+    stay below 2^53; it is reduced as X - q floor(X / q), exact on those
+    integers and several times cheaper than an int64 or float64 %.
+    """
+    if X.dtype == np.float64:
+        if q == 2:
+            return X.astype(np.int64) & 1
+        return (X - q * np.floor(X / q)).astype(np.int64)
+    return X & 1 if q == 2 else X % q
 
 
 def _int_matrix(M) -> np.ndarray:
@@ -115,8 +136,11 @@ def _rref_in_place(field, M: list, cols: int) -> list[int]:
 def _rref_stack(field, M):
     """Reduce every matrix of the (B, R, C) stack M to RREF at once.
 
-    Returns (reduced stack, pivot mask (B, C), ranks (B,)); matrix b of
-    the result equals what `_rref_in_place` makes of M[b].
+    The entries of M must already be reduced mod q (elements of `field`):
+    the vector operations do not reduce their inputs, and at q = 2 they
+    are AND and XOR.  Returns (reduced stack, pivot mask (B, C), ranks
+    (B,)); matrix b of the result equals what `_rref_in_place` makes of
+    M[b].
     """
     M = np.array(M, dtype=np.int64)
     B, R, C = M.shape
@@ -161,20 +185,23 @@ def vector_rank(F, v):
 
     A (B, n) int64 stack of vectors gives the (B,) array of their ranks.
     At q = 2 an element int already is its row bitmask, so both forms
-    eliminate the ints with XOR; at odd q a stack runs `_rref_stack`.
+    eliminate the ints with XOR, a stack as its (n, B) transpose, so that
+    each step reduces over the n entries elementwise across the batch.
+    At odd q a stack runs `_rref_stack`.
     """
     if isinstance(v, np.ndarray) and v.ndim == 2:
         if F.q != 2:
             return _rref_stack(F.base, expand(F, v))[2]
-        V = v.copy()
-        ranks = np.zeros(len(V), dtype=np.int64)
+        V = np.array(v.T, dtype=np.int64, order="C")
+        ranks = np.zeros(V.shape[1], dtype=np.int64)
         for c in range(F.m):
-            has = (V & (1 << c)) != 0
-            # any row holding bit c is a pivot; XOR clears the bit from the
-            # other rows and zeroes the pivot row itself
-            pivot = np.max(np.where(has, V, 0), axis=1, initial=0)
-            V = np.where(has, V ^ pivot[:, None], V)
-            ranks += has.any(axis=1)
+            # bits 0..c-1 are clear in every entry; mask is all ones on the
+            # entries holding bit c: any of them is a pivot, and XOR with it
+            # clears bit c from them all, the pivot itself included
+            mask = -((V >> c) & 1)
+            pivot = (V & mask).max(axis=0, initial=0)
+            V ^= pivot & mask
+            ranks += pivot != 0
         return ranks
     if F.q == 2:
         return rank_gf2(v)
@@ -309,7 +336,7 @@ def expand(F, v) -> np.ndarray:
     """Column vector over GF(q^m) -> n x m matrix over GF(q); a stack of
     vectors (..., n) -> (..., n, m)."""
     v = np.asarray(v, dtype=np.int64)
-    return (v[..., None] // F.q ** np.arange(F.m, dtype=np.int64)) % F.q
+    return mod(v[..., None] // F.q ** np.arange(F.m, dtype=np.int64), F.q)
 
 
 def contract(F, M):
@@ -339,8 +366,11 @@ def span(F, rows, idx):
     U = idx[:, None] // F.order ** np.arange(K - 1, -1, -1, dtype=np.int64) % F.order
     basis = [F.q ** i for i in range(F.m)]
     W = expand(F, [[[F.mul(g, x) for g in row] for x in basis] for row in rows])
-    E = expand(F, U).reshape(len(U), K * F.m) @ W.reshape(K * F.m, n * F.m) % F.q
-    return U, E.reshape(len(U), n, F.m)
+    # one float64 product, exact: its sums stay <= K m (q - 1)^2 < 2^53,
+    # as int64 indices the order^K messages, so K m log2 q < 63
+    E = (expand(F, U).reshape(len(U), K * F.m).astype(np.float64)
+         @ W.reshape(K * F.m, n * F.m).astype(np.float64))
+    return U, mod(E, F.q).reshape(len(U), n, F.m)
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +466,7 @@ def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
     weights = q ** np.arange(rows * r - 1, -1, -1, dtype=np.int64)
     for lo in range(0, total, per):
         idx = np.arange(lo, min(lo + per, total), dtype=np.int64)
-        Cs = (idx[:, None] // weights % q).reshape(-1, r, rows).transpose(0, 2, 1)
+        Cs = mod(idx[:, None] // weights, q).reshape(-1, r, rows).transpose(0, 2, 1)
         Cs = Cs[_rref_stack(field, Cs)[2] == r]
         if len(Cs):
             yield Cs
@@ -459,7 +489,7 @@ def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
             rrefs = np.array(list(iter_rref_full_row_rank(q, r, cols)), dtype=np.int64)
             per = max(1, _ENUM_CHUNK // len(rrefs))
             for Cs in _full_col_rank_stacks(q, rows, r, per):
-                yield (Cs[:, None] @ rrefs[None] % q).reshape(-1, rows, cols)
+                yield mod(Cs[:, None] @ rrefs[None], q).reshape(-1, rows, cols)
 
 
 def gaussian_binomial(c: int, r: int, q: int) -> int:

@@ -51,7 +51,7 @@ class ChannelRealization:
 
     def __post_init__(self):
         for name in ("A", "D", "Z", "B"):
-            M = np.asarray(getattr(self, name), dtype=np.int64) % self.q
+            M = la.mod(np.asarray(getattr(self, name), dtype=np.int64), self.q)
             object.__setattr__(self, name, M)
             if M.ndim != 2:
                 raise ParameterError(f"{name} must be a matrix")
@@ -80,7 +80,7 @@ class ChannelRealization:
         return self.A.shape[0]
 
     def effective_error(self) -> np.ndarray:
-        return (self.D @ self.Z) % self.q
+        return la.mod(self.D @ self.Z, self.q)
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def _send(real: ChannelRealization, M) -> TransmissionResult:
             f"injected packets are {real.Z.shape[1]} symbols wide, expected "
             f"{M.shape[1]}"
         )
-    Y = (real.A @ M + real.effective_error()) % real.q
-    W = (real.B @ M) % real.q
+    Y = la.mod(real.A @ M + real.effective_error(), real.q)
+    W = la.mod(real.B @ M, real.q)
     return TransmissionResult(Y, W)
 
 
@@ -203,5 +203,5 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
         )
     (S, u), = found.items()
     Xbar = la.expand(F, la.matvec(F, G0t, list(u)))
-    err = la.rank_fq((Yp - (Yh @ Xbar)) % q, q)
+    err = la.rank_fq(la.mod(Yp - Yh @ Xbar, q), q)
     return DecodeOutcome.success(S, err)

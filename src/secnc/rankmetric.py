@@ -183,7 +183,7 @@ class GabidulinCode:
             raise ParameterError(f"received word length {len(y)} != n = {n}")
         self._check_radius(t)
         W = self._w_t(t)
-        D = (la.expand(F, y).reshape(-1) @ W).astype(np.int64) % F.q  # E Yf's digits
+        D = la.mod(la.expand(F, y).reshape(-1) @ W, F.q)  # E Yf's digits
         P = D.reshape(n, t + 1, F.m) @ F.q ** np.arange(F.m)
         # P_bot is empty only when k + t = n, that is k = n and t = 0
         v = la.kernel_vector(F, P[k + t:]) if k + t < n else [1]

@@ -85,7 +85,7 @@ def _mod_q(M, q: int, what: str):
         raise ParameterError(f"{what} has rows of unequal lengths") from None
     if M.size and M.dtype.kind not in "biu":
         raise ParameterError(f"{what} entries must be integers")
-    return M.astype(np.int64, copy=False) % q
+    return la.mod(M.astype(np.int64, copy=False), q)
 
 
 class SchemeInstance:

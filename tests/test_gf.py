@@ -449,6 +449,26 @@ def test_the_largest_table_build_stays_small():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("q, m", [(2, 16), (3, 10)])
+def test_frobenius_and_inverse_tables_are_built_on_first_use_and_stay_small(q, m):
+    # the constructor builds neither; once built, the Frobenius table is
+    # m x order int64, 8.4 MB at GF(2^16), and with the inverse table, the
+    # exp/log copies of vmul (5 orders) and the build's temporaries the
+    # traced peak stays under (m + 9) order int64 entries, 12.6 MB there
+    F = ExtField(q, m)
+    assert not {"_frobenius_table", "_inv_table"} & set(vars(F))
+    tracemalloc.start()
+    try:
+        one = np.array([1])
+        assert F.vinv(one).tolist() == F.vfrobenius(one, 1).tolist() == [1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F._frobenius_table.nbytes == m * F.order * 8
+    assert F._inv_table.nbytes == F.order * 8
+    assert peak < (m + 9) * F.order * 8
+
+
 @pytest.mark.parametrize("q,m", [(3, 10), (251, 2), (65521, 1)])
 def test_tables_match_schoolbook_products_at_the_top_of_the_range(q, m):
     # too big for every entry: sampled powers, the successor of each, and

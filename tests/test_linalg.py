@@ -412,6 +412,53 @@ def test_vector_rank_of_a_stack_is_the_scalar_rank_row_by_row(F, data):
     assert la.vector_rank(F, np.zeros((0, n), dtype=np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("F", [ExtField(2, 4), ExtField(2, 8), ExtField(3, 2)],
+                         ids=repr)
+@pytest.mark.parametrize("B, n", [(0, 3), (0, 0), (4, 0), (6, 1), (6, 3)])
+def test_vector_rank_of_a_stack_at_edge_shapes(F, B, n):
+    # no rows, no entries, one entry, and views that are not C-contiguous:
+    # a column slice, a transpose and a Fortran-ordered copy
+    W = np.random.default_rng(B * 10 + n).integers(0, F.order, size=(B, 2 * n))
+    stacks = [W[:, :n], W[:, ::2], np.ascontiguousarray(W[:, :n].T).T,
+              np.asfortranarray(W[:, n:])]
+    for V in stacks:
+        assert V.shape == (B, n)
+        ranks = la.vector_rank(F, V)
+        assert ranks.dtype == np.int64 and ranks.shape == (B,)
+        assert ranks.tolist() == [la.vector_rank(F, v) for v in V.tolist()]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 65521])
+def test_mod_equals_python_remainder(q):
+    rng = np.random.default_rng(q)
+    a, b = rng.integers(0, q, size=(2, 300))
+    Y = rng.integers(0, q, size=(20, 4, 3))
+    Es = rng.integers(0, q, size=(20, 4, 3))
+    edge = np.array([2 ** 62, 2 ** 62 + 1, 2 ** 63 - 1, -2 ** 62, -2 ** 62 - 1,
+                     -2 ** 63, -1, 0, 1])
+    # int64: the unreduced differences of vsub and of Y - Es, negative ones
+    # among them, and entries near +-2^62
+    for X in (a - b, -a, Y - Es, edge):
+        got = la.mod(X, q)
+        assert got.dtype == np.int64
+        assert got.ravel().tolist() == [x % q for x in X.ravel().tolist()]
+    # float64 products of digit arrays: all-(q - 1) rows sum K m (q - 1)^2,
+    # with K m = 3, the most `span` takes at q = 65521 (K m log2 q < 63);
+    # and integers at the edges of the floor rule, 2^53 and q - 2^53
+    U = np.full((2, 3), q - 1.0)
+    U[1] = rng.integers(0, q, size=3)
+    W = np.full((3, 4), q - 1.0)
+    W[:, 0] = rng.integers(0, q, size=3)
+    P = U @ W
+    top = 2.0 ** 53 - np.arange(1, 2000, 7, dtype=np.float64)
+    bottom = q - 2.0 ** 53 + np.arange(0, 2000, 7, dtype=np.float64)
+    for X in (P, top, bottom, -P):
+        got = la.mod(X, q)
+        assert got.dtype == np.int64
+        assert got.ravel().tolist() == [int(x) % q for x in X.ravel().tolist()]
+    assert la.mod(np.zeros((0, 3)), q).shape == (0, 3)
+
+
 @pytest.mark.parametrize("q, rows, cols, t", [
     (2, 3, 3, 0), (2, 4, 3, 1), (2, 3, 4, 2), (2, 2, 3, 5), (3, 3, 2, 1),
     (3, 2, 3, 4),
