@@ -28,7 +28,8 @@ transfers and sampled trials alike, and what the scalar
 order.  Lifted words [I | X] + E, errors on all n + m columns, go as
 received to `network.noncoherent_decode`, and a failure's exemplar
 names that decoder's reason.  Both audits take their payloads G0^T u
-over the whole (S, V) grid from one `linalg.span`.
+over the whole (S, V) grid from one `linalg.span`, lifted in lifted
+mode by `network.lift`, the one lift, as a transmission is.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
@@ -42,7 +43,10 @@ checked against the scalar `decode`, which shares no stack code (at
 q = 2 it ranks with `rank_gf2`), and `decode_stack` is checked against
 `decode` directly.  The consistency oracle reduces Y - E for every
 error E with `linalg._rref_stack`; the noncoherent decoder it checks
-walks error spaces with scalar solves.
+walks error spaces with scalar solves.  The oracle reads its observation
+with that decoder's own check, `network._read_lifted`, and it and the
+reliability audit refuse an instance without an outer code with
+`SchemeInstance._require_decodable`.
 
 Entropy unit: bits throughout; one packet is m*log2(q) bits.
 """
@@ -58,11 +62,11 @@ import numpy as np
 
 from . import linalg as la
 from .errors import ParameterError, check_budget
-from .network import (candidate_spaces, noncoherent_decode, sample_realization,
-                      transmit, transmit_lifted)
+from .network import (_read_lifted, candidate_spaces, lift, noncoherent_decode,
+                      sample_realization, transmit, transmit_lifted)
 from .rankmetric import (DECODE_FAILURE, DEFAULT_ENUM_BUDGET, DecodeOutcome,
                          GabidulinCode)
-from .scheme import SchemeInstance, _mod_q
+from .scheme import SchemeInstance
 
 DEFAULT_AUDIT_BUDGET = 1 << 22
 
@@ -196,13 +200,6 @@ def _payload_table(inst: SchemeInstance):
     return payloads, [tuple(S) for S in U[:, : p.k].tolist()]
 
 
-def _lift(payloads):
-    """The lifted matrices [I | P] of the (B, n, m) stack of payloads P."""
-    B, n, _ = payloads.shape
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (B, n, n))
-    return np.concatenate([eye, payloads], axis=2)
-
-
 def _view_keys(views, q: int):
     """One int64 per view, equal exactly when the views are equal."""
     flat = views.reshape(len(views), -1)
@@ -227,7 +224,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
         raise ParameterError(f"tap rows must be in 0..{p.n}")
     n_pairs = inst.F.order ** (p.k + p.mu)
     if mode == "exhaustive":
-        n_taps = la.count_rank_exactly(q, rows, p.n, rows) if rows else 1
+        n_taps = la.count_rank_exactly(q, rows, p.n, rows)
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
@@ -240,14 +237,14 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
     payloads, s_index = _payload_table(inst)
     if lifted:
-        payloads = _lift(payloads)
-    if rows == 0:
-        blocks = [np.zeros((1, 0, p.n), dtype=np.int64)]
-    elif mode == "exhaustive":
+        payloads = lift(payloads)
+    if mode == "exhaustive":  # rows = 0 is the one rank-0 block
         blocks = la.iter_rank_blocks(q, rows, p.n, [rows])
-    else:
+    elif rows:
         blocks = [np.array([la.random_full_rank(inst.F.base, rows, p.n, rng)
                             for _ in range(samples)])]
+    else:
+        blocks = [np.zeros((1, 0, p.n), dtype=np.int64)]
 
     records = []
     cols = payloads.shape[2]
@@ -316,8 +313,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     q, n, m, t = p.q, p.n, p.m, p.t
     N = n + t if N is None else N
     cols = n + m if lifted else m
-    if inst.code is None:
-        raise ParameterError("this instance has no decodable outer code")
+    inst._require_decodable()
     if N < n:
         raise ParameterError(f"N = {N} must be at least n = {n}")
     exemplars = []
@@ -370,7 +366,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
         def parts():
             payloads, s_index = _payload_table(inst)
             if lifted:
-                payloads = _lift(payloads)
+                payloads = lift(payloads)
             msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
             for Es, e, w in _grid(la.iter_rank_blocks(q, n, cols, range(t + 1)),
                                   n_pairs):
@@ -542,16 +538,11 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
-    Y = _mod_q(Y, q, "lifted observation")
-    if Y.ndim != 2 or Y.shape[1] != n + m:
-        raise ParameterError(f"lifted observation must have {n + m} columns")
+    Y = _read_lifted(inst, Y)
     N = Y.shape[0]
-    if N < n:
-        raise ParameterError(f"observation has {N} < n = {n} rows")
     check_budget(la.count_rank_at_most(q, N, n + m, t), budget,
                  "error-matrix enumeration")
-    if inst.code is None:
-        raise ParameterError("this instance has no decodable outer code")
+    inst._require_decodable()
     msgs, words = inst.code.codeword_table(budget)
     header = np.arange(n + m) < n
     out = set()

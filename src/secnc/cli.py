@@ -187,10 +187,6 @@ def cmd_audit(args) -> int:
                             tap_rows=args.tap_rows, lifted=args.lifted,
                             samples=args.samples, budget=args.budget)
     else:
-        if args.break_mrd:
-            raise ParameterError(
-                "a deliberately broken instance has no decoder to audit"
-            )
         rep = reliability_audit(inst, mode=args.mode, rng=rng,
                                 random_transfers=args.transfers,
                                 trials=args.trials, lifted=args.lifted,

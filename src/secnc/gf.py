@@ -17,7 +17,11 @@ product of every element's digits with its m x m matrix M_c gives the
 whole permutation a -> a*c; the least c whose cycle through 1 holds
 every unit is the primitive element, and that cycle is the exp table,
 as the `galois` library builds its tables.  Multiplication, inversion,
-powers and the Frobenius map are lookups in those tables.
+powers and the Frobenius map are lookups in those tables.  Zero is a
+table entry: log 0 = 2(order-1) points into a zero tail of exp, which
+holds 4(order-1)+1 entries, so exp[log a + log b] is a*b for every a and
+b and no product tests for zero.  inv, pow and frobenius scale a log
+rather than add two, so they keep their zero case.
 
 Both fields supply the rows of the `linalg` elimination kernel: their
 row form, made from a 2-D int64 array by pack and read back by unpack
@@ -30,17 +34,15 @@ as one GF(q^m) element, contract (a shift and a mask at GF(2)), for the
 packets a left inverse un-mixes.  They also supply the inner product
 dot of `linalg.matvec` and `linalg.matmul`, on lists.  None of these
 calls mul per entry: GF(q) reduces mod q inline, GF(q^m) gathers
-exp[log f + log y].  dot is such a gather with XOR sums in GF(2^m); at
-odd q it sums mul terms with `_digitwise`.
+exp[log f + log y] and sums with XOR in GF(2^m), `_digitwise` at odd q.
 
 Both also supply vector operations on int64 arrays of elements, for the
 stack-shaped kernel `linalg._rref_stack` and the stack decoder:
 vmul, vsub, vneg and vinv (and vfrobenius on GF(q^m)), with numpy
 broadcasting; their inputs must be elements, reduced.  GF(q) reduces mod
 q, as AND and XOR at q = 2 like its rows, and inverts through a table.
-GF(q^m) gathers from numpy copies of its exp/log tables, where log 0
-points into a zero-filled tail of exp so a product is one gather, the
-lookup-table technique of the `galois` library
+GF(q^m) gathers from numpy copies of the same exp/log tables, so a
+product is one gather, the lookup-table technique of the `galois` library
 (https://github.com/mhostetter/galois); vinv and vfrobenius are one
 gather each, from an inverse table and an m x order table of Frobenius
 powers.  All are built on first use, never by the constructor.  Every
@@ -191,13 +193,6 @@ class PrimeField:
             raise ParameterError(f"base field order {q} is not prime")
         self.q = q
         self.order = q
-        self.zero = 0
-        self.one = 1
-
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ParameterError(f"{a} is not an element of GF({self.q})")
-        return a
 
     def add(self, a, b):
         return (a + b) % self.q
@@ -334,13 +329,6 @@ class ExtField:
         self.order = q ** m
         self.base = PrimeField(q)
         self._weights = tuple(q ** i for i in range(m))  # of the base-q digits
-        self.zero = 0
-        self.one = 1
-
-        # x as an element (degree-1 monomial); for m == 1 it reduces to a
-        # constant, so fall back to the reduction of the monomial.
-        self.x = q % self.order if m > 1 else (-modulus[0]) % q
-
         self._exp, self._log, self.primitive = self._tables()
 
     # -- construction of the tables --------------------------------------
@@ -359,7 +347,8 @@ class ExtField:
         return M
 
     def _tables(self):
-        """(exp, log, primitive): exp[i] = primitive^i over two periods.
+        """(exp, log, primitive): exp[i] = primitive^i over two periods,
+        then 2(order-1)+1 zeros; log 0 = 2(order-1) points into them.
 
         The digits of every element times M_c, a float64 product mod q
         (exact: its sums stay <= m(q-1)^2 < 2^53), is the permutation
@@ -395,9 +384,9 @@ class ExtField:
             tried[cycle] = True
         else:  # unreachable: the unit group is cyclic
             raise RuntimeError("no primitive element found")
-        log = np.zeros(self.order, dtype=np.int64)
+        log = np.full(self.order, 2 * n1, dtype=np.int64)  # log 0 = 2(order-1)
         log[cycle] = np.arange(n1)
-        return cycle * 2, log.tolist(), c
+        return cycle * 2 + [0] * (2 * n1 + 1), log.tolist(), c
 
     # -- public arithmetic ----------------------------------------------
 
@@ -427,8 +416,6 @@ class ExtField:
         return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -467,49 +454,36 @@ class ExtField:
         return [row[c] for row in rows]
 
     def scale_row(self, s: int, row) -> list[int]:
-        if s == 0:
-            return [0] * len(row)
         exp, log, ls = self._exp, self._log, self._log[s]
-        return [exp[ls + log[x]] if x else 0 for x in row]
+        return [exp[ls + log[x]] for x in row]
 
     def sub_scaled_row(self, dst, f: int, src) -> list[int]:
         """dst - f * src, entrywise."""
-        if f == 0:
-            return list(dst)
         exp, log, lf = self._exp, self._log, self._log[f]
         if self.q == 2:
-            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(dst, src)]
+            return [x ^ exp[lf + log[y]] for x, y in zip(dst, src)]
         dw = self._digitwise
-        return [dw(x, exp[lf + log[y]], -1) if y else x for x, y in zip(dst, src)]
+        return [dw(x, exp[lf + log[y]], -1) for x, y in zip(dst, src)]
 
     def dot(self, row, v) -> int:
         """sum of row[i] * v[i]; an entry of row < q is a constant of GF(q)."""
-        acc = 0
+        exp, log, acc = self._exp, self._log, 0
         if self.q != 2:
-            dw, mul = self._digitwise, self.mul
+            dw = self._digitwise
             for a, x in zip(row, v):
-                if a and x:
-                    acc = dw(acc, x if a == 1 else mul(a, x), 1)
+                acc = dw(acc, exp[log[a] + log[x]], 1)
             return acc
-        exp, log = self._exp, self._log
         for a, x in zip(row, v):
-            if a and x:
-                acc ^= exp[log[a] + log[x]]
+            acc ^= exp[log[a] + log[x]]
         return acc
 
     # -- vector operations (see the module docstring) ---------------------
 
     @cached_property
     def _vector_tables(self):
-        """(exp, log), numpy copies built on first use: exp has a zero tail
-        from 2(order-1) on, log[0] points into it, so exp[log a + log b] is
-        a * b for zeros too."""
-        n1 = self.order - 1
-        exp = np.zeros(4 * n1 + 1, dtype=np.int64)
-        exp[: 2 * n1] = self._exp[: 2 * n1]
-        log = np.array(self._log, dtype=np.int64)
-        log[0] = 2 * n1
-        return exp, log
+        """(exp, log) as int64 arrays, built on first use."""
+        return (np.array(self._exp, dtype=np.int64),
+                np.array(self._log, dtype=np.int64))
 
     @cached_property
     def _inv_table(self):

@@ -60,10 +60,7 @@ def to_lists(M) -> list[list[int]]:
 
 
 def transpose(M) -> list[list[int]]:
-    M = to_lists(M)
-    if not M:
-        return []
-    return [list(col) for col in zip(*M)]
+    return [list(col) for col in zip(*to_lists(M))]
 
 
 def dims(M) -> tuple[int, int]:
@@ -283,8 +280,8 @@ def null_space(field, A) -> list[list[int]]:
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
-        v = [field.zero] * cols
-        v[f] = field.one
+        v = [0] * cols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = field.neg(R[r][f])
         basis.append(v)
@@ -422,11 +419,6 @@ def random_full_rank(field, rows: int, cols: int, rng) -> np.ndarray:
 
 def iter_rref_full_row_rank(q: int, r: int, c: int):
     """All r x c RREF matrices of rank r (one per r-dim subspace of Fq^c)."""
-    if r == 0:
-        yield []
-        return
-    if r > c:
-        return
     for pivots in itertools.combinations(range(c), r):
         free = [
             (i, j)
@@ -457,8 +449,6 @@ def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
     most significant digit, `per` at a time; `_rref_stack` keeps those of
     rank r, at least a fraction prod_i (1 - q^(i - rows)) >= 0.288.
     """
-    if r > rows:
-        return
     field = PrimeField(q)
     total = q ** (rows * r)
     if total > 1 << 63:

@@ -9,7 +9,11 @@ choices; transmission itself is exact matrix arithmetic over GF(q).
 For noncoherent operation the source sends the lifted matrix [I | X].
 The received header block then *is* an effective transfer matrix:
 Y_p = Y_h Xbar + D Z' with rank(D Z') <= rank(D) <= t, so the decoder
-never needs to learn A itself.
+never needs to learn A itself.  One `lift` makes [I | Xbar] from digits,
+for one payload or a stack, and serves `transmit_lifted` and both
+audits; one reader, `_read_lifted`, checks a lifted observation for the
+decoder and its consistency oracle alike.  Matrices read from outside,
+(A, D, Z, B) and the observations, go through `scheme._mod_q`.
 
 Realizations are drawn at random (`sample_realization`).  The exhaustive
 checks of both decoders, every (S, V) against every error of rank <= t,
@@ -51,7 +55,7 @@ class ChannelRealization:
 
     def __post_init__(self):
         for name in ("A", "D", "Z", "B"):
-            M = la.mod(np.asarray(getattr(self, name), dtype=np.int64), self.q)
+            M = _mod_q(getattr(self, name), self.q, name)
             object.__setattr__(self, name, M)
             if M.ndim != 2:
                 raise ParameterError(f"{name} must be a matrix")
@@ -74,10 +78,6 @@ class ChannelRealization:
     @property
     def n(self) -> int:
         return self.A.shape[1]
-
-    @property
-    def N(self) -> int:
-        return self.A.shape[0]
 
     def effective_error(self) -> np.ndarray:
         return la.mod(self.D @ self.Z, self.q)
@@ -110,15 +110,16 @@ def transmit(F: ExtField, X, real: ChannelRealization) -> TransmissionResult:
     return _send(real, la.expand(F, X))
 
 
-def lift(F: ExtField, X) -> np.ndarray:
-    """The lifted transmission matrix [I | expand(X)]."""
-    Xbar = la.expand(F, X)
-    return np.hstack([np.eye(Xbar.shape[0], dtype=np.int64), Xbar])
+def lift(Xbar) -> np.ndarray:
+    """[I | Xbar] for the (..., n, m) digits Xbar of one payload or a stack."""
+    *lead, n, _ = Xbar.shape
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), (*lead, n, n))
+    return np.concatenate([eye, Xbar], axis=-1)
 
 
 def transmit_lifted(F: ExtField, X, real: ChannelRealization) -> TransmissionResult:
     """The views of one transmission of [I | X]."""
-    return _send(real, lift(F, X))
+    return _send(real, lift(la.expand(F, X)))
 
 
 def sample_realization(params, N: int, rng, *, lifted: bool = False,
@@ -131,6 +132,8 @@ def sample_realization(params, N: int, rng, *, lifted: bool = False,
         raise ParameterError(f"N = {N} must be at least n = {n}")
     field = PrimeField(q)
     tp = params.t if num_errors is None else num_errors
+    if tp < 0:
+        raise ParameterError(f"num_errors = {tp} must be >= 0")
     if tp > params.t:
         raise ParameterError(f"num_errors = {tp} exceeds t = {params.t}")
     A = la.random_full_rank(field, N, n, rng)
@@ -154,6 +157,17 @@ def candidate_spaces(q: int, N: int, t: int) -> int:
     return sum(la.gaussian_binomial(N, r, q) for r in range(t + 1))
 
 
+def _read_lifted(inst: SchemeInstance, Y) -> np.ndarray:
+    """The lifted observation Y mod q, N x (n + m) with N >= n."""
+    p = inst.params
+    Y = _mod_q(Y, p.q, "lifted observation")
+    if Y.ndim != 2 or Y.shape[1] != p.n + p.m:
+        raise ParameterError(f"lifted observation must have {p.n + p.m} columns")
+    if Y.shape[0] < p.n:
+        raise ParameterError(f"observation has {Y.shape[0]} < n = {p.n} rows")
+    return Y
+
+
 def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     """Recover S from a lifted transmission without knowing A.
 
@@ -173,17 +187,13 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
     """
     p = inst.params
     F = inst.F
-    q, n, m, t = p.q, p.n, p.m, p.t
-    Y = _mod_q(Y, q, "lifted observation")
-    if Y.ndim != 2 or Y.shape[1] != n + m:
-        raise ParameterError(f"lifted observation must have {n + m} columns")
+    q, n, t = p.q, p.n, p.t
+    Y = _read_lifted(inst, Y)
     N = Y.shape[0]
-    if N < n:
-        raise ParameterError(f"observation has {N} < n = {n} rows")
     check_budget(candidate_spaces(q, N, t), DEFAULT_ENUM_BUDGET,
                  "candidate error spaces")
     Yh, Yp = Y[:, :n], Y[:, n:]
-    G0t = la.transpose(inst.G0)
+    G0t = inst._G0t
     YhG = la.matmul(F, Yh, G0t)
     yp = la.contract(F, Yp)
     found = {}

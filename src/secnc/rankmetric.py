@@ -3,8 +3,9 @@
 A codeword is a column vector over GF(q^m); its rank weight is the rank
 of the n x m base-field matrix obtained by expanding each entry to its
 coefficient row.  Gabidulin codes with evaluation points g_0..g_{n-1}
-(linearly independent over GF(q), so m >= n) attain the rank-metric
-Singleton bound: minimum distance n - k + 1.
+(linearly independent over GF(q), so m >= n; by default the monomials
+x^i, the ints q^i, i < n) attain the rank-metric Singleton bound:
+minimum distance n - k + 1.
 
 Error decoding is by linearized-polynomial reconstruction: find a
 nonzero pair (V, N) with V(y_j) = N(g_j) for all j, where V has
@@ -23,8 +24,11 @@ nn = E_top Yf v; the kernels correspond one to one.  E depends only on
 t, so each code reduces M once per radius (`linalg.row_reduce_transform`)
 and caches E.  Both decoders then eliminate only the
 (n - k - t) x (t + 1) block P_bot of P = E Yf and take its first kernel
-vector.  P is GF(q)-linear in y, as Frobenius is, so `decode` caches,
-from its first call at a radius, the base-field matrix W_t of y -> P:
+vector: a null-space basis vector, with a 1 in its free column, so V is
+never zero (`_divide_left` needs it nonzero), and e_0 when P_bot has no
+rows (k + t = n).  P is GF(q)-linear in y, as Frobenius is, so
+`decode` caches, from its first call at a radius, the base-field matrix
+W_t of y -> P:
 it gets P of one word as one float64 product expand(y) W_t mod q, then
 uses scalar field operations.  `decode_stack` accumulates P for a (B, n)
 stack of words with the fields' vector operations and eliminates with
@@ -115,7 +119,7 @@ class GabidulinCode:
                 f"Gabidulin construction needs m >= n, got m={F.m}, n={n}"
             )
         if g is None:
-            g = [F.pow(F.x, i) for i in range(n)] if F.m > 1 else [1]
+            g = [F.q ** i for i in range(n)]  # x^i, i < n <= m
         g = [F.check(int(x)) for x in g]
         if len(g) != n:
             raise ParameterError(f"expected {n} evaluation points, got {len(g)}")
@@ -185,13 +189,10 @@ class GabidulinCode:
         W = self._w_t(t)
         D = la.mod(la.expand(F, y).reshape(-1) @ W, F.q)  # E Yf's digits
         P = D.reshape(n, t + 1, F.m) @ F.q ** np.arange(F.m)
-        # P_bot is empty only when k + t = n, that is k = n and t = 0
-        v = la.kernel_vector(F, P[k + t:]) if k + t < n else [1]
+        v = la.kernel_vector(F, P[k + t:])  # e_0 when P_bot has no rows
         if v is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
         u = self._divide_left(v, la.matvec(F, P[: k + t], v))
-        if u is None:
-            return DecodeOutcome.failure(DECODE_FAILURE)
         c = self.encode(u)
         residual = [F.sub(a, b) for a, b in zip(y, c)]
         r = la.vector_rank(F, residual)
@@ -295,21 +296,19 @@ class GabidulinCode:
         return ok, np.where(ok[:, None], f, 0), np.where(ok, r, -1)
 
     def _divide_left(self, v, nn):
-        """f of q-degree < k from the top k coefficients of V o f = N; None
-        when V is zero.  Exact whenever a codeword lies within the radius;
-        otherwise decode's re-encode check rejects f."""
+        """f of q-degree < k from the top k coefficients of V o f = N, for
+        a nonzero V: a kernel basis vector, with a 1 in its free column.
+        Exact whenever a codeword lies within the radius; otherwise
+        decode's re-encode check rejects f."""
         F = self.F
-        tau = max((i for i, x in enumerate(v) if x), default=None)
-        if tau is None:
-            return None
+        tau = max(i for i, x in enumerate(v) if x)
         lead_inv = F.inv(v[tau])
         f = [0] * self.k
         for d in range(self.k - 1, -1, -1):
             acc = nn[d + tau]
             for l in range(d + 1, min(self.k, d + tau + 1)):
                 i = d + tau - l
-                if v[i] and f[l]:
-                    acc = F.sub(acc, F.mul(v[i], F.frobenius(f[l], i)))
+                acc = F.sub(acc, F.mul(v[i], F.frobenius(f[l], i)))
             f[d] = F.frobenius(F.mul(acc, lead_inv), (F.m - tau) % F.m)
         return f
 

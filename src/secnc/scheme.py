@@ -102,7 +102,6 @@ class SchemeInstance:
         self.F = F
         self.code = code
         self.G0 = [list(r) for r in G0]
-        self.G = [list(r) for r in self.G0[params.k:]]  # last mu rows
         self.broken = broken
         self._G0t = la.transpose(self.G0)
 

@@ -57,3 +57,25 @@ def test_every_function_has_a_caller():
     uncalled = {name for name in defined - used
                 if not (name.startswith("__") and name.endswith("__"))}
     assert uncalled == set(UNCALLED_ON_PURPOSE)
+
+
+def test_no_unused_imports():
+    # an import that no Name reads is dead weight; __init__.py re-exports
+    # are its purpose, so it is not scanned
+    unused = []
+    for path in sorted((ROOT / "src" / "secnc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused

@@ -316,3 +316,23 @@ def test_view_keys_are_equal_exactly_when_views_are():
         keys = _view_keys(views, 2)
         same_view = (views[:, None] == views[None, :]).all(axis=(2, 3))
         assert ((keys[:, None] == keys[None, :]) == same_view).all()
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda inst, broken: reliability_audit(inst, "thorough"),
+     "unknown audit mode 'thorough'"),
+    (lambda inst, broken: reliability_audit(inst, "sampled", trials=3),
+     "sampled mode needs an rng"),
+    (lambda inst, broken: reliability_audit(inst, random_transfers=2),
+     "the random-transfer phase needs an rng"),
+    (lambda inst, broken: reliability_audit(broken, "sampled",
+                                            np.random.default_rng(0)),
+     "this instance has no decodable outer code"),
+    (lambda inst, broken: noncoherent_consistency_oracle(
+        broken, np.zeros((4, 8), dtype=np.int64)),
+     "this instance has no decodable outer code"),
+], ids=["unknown-mode", "sampled-without-rng", "transfers-without-rng",
+        "broken-audit", "broken-oracle"])
+def test_audit_refusals(inst, broken, run, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run(inst, broken)

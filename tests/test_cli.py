@@ -558,3 +558,27 @@ def test_noncoherent_walk_over_budget_is_exit_4(cfg, tmp_path, capsys):
     assert time.monotonic() - start < 1
     err = capsys.readouterr().err
     assert "secnc: refused:" in err and "Traceback" not in err
+
+
+def test_params_refuses_a_wrong_number_of_points(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, "g": [1, 2, 4]}))
+    assert main(["params", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "secnc: rejected: expected 4 evaluation points, got 3\n")
+
+
+def test_decode_refuses_a_transfer_digit_outside_the_field(cfg, tmp_path, capsys):
+    (tmp_path / "y.txt").write_text("1010\n0110\n0001\n1111\n")
+    (tmp_path / "A.txt").write_text("4 4\n1000\n0100\n0020\n0001\n")
+    assert main(["decode", "--config", cfg, "--payload", str(tmp_path / "y.txt"),
+                 "--transfer", str(tmp_path / "A.txt")]) == 1
+    assert capsys.readouterr().err == (
+        "secnc: malformed transfer file: digit 2 out of range for GF(2)\n")
+
+
+def test_audit_reliability_break_mrd_names_the_audits_refusal(cfg, capsys):
+    assert main(["audit", "reliability", "--config", cfg, "--seed", "1",
+                 "--break-mrd"]) == 2
+    assert capsys.readouterr().err == (
+        "secnc: rejected: this instance has no decodable outer code\n")

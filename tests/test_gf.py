@@ -432,8 +432,11 @@ def test_tables_match_schoolbook_products_in_every_small_field():
         powers = [1]
         for _ in range(n1 - 1):
             powers.append(_schoolbook_mul(F, powers[-1], want))
-        assert F._exp == powers * 2, (q, m, modulus)
+        # two periods, then a zero tail that log 0 points into
+        assert F._exp[: 2 * n1] == powers * 2, (q, m, modulus)
+        assert F._exp[2 * n1:] == [0] * (2 * n1 + 1), (q, m, modulus)
         assert [F._log[v] for v in powers] == list(range(n1)), (q, m, modulus)
+        assert F._log[0] == 2 * n1, (q, m, modulus)
 
 
 def test_the_largest_table_build_stays_small():
@@ -484,3 +487,10 @@ def test_tables_match_schoolbook_products_at_the_top_of_the_range(q, m):
         assert v == _schoolbook_pow(F, g, i) == F._exp[i + n1]
         assert F._log[v] == i
         assert F._exp[(i + 1) % n1] == _schoolbook_mul(F, v, g)
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_inverse_of_zero_is_refused(q, m):
+    # inv keeps its zero case: zero is a table entry for products only
+    with pytest.raises(ZeroDivisionError, match="^0 has no inverse$"):
+        ExtField(q, m).inv(0)

@@ -747,3 +747,16 @@ def test_matmul_is_the_matvec_of_each_column():
             cols = [la.matvec(F, A, col) for col in la.transpose(B)]
             want = la.transpose(cols) if cols else [[] for _ in range(ra)]
             assert la.matmul(F, A, B) == want
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: la.rref_solve(F2, np.eye(3, dtype=int), [1, 0]),
+     "rhs has 2 rows, expected 3"),
+    (lambda: la.contract(F8, [[1, 0, 2]]), r"entries must be digits of GF\(2\)"),
+    (lambda: la.contract(F8, [[1, 0, -1]]), r"entries must be digits of GF\(2\)"),
+    (lambda: la.matvec(F8, [[1, 0, 1], [0, 1, 1]], [1, 2]),
+     "cannot multiply 2x3 by 2x1"),
+], ids=["rref-solve-rows", "contract-digit-2", "contract-negative", "matvec"])
+def test_linalg_refusals(run, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        run()

@@ -98,11 +98,11 @@ def test_sample_realization_modes(inst):
 
 def test_lift(inst):
     X = inst.encode([7], force_v=[2])
-    L = lift(inst.F, X)
+    L = lift(la.expand(inst.F, X))
     assert L.shape == (4, 8)
     assert (L[:, :4] == np.eye(4, dtype=int)).all()
     assert (L[:, 4:] == la.expand(inst.F, X)).all()
-    Z = lift(inst.F, [0, 0, 0, 0])
+    Z = lift(la.expand(inst.F, [0, 0, 0, 0]))
     assert (Z[:, 4:] == 0).all()
 
 
@@ -118,7 +118,7 @@ def test_lift_clean_channel_row_reduces_to_lifted_matrix(inst):
                                   np.zeros((0, 4), dtype=int))
         res = transmit_lifted(F, X, real)
         R, _ = la.rref(F.base, res.Y)
-        assert np.array_equal(np.array(R), lift(F, X))
+        assert np.array_equal(np.array(R), lift(la.expand(F, X)))
 
 
 def test_noncoherent_clean(inst):
@@ -205,7 +205,7 @@ def test_noncoherent_success_explains_the_observation(params):
         if kind == 3:
             # t injections plus one that zeroes a header column
             E[:, :n] -= np.outer(A[:, 0], np.eye(n, dtype=np.int64)[0])
-        Y = (A @ lift(F, inst.encode(S, rng=rng)) + E) % q
+        Y = (A @ lift(la.expand(F, inst.encode(S, rng=rng))) + E) % q
         if kind == 2:
             Y = rng.integers(0, q, size=(N, n + m))
         out = noncoherent_decode(inst, Y)
@@ -244,7 +244,7 @@ def test_noncoherent_decode_depends_on_the_row_space_alone(params, seed,
     A = la.random_full_rank(F.base, N, n, rng)
     r = {"promise": t, "rank t+1": t + 1, "rank t+2": t + 2, "garbage": 0}[kind]
     E = rng.integers(0, q, size=(N, r)) @ rng.integers(0, q, size=(r, n + m))
-    Y = (A @ lift(F, inst.encode(S, rng=rng)) + E) % q
+    Y = (A @ lift(la.expand(F, inst.encode(S, rng=rng))) + E) % q
     if kind == "garbage":
         Y = rng.integers(0, q, size=(N, n + m))
     P = la.random_full_rank(F.base, N, N, rng)
@@ -267,7 +267,7 @@ def test_noncoherent_rejects_bad_shapes(inst):
 def test_lifted_readers_refuse_entries_that_are_not_integers(inst, decoder):
     # a ParameterError: lift(X) + 0.5 is not read as lift(X), and None or a
     # short row raises no TypeError or numpy ValueError
-    L = lift(inst.F, inst.encode([5], force_v=[9]))
+    L = lift(la.expand(inst.F, inst.encode([5], force_v=[9])))
     assert noncoherent_decode(inst, L).message == (5,)
     for Y, reason in [(L + 0.5, "entries must be integers"),
                       ([[None] * 8] * 4, "entries must be integers"),
@@ -282,3 +282,53 @@ def test_transmit_shape_mismatches(inst):
         transmit(inst.F, X[:3], clean_realization(4, cols=4))
     with pytest.raises(ParameterError):
         transmit_lifted(inst.F, X, clean_realization(4, cols=4))  # Z too narrow
+
+
+def test_realization_reads_its_matrices_as_the_decoders_do():
+    # A, D, Z and B go through the decoders' reader: 1.7 is not read as
+    # 1, and ragged rows or strings raise a ParameterError, not numpy's
+    eye, D, Z, B = [[1, 0], [0, 1], [1, 1]], [[0]] * 3, [[0, 0]], [[1, 0]]
+    for A, reason in [([[1.7, 0], [0, 1], [1, 1]], "A entries must be integers"),
+                      ([[1, 0], [0, 1], [1]], "A has rows of unequal lengths"),
+                      ([["1", "0"], ["0", "1"], ["1", "1"]],
+                       "A entries must be integers")]:
+        with pytest.raises(ParameterError, match=f"^{reason}$"):
+            ChannelRealization(2, A, D, Z, B)
+    with pytest.raises(ParameterError, match="^B entries must be integers$"):
+        ChannelRealization(2, eye, D, Z, [[0.5, 0]])
+    real = ChannelRealization(3, [[4, 0], [0, -1], [1, 1]], D, Z, B)
+    assert real.A.tolist() == [[1, 0], [0, 2], [1, 1]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ChannelRealization(2, np.eye(3, 4, dtype=np.int64),
+                                np.zeros((3, 0)), np.zeros((0, 4)),
+                                np.zeros((0, 4))),
+     r"transfer matrix 3 x 4 cannot have rank 4"),
+    (lambda: ChannelRealization(2, np.eye(4, dtype=np.int64), np.zeros((4, 0)),
+                                np.zeros((0, 4)), np.zeros(4, dtype=np.int64)),
+     "B must be a matrix"),
+    (lambda: sample_realization(PARAMS, 5, np.random.default_rng(0),
+                                num_errors=-1),
+     "num_errors = -1 must be >= 0"),
+    (lambda: sample_realization(PARAMS, 5, np.random.default_rng(0),
+                                num_errors=2),
+     "num_errors = 2 exceeds t = 1"),
+], ids=["short-transfer", "flat-taps", "negative-errors", "too-many-errors"])
+def test_channel_refusals(build, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        build()
+
+
+def test_sample_realization_admits_no_errors():
+    real = sample_realization(PARAMS, 5, np.random.default_rng(0), num_errors=0)
+    assert real.D.shape == (5, 0) and real.Z.shape == (0, 4)
+    assert not real.effective_error().any()
+
+
+def test_lift_of_a_stack_lifts_each_payload(inst):
+    X = np.array([la.expand(inst.F, inst.encode([s], force_v=[s ^ 3]))
+                  for s in range(4)])
+    L = lift(X)
+    assert L.shape == (4, 4, 8)
+    assert all((L[i] == lift(X[i])).all() for i in range(4))

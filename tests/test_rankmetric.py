@@ -713,3 +713,24 @@ def test_erasure_names_a_rank_deficient_transfer(code42):
                      (GabidulinCode(F27, 3, 1), [[1, 2, 0], [2, 1, 0]])):
         with pytest.raises(ParameterError, match="must be linearly independent"):
             _seen(code, Ap)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda F: GabidulinCode(F, 4, 2, g=[1, 2, 4]),
+     "expected 4 evaluation points, got 3"),
+    (lambda F: GabidulinCode(F, 4, 2).encode([1]), r"message length 1 != k = 2"),
+    (lambda F: GabidulinCode(F, 4, 2).encode([1, 2, 3]),
+     r"message length 3 != k = 2"),
+], ids=["points", "short-message", "long-message"])
+def test_code_refuses_wrong_lengths(build, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        build(ExtField(2, 4))
+
+
+@pytest.mark.parametrize("q, m, n", [(2, 1, 1), (2, 4, 4), (3, 3, 2), (5, 2, 2)])
+def test_default_points_are_the_monomials(q, m, n):
+    F = ExtField(q, m)
+    g = GabidulinCode(F, n, 1).g
+    assert g == tuple(q ** i for i in range(n))
+    if m > 1:  # the int q is x, so q^i is x^i below degree m
+        assert g == tuple(F.pow(q, i) for i in range(n))

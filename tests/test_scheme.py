@@ -97,7 +97,6 @@ def test_instance_structure(inst):
     p = inst.params
     assert p.min_distance == 3  # n - k - mu + 1 = 3 >= 2t + 1
     assert len(inst.G0) == p.k + p.mu
-    assert inst.G == inst.G0[p.k:]
     T = _complete_transform(inst.F, inst.G0, p.n)
     assert la.transpose(T)[p.n - p.k - p.mu:] == inst.G0
     assert la.rank(inst.F, T) == p.n
@@ -131,8 +130,8 @@ def test_encode_coset_structure(inst):
     for v in range(16):
         X = inst.encode([6], force_v=[v])
         diff = [F.sub(a, b) for a, b in zip(X, base)]
-        # difference must be v times the single G row
-        assert diff == [F.mul(v, g) for g in inst.G[0]]
+        # difference must be v times the single secrecy row G0[k]
+        assert diff == [F.mul(v, g) for g in inst.G0[inst.params.k]]
         coset.add(tuple(X))
     assert len(coset) == 16
 
