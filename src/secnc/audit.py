@@ -194,10 +194,11 @@ class ReliabilityReport:
 
 def _payload_table(inst: SchemeInstance):
     """All q^(m(k+mu)) payload expansions G0^T u, indexed by the (S, V) grid
-    in itertools.product order, and the S of each; one `linalg.span`."""
+    in itertools.product order, and the S of each as an int64 (pairs, k)
+    array; one `linalg.span`."""
     p = inst.params
     U, payloads = la.span(inst.F, inst.G0, np.arange(inst.F.order ** (p.k + p.mu)))
-    return payloads, [tuple(S) for S in U[:, : p.k].tolist()]
+    return payloads, U[:, : p.k]
 
 
 def _view_keys(views, q: int):
@@ -265,7 +266,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
         for B, w_keys, leaks in zip(T, W, leaking):
             leak = 0.0
             if leaks:
-                joint = Counter(zip(s_index, w_keys.tolist()))
+                joint = Counter(zip(map(tuple, s_index.tolist()), w_keys.tolist()))
                 leak = mutual_information_from_joint(joint)
             records.append((_matrix_id(B, q), leak))
     return SecrecyReport(
@@ -364,10 +365,9 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise ParameterError("the random-transfer phase needs an rng")
 
         def parts():
-            payloads, s_index = _payload_table(inst)
+            payloads, msgs = _payload_table(inst)
             if lifted:
                 payloads = lift(payloads)
-            msgs = np.array(s_index, dtype=np.int64).reshape(n_pairs, p.k)
             for Es, e, w in _grid(la.iter_rank_blocks(q, n, cols, range(t + 1)),
                                   n_pairs):
                 yield ((la.mod(payloads[w] + Es[e], q), msgs[w]),
@@ -496,7 +496,7 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
     algebraic decoder is measured against.
     """
     F = code.F
-    y = [F.check(int(v)) for v in y]
+    y = F.elements_of(y, "received word entries")
     if len(y) != code.n:
         raise ParameterError(f"received word length {len(y)} != n = {code.n}")
     msgs, words = code.codeword_table(budget)

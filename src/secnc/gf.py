@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -394,6 +395,16 @@ class ExtField:
         if not 0 <= a < self.order:
             raise ParameterError(f"{a} is not an element of GF({self.q}^{self.m})")
         return a
+
+    def elements_of(self, xs, what: str) -> list[int]:
+        """The entries of xs as elements: `check` refuses one out of range,
+        and one that is not an integer (a float, say) is refused rather
+        than truncated, by the "{what} must be integers" rule of
+        `scheme._mod_q`."""
+        try:
+            return [self.check(index(x)) for x in xs]
+        except TypeError:
+            raise ParameterError(f"{what} must be integers") from None
 
     def _digitwise(self, a, b, s: int):
         """a + s*b for s = +-1, coefficient by coefficient: XOR when q = 2,

@@ -11,23 +11,28 @@ entries in every other field.  Callers pack an int64 matrix, run the
 kernel, and unpack only the columns and rows they return; `left_inverse`
 of a transfer A beside its observation Y reduces [A | Y] and reads the
 un-mixed packets straight from the rows (the base field's `contract`).
-GF(2) ranks take the packed rows to `rank_gf2`; `vector_rank`, in scalar
-and stack form, eliminates GF(2^m) elements, whose ints already are
-their expanded rows, a stack along its batch axis: each step is one
-elementwise pass over the batch.  Stacks of matrices, as int64 arrays
-of shape (B, R, C), are reduced together by `_rref_stack` with the
-fields' vector operations.  Arrays are reduced mod q by one rule, `mod`:
-& 1 at q = 2, an int64 % otherwise, and for a float64 product whose
-sums stay below 2^53 the exact X - q floor(X / q); `span` takes its
-product in float64, one BLAS call.  Every product runs the
-field-supplied inner product `dot`: `matvec` one per row, base-field
-maps applied to packets included, and `matmul` one per entry.  Every
+GF(2) ranks take the packed rows to `rank_gf2`.  One packed GF(2) stack
+rank, `_rank_gf2_stack`, ranks an (n, B) stack of row bitmasks with the
+batch axis last, so each step is one elementwise pass over the batch; it
+serves `vector_rank` of a stack of GF(2^m) vectors, whose element ints
+already are their expanded rows, and the full-column-rank enumeration at
+q = 2.  Stacks of matrices, as int64 arrays of shape (B, R, C), are
+reduced together by `_rref_stack` with the fields' vector operations.
+Arrays are reduced mod q by one rule, `mod`: & 1 at q = 2, an int64 %
+otherwise, and for a float64 product whose sums stay below 2^53 the
+exact X - q floor(X / q); `span` gathers its block matrix of products
+g x^i with one `vmul` and takes its product in float64, one BLAS call.
+Every product runs the field-supplied inner product `dot`: `matvec` one
+per row, base-field maps applied to packets included, and `matmul` one
+per entry.  Every
 enumeration of GF(q^m)-combinations of rows (codebooks, audit payloads)
 runs `span`; every enumeration of base-field matrices by rank runs
 `iter_rank_blocks`, which the audits consume as int64 blocks.
 It builds the full-column-rank factors C as whole stacks: candidates
-enumerated by index in bounded chunks, kept by their `_rref_stack` rank,
-each block one broadcast product with the stack of every RREF.
+enumerated by index in bounded chunks, kept by their rank (at q = 2 the
+packed stack rank of the columns read from the index bits, at odd q
+`_rref_stack`), each block one broadcast product with the stack of
+every RREF.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -182,27 +187,31 @@ def vector_rank(F, v):
 
     A (B, n) int64 stack of vectors gives the (B,) array of their ranks.
     At q = 2 an element int already is its row bitmask, so both forms
-    eliminate the ints with XOR, a stack as its (n, B) transpose, so that
-    each step reduces over the n entries elementwise across the batch.
-    At odd q a stack runs `_rref_stack`.
+    eliminate the ints with XOR, a stack as its (n, B) transpose in
+    `_rank_gf2_stack`.  At odd q a stack runs `_rref_stack`.
     """
     if isinstance(v, np.ndarray) and v.ndim == 2:
         if F.q != 2:
             return _rref_stack(F.base, expand(F, v))[2]
-        V = np.array(v.T, dtype=np.int64, order="C")
-        ranks = np.zeros(V.shape[1], dtype=np.int64)
-        for c in range(F.m):
-            # bits 0..c-1 are clear in every entry; mask is all ones on the
-            # entries holding bit c: any of them is a pivot, and XOR with it
-            # clears bit c from them all, the pivot itself included
-            mask = -((V >> c) & 1)
-            pivot = (V & mask).max(axis=0, initial=0)
-            V ^= pivot & mask
-            ranks += pivot != 0
-        return ranks
+        return _rank_gf2_stack(np.array(v.T, dtype=np.int64, order="C"))
     if F.q == 2:
         return rank_gf2(v)
     return rank(F.base, expand(F, v))
+
+
+def _rank_gf2_stack(V):
+    """Ranks over GF(2) of the (n, B) int64 stack V of nonnegative row
+    bitmasks, matrix b being the n rows V[:, b]: the (B,) array of ranks.
+
+    Row i, in turn, pivots on its lowest set bit and is XORed into every
+    later row holding that bit, one elementwise pass across the batch per
+    row; the rows left nonzero then have distinct pivots absent from the
+    rows below, so they count the rank.  V is reduced in place.
+    """
+    for i in range(len(V) - 1):
+        pivot, rest = V[i], V[i + 1:]
+        rest ^= pivot * ((rest & (pivot & -pivot)) != 0)
+    return (V != 0).sum(axis=0)
 
 
 def _reduce_beside(field, A: np.ndarray, B: np.ndarray):
@@ -361,8 +370,9 @@ def span(F, rows, idx):
     K, n = dims(rows)
     idx = np.asarray(idx, dtype=np.int64)
     U = idx[:, None] // F.order ** np.arange(K - 1, -1, -1, dtype=np.int64) % F.order
-    basis = [F.q ** i for i in range(F.m)]
-    W = expand(F, [[[F.mul(g, x) for g in row] for x in basis] for row in rows])
+    basis = F.q ** np.arange(F.m, dtype=np.int64)
+    W = expand(F, F.vmul(np.array(rows, dtype=np.int64).reshape(K, 1, n),
+                         basis[:, None]))  # (K, m, n): g x^i
     # one float64 product, exact: its sums stay <= K m (q - 1)^2 < 2^53,
     # as int64 indices the order^K messages, so K m log2 q < 63
     E = (expand(F, U).reshape(len(U), K * F.m).astype(np.float64)
@@ -446,18 +456,25 @@ def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
     as int64 stacks (b <= per, rows, r), lexicographic in the columns.
 
     Candidates are enumerated by index, column 0 and in it row 0 the
-    most significant digit, `per` at a time; `_rref_stack` keeps those of
-    rank r, at least a fraction prod_i (1 - q^(i - rows)) >= 0.288.
+    most significant digit, `per` at a time, and kept when of rank r, at
+    least a fraction prod_i (1 - q^(i - rows)) >= 0.288.  At q = 2 column
+    c is the bit field c of the index, ranked as a row bitmask by
+    `_rank_gf2_stack`, and only the kept indices become matrices; at odd q
+    `_rref_stack` ranks the matrices.
     """
     field = PrimeField(q)
     total = q ** (rows * r)
     if total > 1 << 63:
         raise ParameterError(f"{total} candidate {rows} x {r} matrices exceed int64")
     weights = q ** np.arange(rows * r - 1, -1, -1, dtype=np.int64)
+    shifts = rows * np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
     for lo in range(0, total, per):
         idx = np.arange(lo, min(lo + per, total), dtype=np.int64)
+        if q == 2:
+            idx = idx[_rank_gf2_stack((idx >> shifts) & ((1 << rows) - 1)) == r]
         Cs = mod(idx[:, None] // weights, q).reshape(-1, r, rows).transpose(0, 2, 1)
-        Cs = Cs[_rref_stack(field, Cs)[2] == r]
+        if q != 2:
+            Cs = Cs[_rref_stack(field, Cs)[2] == r]
         if len(Cs):
             yield Cs
 

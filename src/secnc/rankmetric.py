@@ -34,8 +34,12 @@ uses scalar field operations.  `decode_stack` accumulates P for a (B, n)
 stack of words with the fields' vector operations and eliminates with
 `linalg._rref_stack`, for the audits, whose stacks span their phases (a
 product with W_t would take ~270 MB for 2^14 words at m = 16); it never
-builds W_t.  Both rank the residual with `linalg.vector_rank`, which at
-q = 2 eliminates the element ints as row bitmasks.  The two compute P
+builds W_t.  It works in the (..., B) layout, the batch axis last: the
+words as (n, B) and every later array (Yf, P, v, nn, f, the residual)
+with B as its trailing axis, so that each step is one elementwise pass
+over the whole batch, not many passes over axes of length t + 1.  Both
+rank the residual with `linalg.vector_rank`, which at q = 2 eliminates
+the element ints as row bitmasks.  The two compute P
 independently, take the same kernel vector and agree row for row, so
 `decode_stack` checks W_t.  Their oracles are independent of the split:
 `audit.brute_force_decode`, a nearest-codeword search over the codebook,
@@ -120,7 +124,7 @@ class GabidulinCode:
             )
         if g is None:
             g = [F.q ** i for i in range(n)]  # x^i, i < n <= m
-        g = [F.check(int(x)) for x in g]
+        g = F.elements_of(g, "evaluation points")
         if len(g) != n:
             raise ParameterError(f"expected {n} evaluation points, got {len(g)}")
         if la.vector_rank(F, g) != n:
@@ -146,7 +150,7 @@ class GabidulinCode:
 
     def encode(self, u) -> list[int]:
         """Codeword G^T u as a column of n elements."""
-        u = [self.F.check(int(x)) for x in u]
+        u = self.F.elements_of(u, "message entries")
         if len(u) != self.k:
             raise ParameterError(f"message length {len(u)} != k = {self.k}")
         return la.matvec(self.F, self._Gt, u)
@@ -182,7 +186,7 @@ class GabidulinCode:
         nn = P_top v.
         """
         F, n, k = self.F, self.n, self.k
-        y = [F.check(int(v)) for v in y]
+        y = F.elements_of(y, "received word entries")
         if len(y) != n:
             raise ParameterError(f"received word length {len(y)} != n = {n}")
         self._check_radius(t)
@@ -234,66 +238,77 @@ class GabidulinCode:
 
         Returns (ok, messages, error_ranks): bool (B,), int64 (B, k) and
         int64 (B,) arrays; a row that fails has a zero message and error
-        rank -1.
+        rank -1.  Entries must be integers, as `decode` requires.
 
-        Takes the cached E of `decode` and eliminates only the
-        (B, n - k - t, t + 1) stack E_bot Yf, for the same kernel vector
-        v; nn = E_top Yf v.  E Yf is accumulated with vector operations,
-        not taken from W_t (module docstring).
+        Works on the (..., B) layout, the batch axis last, so that every
+        step is one elementwise pass over B: Y as (n, B), Yf as
+        (t + 1, n, B), P = -E Yf as (n, t + 1, B), v as (t + 1, B), and
+        nn, f and the residual as (k + t, B), (k, B) and (n, B).  Takes
+        the cached E of `decode` and eliminates only the bottom block
+        E_bot Yf, with `linalg._rref_stack` on its (B, n - k - t, t + 1)
+        view, for the same kernel vector v; nn = E_top Yf v.  E Yf is
+        accumulated with vector operations, not taken from W_t (module
+        docstring).
         """
         F, n, k = self.F, self.n, self.k
-        Y = np.asarray(Y)
-        if Y.ndim != 2 or Y.shape[1] != n:
+        words = np.asarray(Y)
+        if words.ndim != 2 or words.shape[1] != n:
             raise ParameterError(f"expected received words of length n = {n}, "
-                                 f"got an array of shape {Y.shape}")
+                                 f"got an array of shape {words.shape}")
         self._check_radius(t)
-        bad = (Y < 0) | (Y >= F.order)
+        if words.dtype.kind not in "biu":
+            # read from Y word by word, as decode reads one: numpy holds a
+            # Python int past int64 as a float or an object, and a float
+            # is refused, not truncated by the int64 cast
+            words = np.array([F.elements_of(y, "received word entries") for y in Y],
+                             dtype=np.int64).reshape(-1, n)
+        bad = (words < 0) | (words >= F.order)
         if bad.any():
-            F.check(int(Y[bad][0]))  # the scalar decoder's refusal
-        Y = Y.astype(np.int64)
-        B = len(Y)
-        moore = np.array(self.moore, dtype=np.int64)
+            F.check(int(words[bad][0]))  # the scalar decoder's refusal
+        Y = np.array(words.T, dtype=np.int64, order="C")
+        B = Y.shape[1]
+        moore = np.array(self.moore[:k], dtype=np.int64)
         ar = np.arange(B)
         # 1. P = -E Yf, accumulated with vsub; -E_bot Yf has E_bot Yf's kernel
         E = self._split(t)
-        Yf = F.vfrobenius(Y[:, :, None], np.arange(t + 1))
-        P = np.zeros((B, n, t + 1), dtype=np.int64)
+        Yf = F.vfrobenius(Y, np.arange(t + 1)[:, None, None])
+        P = np.zeros((n, t + 1, B), dtype=np.int64)
         for j in range(n):
-            P = F.vsub(P, F.vmul(E[:, j, None], Yf[:, None, j]))
+            P = F.vsub(P, F.vmul(E[:, j, None, None], Yf[:, j]))
         # 2. v from the first free column of E_bot Yf, as null_space's first;
         # nn = E_top Yf v = -P_top v
-        R, pivots, rank = la._rref_stack(F, P[:, k + t:])
+        R, pivots, rank = la._rref_stack(F, P[k + t:].transpose(2, 0, 1))
         free = ~pivots
         ok = free.any(axis=1)
         first = free.argmax(axis=1)
-        v = np.zeros((B, t + 1), dtype=np.int64)
-        v[ar, first] = 1
+        v = np.zeros((t + 1, B), dtype=np.int64)
+        v[first, ar] = 1
         lead = (R != 0).argmax(axis=2)  # each row's pivot column
         for i in range(R.shape[1]):
             live = ar[i < rank]
-            v[live, lead[live, i]] = F.vneg(R[live, i, first[live]])
-        nn = np.zeros((B, k + t), dtype=np.int64)
+            v[lead[live, i], live] = F.vneg(R[live, i, first[live]])
+        nn = np.zeros((k + t, B), dtype=np.int64)
         for i in range(t + 1):
-            nn = F.vsub(nn, F.vmul(P[:, : k + t, i], v[:, i, None]))
-        # 3. _divide_left with each row's tau, the q-degree of V
-        tau = np.where(v != 0, np.arange(t + 1), 0).max(axis=1)
-        lead_inv = F.vinv(np.where(ok, v[ar, tau], 1))
-        f = np.zeros((B, k), dtype=np.int64)
+            nn = F.vsub(nn, F.vmul(P[: k + t, i], v[i]))
+        # 3. _divide_left with each word's tau, the q-degree of V
+        tau = np.where(v != 0, np.arange(t + 1)[:, None], 0).max(axis=0)
+        lead_inv = F.vinv(np.where(ok, v[tau, ar], 1))
+        f = np.zeros((k, B), dtype=np.int64)
         for d in range(k - 1, -1, -1):
-            acc = nn[ar, d + tau]
+            acc = nn[d + tau, ar]
             for l in range(d + 1, k):
                 i = d + tau - l  # < 0 where l is past min(k, d + tau + 1)
                 j = np.maximum(i, 0)
-                term = F.vmul(v[ar, j], F.vfrobenius(f[:, l], j))
+                term = F.vmul(v[j, ar], F.vfrobenius(f[l], j))
                 acc = F.vsub(acc, np.where(i >= 0, term, 0))
-            f[:, d] = F.vfrobenius(F.vmul(acc, lead_inv), (F.m - tau) % F.m)
+            f[d] = F.vfrobenius(F.vmul(acc, lead_inv), (F.m - tau) % F.m)
         # 4. re-encode; 5. the residual's rank over the base field
         residual = Y
         for l in range(k):
-            residual = F.vsub(residual, F.vmul(moore[l], f[:, l : l + 1]))
-        r = la.vector_rank(F, residual)
+            residual = F.vsub(residual, F.vmul(moore[l, :, None], f[l]))
+        r = la.vector_rank(F, residual.T)
         ok &= r <= t
-        return ok, np.where(ok[:, None], f, 0), np.where(ok, r, -1)
+        return ok, np.ascontiguousarray(np.where(ok, f, 0).T), np.where(ok, r, -1)
 
     def _divide_left(self, v, nn):
         """f of q-degree < k from the top k coefficients of V o f = N, for

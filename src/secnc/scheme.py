@@ -110,11 +110,11 @@ class SchemeInstance:
     def encode(self, S, rng=None, force_v=None) -> list[int]:
         """Payload X = G0^T [S; V], V uniform unless forced for tests."""
         p = self.params
-        S = [self.F.check(int(s)) for s in S]
+        S = self.F.elements_of(S, "message entries")
         if len(S) != p.k:
             raise ParameterError(f"message length {len(S)} != k = {p.k}")
         if force_v is not None:
-            V = [self.F.check(int(v)) for v in force_v]
+            V = self.F.elements_of(force_v, "forced V entries")
             if len(V) != p.mu:
                 raise ParameterError(f"forced V length {len(V)} != mu = {p.mu}")
         else:

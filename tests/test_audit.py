@@ -121,7 +121,7 @@ def test_secrecy_row_space_invariance(inst):
         joint = Counter()
         for i, S in enumerate(s_index):
             W = (B @ payloads[i]) % 2
-            joint[(S, W.tobytes())] += 1
+            joint[(tuple(S.tolist()), W.tobytes())] += 1
         return mutual_information_from_joint(joint)
 
     assert leak_of(B1) == leak_of(B2) == 0.0
@@ -294,6 +294,14 @@ def test_noncoherent_oracle_refuses_short_and_flat_observations():
 def test_brute_force_decode_validates_length(inst):
     with pytest.raises(ParameterError):
         brute_force_decode(inst.code, [0, 0, 0], 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, np.float64(1.0), None], ids=repr)
+def test_brute_force_decode_refuses_entries_that_are_not_integers(inst, bad):
+    # refused as decode refuses them, not truncated to a codeword's entries
+    with pytest.raises(ParameterError,
+                       match="^received word entries must be integers$"):
+        brute_force_decode(inst.code, [bad, 0, 0, 0], 1)
 
 
 def test_counts_that_check_nothing_are_rejected(inst):

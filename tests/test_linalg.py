@@ -510,6 +510,36 @@ def test_iter_full_col_rank_keeps_its_order_across_chunks(q, rows, r, chunk):
     assert _full_col_rank(q, rows, r, per=chunk) == want
 
 
+def _kept_by_rref_stack(rows, r):
+    """The rows x r candidates over GF(2) in index order that `_rref_stack`
+    ranks r: the filter `_full_col_rank_stacks` runs at odd q."""
+    w = 2 ** np.arange(rows * r - 1, -1, -1)
+    Cs = (np.arange(2 ** (rows * r))[:, None] // w % 2).reshape(-1, r, rows)
+    Cs = Cs.transpose(0, 2, 1)
+    return Cs[la._rref_stack(F2, Cs)[2] == r]
+
+
+# every rows <= 5 and r <= rows; per = 1 and 3 only while the candidates
+# fill at most 2^12 stacks
+@pytest.mark.parametrize("rows, r, per", [
+    (rows, r, per) for rows in range(1, 6) for r in range(1, rows + 1)
+    for per in (1, 3, la._ENUM_CHUNK) if 2 ** (rows * r) <= per << 12])
+def test_packed_gf2_filter_keeps_the_cs_of_rref_stack_rank_r(rows, r, per):
+    # at q = 2 each candidate is ranked by its columns, read as bitmasks
+    # from its index; it must keep what _rref_stack keeps, in that order.
+    # Past 2^16 candidates (5 x 4 and 5 x 5) the reference takes seconds
+    # to minutes, so there the count is checked, a stack at a time
+    stacks = la._full_col_rank_stacks(2, rows, r, per)
+    if rows * r > 16:
+        assert sum(len(Cs) for Cs in stacks) == la.count_full_col_rank(2, rows, r)
+        return
+    stacks = list(stacks)
+    assert all(0 < len(Cs) <= per and Cs.shape[1:] == (rows, r) for Cs in stacks)
+    want = _kept_by_rref_stack(rows, r)
+    assert len(want) == la.count_full_col_rank(2, rows, r)
+    assert np.concatenate(stacks).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("q, rows, cols, t, chunk", [
     (2, 3, 3, 1, 10), (2, 4, 3, 2, 30), (3, 3, 2, 2, 8), (5, 2, 2, 2, 1),
 ])
@@ -633,9 +663,9 @@ def test_span_equals_a_scalar_matvec_per_message(q, m, K, n):
         assert U[j].tolist() == u and E[j].tolist() == want
 
 
-def test_span_needs_no_field_tables():
-    # span's product is over GF(q), with no vector operations; checked in
-    # GF(2^16), the largest binary field
+def test_span_in_the_largest_binary_field():
+    # span gathers its products g x^i from the field's vector tables, so
+    # it is checked in GF(2^16), whose tables are the largest
     F = ExtField(2, 16)
     rng = np.random.default_rng(17)
     rows = rng.integers(0, F.order, size=(2, 3)).tolist()

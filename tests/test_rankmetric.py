@@ -432,6 +432,69 @@ def test_decode_stack_refuses_ints_past_int64_as_decode_does():
         assert "is not an element of GF(2^3)" in str(stack.value)
 
 
+@pytest.mark.parametrize("qm, n, k", [((2, 4), 4, 2), ((3, 4), 4, 2), ((2, 8), 8, 4)],
+                         ids=str)
+def test_decode_stack_takes_any_layout_and_integer_dtype(qm, n, k):
+    # decode_stack works on the (n, B) transpose: views that are not
+    # C-contiguous, narrow dtypes, one word and t = 0 must decode as each
+    # word does alone, and leave the input as it was
+    code = GabidulinCode(ExtField(*qm), n, k)
+    rng = np.random.default_rng(sum(qm) + n)
+    for t in (0, (n - k) // 2):
+        words = np.array(_received_words(code, t, 60, rng), dtype=np.int64)
+        wide = np.zeros((len(words), n + 3), dtype=np.int64)
+        wide[:, 2 : 2 + n] = words
+        for Y in (np.ascontiguousarray(words.T).T, wide[:, 2 : 2 + n],
+                  np.asfortranarray(words), words.astype(np.int32),
+                  words.astype(np.uint8), words[:1], words[::-7]):
+            before = Y.copy()
+            _assert_stack_matches_scalar(code, Y, t)
+            assert (Y == before).all() and Y.dtype == before.dtype
+
+
+# Each entry point that reads GF(q^m) elements refuses a non-integer, as
+# _mod_q does, where int() would truncate it: decode([0.5, 0, 0, 0], 1)
+# returned ok with message (0, 0), and encode([1.9, 0]) encoded (1, 0).
+NOT_INTEGERS = [0.5, 1.9, np.float64(1.0), None]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_decode_refuses_entries_that_are_not_integers(code42, bad):
+    with pytest.raises(ParameterError,
+                       match="^received word entries must be integers$"):
+        code42.decode([bad, 0, 0, 0], 1)
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_encode_refuses_entries_that_are_not_integers(code42, bad):
+    with pytest.raises(ParameterError, match="^message entries must be integers$"):
+        code42.encode([bad, 0])
+
+
+@pytest.mark.parametrize("Y", [
+    np.full((3, 4), 0.5), np.zeros((2, 4)), [[0, 0, 1.0, 0]],
+    np.array([[0, None, 0, 0]], dtype=object),
+], ids=["halves", "float-zeros", "list-float", "object-none"])
+def test_decode_stack_refuses_entries_that_are_not_integers(code42, Y):
+    # refused before the int64 cast, which would truncate them
+    with pytest.raises(ParameterError,
+                       match="^received word entries must be integers$"):
+        code42.decode_stack(Y, 1)
+
+
+def test_evaluation_points_must_be_integers(F16):
+    with pytest.raises(ParameterError, match="^evaluation points must be integers$"):
+        GabidulinCode(F16, 4, 2, g=[1, 2, 4, 8.0])
+
+
+def test_integer_types_are_read_as_their_values(code42):
+    # numpy integers and bools are integers: read, not refused
+    y = code42.encode([np.int64(3), True])
+    assert y == code42.encode([3, 1])
+    out = code42.decode(np.array(y, dtype=np.uint8), 1)
+    assert out.ok and out.message == (3, 1)
+
+
 # ----------------------------------------------------------------------
 # The split interpolation system against the full one
 # ----------------------------------------------------------------------

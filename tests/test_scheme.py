@@ -145,6 +145,15 @@ def test_encode_argument_checks(inst):
         inst.encode([1])  # no rng, no forced V
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.9, np.float64(1.0), None], ids=repr)
+def test_encode_refuses_entries_that_are_not_integers(inst, bad):
+    # refused, not truncated to int: encode([1.9], ...) encoded S = (1,)
+    with pytest.raises(ParameterError, match="^message entries must be integers$"):
+        inst.encode([bad], force_v=[0])
+    with pytest.raises(ParameterError, match="^forced V entries must be integers$"):
+        inst.encode([1], force_v=[bad])
+
+
 def test_coherent_decode_clean(inst):
     for s in range(16):
         X = inst.encode([s], force_v=[9])
