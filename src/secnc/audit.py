@@ -1,17 +1,18 @@
 """Exhaustive verification of the zero-error and zero-leakage claims.
 
 The secrecy audit enumerates every message and every randomness draw,
-computes the eavesdropper's view under every full-rank tap matrix B,
-and reports the mutual information I(S; W) per B from exact integer
-counts.  Its taps come as int64 blocks from `linalg.iter_rank_blocks`,
-and the views of a stack of taps are one 2-D float64 product over the
-whole (S, V) grid, (taps x rows, n) times every payload side by side,
-(n, pairs x cols), reduced by `linalg.mod` as every sum of the audits
-is.  Zero leakage is detected exactly, by comparing the sorted view
-keys of each message across messages, for all taps of a stack at once
-and before any floating-point arithmetic; only a leaking tap is
-counted and scored.  A report of 0 means identical distributions, not
-a small number.
+computes the eavesdropper's view under every full-rank tap matrix B, and
+reports the mutual information I(S; W) per B from exact integer counts.
+Its taps come as int64 blocks from `linalg.iter_rank_blocks`, sliced
+into stacks of at most _CHUNK views, each one 2-D float64 product,
+(taps x rows, n) times every payload of the (S, V) grid side by side,
+(n, pairs x m), reduced by `linalg.mod` as every sum of the audits is.
+A lifted tap sees [B | BX] on [I | X]; with B fixed that splits the
+grid exactly as BX does, so it is read on the payload.  Zero leakage is
+detected exactly, by comparing the sorted view keys of each message
+across messages, for all taps of a stack at once and before any
+floating-point arithmetic; only a leaking tap is counted and scored.
+A report of 0 means identical distributions, not a small number.
 
 The reliability audit replays every effective error of rank at most t
 against every (S, V) and records decode failures; it is the one
@@ -23,24 +24,24 @@ error grid, built once per call when it fits a stack.  Coherent words
 are un-mixed with a left inverse of their transfer, computed once per
 transfer, and queued: `GabidulinCode.decode_stack` takes them _CHUNK
 cases at a time, one stack spanning the identity phase, random
-transfers and sampled trials alike, and what the scalar
-`coherent_decode` would report for each case comes out in the same
-order.  Lifted words [I | X] + E, errors on all n + m columns, go as
-received to `network.noncoherent_decode`, and a failure's exemplar
-names that decoder's reason.  Both audits take their payloads G0^T u
-over the whole (S, V) grid from one `linalg.span`, lifted in lifted
-mode by `network.lift`, the one lift, as a transmission is.
+transfers and sampled trials alike (`_restack` holds parts whole and
+cuts the one that fills a stack), and the scalar `coherent_decode`'s
+report for each case comes out in the same order.  Lifted words
+[I | X] + E, errors on all n + m columns, go as received to
+`network.noncoherent_decode`, and a failure's exemplar names that
+decoder's reason.  Both audits take their payloads G0^T u over the
+(S, V) grid from one `linalg.span`; the reliability audit lifts them
+with `network.lift`, the one lift, as a transmission is.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
 no algorithmic machinery with them beyond field arithmetic and the
 base-field rank.  Both take their codebook from `linalg.span`, which no
 decoder calls (they re-encode from the Moore matrix).  The
-nearest-codeword search ranks its differences in the stack forms the
-stack decoder also uses: `linalg._rref_stack` at odd q, and at q = 2
-with t >= 2 the packed stack form of `linalg.vector_rank`.  It is
-checked against the scalar `decode`, which shares no stack code (at
-q = 2 it ranks with `rank_gf2`), and `decode_stack` is checked against
+nearest-codeword search ranks the differences c - y, _CHUNK codewords
+at a time, with the stack form of `linalg.vector_rank`.  It is checked
+against the scalar `decode`, which shares no stack code (at q = 2 it
+ranks with `rank_gf2`), and `decode_stack` is checked against
 `decode` directly.  The consistency oracle reduces Y - E for every
 error E with `linalg._rref_stack`; the noncoherent decoder it checks
 walks error spaces with scalar solves.  The oracle reads its observation
@@ -55,8 +56,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -217,6 +219,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
     A sampled run draws `samples` random full-rank taps instead (the
     (S, V) enumeration stays exhaustive) and is labeled non-exhaustive.
+    `lifted` labels the report alone: lifted taps are read on the payload.
     """
     p = inst.params
     q = p.q
@@ -236,28 +239,25 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
         raise ParameterError(f"unknown audit mode {mode!r}")
     check_budget(n_pairs * n_taps, budget, "secrecy enumeration")
 
+    # a lifted tap B sees [B | BX]: with B fixed that splits the (S, V) grid
+    # exactly as BX does, so lifted taps are read on the payload
     payloads, s_index = _payload_table(inst)
-    if lifted:
-        payloads = lift(payloads)
-    if mode == "exhaustive":  # rows = 0 is the one rank-0 block
+    if mode == "exhaustive" or not rows:  # rows = 0 is the one rank-0 block
         blocks = la.iter_rank_blocks(q, rows, p.n, [rows])
-    elif rows:
+    else:
         blocks = [np.array([la.random_full_rank(inst.F.base, rows, p.n, rng)
                             for _ in range(samples)])]
-    else:
-        blocks = [np.zeros((1, 0, p.n), dtype=np.int64)]
 
     records = []
-    cols = payloads.shape[2]
-    # every payload side by side, (n, pairs * cols): a stack of taps times
+    # every payload side by side, (n, pairs * m): a stack of taps times
     # it is every view of the stack, one exact float64 product, as its
     # sums stay <= n (q - 1)^2 < 2^53 (n <= m, q^m <= FIELD_LIMIT)
     wide = payloads.transpose(1, 0, 2).reshape(p.n, -1).astype(np.float64)
     per = max(1, _CHUNK // n_pairs)  # taps a stack of views holds
-    for (T,), _ in _restack((([T], None) for T in blocks), per):
+    for T in (Ts[lo : lo + per] for Ts in blocks for lo in range(0, len(Ts), per)):
         views = la.mod(T.reshape(-1, p.n).astype(np.float64) @ wide, q)
-        views = views.reshape(len(T), rows, n_pairs, cols).swapaxes(1, 2)
-        W = _view_keys(views.reshape(len(T) * n_pairs, rows * cols), q)
+        views = views.reshape(len(T), rows, n_pairs, p.m).swapaxes(1, 2)
+        W = _view_keys(views.reshape(len(T) * n_pairs, rows * p.m), q)
         W = W.reshape(len(T), n_pairs)
         # each message's views, sorted: equal rows are equal conditionals
         keys = np.sort(W.reshape(len(T), inst.F.order ** p.k, -1), axis=2)
@@ -435,41 +435,36 @@ def _restack(parts, size):
 
     A part is (arrays, tag): equal-length arrays whose row j belongs to
     case j, and tag(j) naming that case (or None).  Each stack comes out
-    in the same form, its tag mapping a row back to its part.
+    in the same form, its tag mapping a row back to its part.  Parts are
+    held whole; the one that fills a stack is cut there, and its rest
+    goes on under its tag shifted by the cut.
     """
-    held, count = deque(), 0  # pieces: (arrays, tag, first row in the part)
-
-    def cut(want):
-        nonlocal count
-        count -= want
-        stack, pieces, starts = [], [], []
-        got = 0
-        while got < want:
-            arrays, tag, first = held.popleft()
-            k = len(arrays[0])
-            if got + k > want:
-                k = want - got
-                held.appendleft(([a[k:] for a in arrays], tag, first + k))
-                arrays = [a[:k] for a in arrays]
-            stack.append(arrays)
-            pieces.append((tag, first))
-            starts.append(got)
-            got += k
-
-        def tag(j):
-            i = bisect.bisect_right(starts, j) - 1
-            part_tag, first = pieces[i]
-            return part_tag(first + j - starts[i])
-
-        return [np.concatenate(col) for col in zip(*stack)], tag
-
+    held, count = [], 0
     for arrays, tag in parts:
-        held.append((arrays, tag, 0))
+        while count + len(arrays[0]) >= size:
+            cut = size - count
+            yield _join(held + [([a[:cut] for a in arrays], tag)])
+            held, count = [], 0
+            arrays = [a[cut:] for a in arrays]
+            tag = tag and (lambda j, tag=tag, cut=cut: tag(j + cut))
+        held.append((arrays, tag))
         count += len(arrays[0])
-        while count >= size:
-            yield cut(size)
     if count:
-        yield cut(count)
+        yield _join(held)
+
+
+def _join(held):
+    """One stack of the parts `held`: each column concatenated, and a tag
+    that finds row j's part by its start row.  The tag keeps the parts'
+    tags and starts, not their arrays."""
+    tags = [tag for _, tag in held]
+    starts = list(accumulate((len(arrays[0]) for arrays, _ in held[:-1]), initial=0))
+
+    def tag(j):
+        i = bisect.bisect_right(starts, j) - 1
+        return tags[i](j - starts[i])
+
+    return [np.concatenate(col) for col in zip(*(arrays for arrays, _ in held))], tag
 
 
 def _grid(blocks, n_words: int):
@@ -496,28 +491,13 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
     algebraic decoder is measured against.
     """
     F = code.F
-    y = F.elements_of(y, "received word entries")
+    y = np.array(F.elements_of(y, "received word entries"), dtype=np.int64)
     if len(y) != code.n:
         raise ParameterError(f"received word length {len(y)} != n = {code.n}")
     msgs, words = code.codeword_table(budget)
-    if F.q == 2:
-        # element ints are exactly the expanded rows over GF(2)
-        diffs = words ^ np.array(y, dtype=np.int64)
-        if t == 0:
-            hits = ~diffs.any(axis=1)
-        elif t == 1:
-            # rank <= 1 over GF(2): every nonzero row equals the max row
-            mx = diffs.max(axis=1, keepdims=True)
-            hits = ((diffs == 0) | (diffs == mx)).all(axis=1)
-        else:
-            hits = la.vector_rank(F, diffs) <= t
-        return {msgs[i] for i in np.nonzero(hits)[0]}
-    # digit-wise differences y - c, ranked over GF(q) a chunk at a time
-    ey = la.expand(F, y)
     out = set()
     for lo in range(0, len(msgs), _CHUNK):
-        diffs = (ey - la.expand(F, words[lo : lo + _CHUNK])) % F.q
-        _, _, ranks = la._rref_stack(F.base, diffs)
+        ranks = la.vector_rank(F, F.vsub(words[lo : lo + _CHUNK], y))
         out.update(msgs[lo + i] for i in np.flatnonzero(ranks <= t).tolist())
     return out
 

@@ -314,7 +314,12 @@ class ExtField:
             raise ParameterError(f"extension degree must be >= 1, got {m}")
         if modulus is None:
             modulus = find_irreducible(q, m)
-        modulus = tuple(int(c) % q for c in modulus)
+        try:  # digits, refused rather than truncated or reduced
+            modulus = tuple(index(c) for c in modulus)
+        except TypeError:
+            raise ParameterError("modulus coefficients must be integers") from None
+        if not all(0 <= c < q for c in modulus):
+            raise ParameterError(f"modulus coefficients must be digits 0..{q - 1}")
         if len(modulus) != m + 1:
             raise ParameterError(
                 f"modulus must have {m + 1} coefficients, got {len(modulus)}"

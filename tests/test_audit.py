@@ -1,5 +1,9 @@
 """Secrecy and reliability audits, entropy helpers, oracle construction."""
 
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -100,6 +104,44 @@ def test_secrecy_weaker_eavesdropper_still_zero(inst):
 def test_secrecy_lifted_transmission_zero(inst):
     rep = secrecy_audit(inst, lifted=True)
     assert rep.passed and rep.lifted
+
+
+def test_lifted_secrecy_equals_an_enumeration_of_every_tap_view(inst, broken):
+    # each full-rank tap B's view [B | BX] of every lifted [I | X] over the
+    # whole (S, V) grid, enumerated with none of secrecy_audit's code: the
+    # audit reads BX alone and must report the same leakage, tap for tap
+    def entropy(counter):
+        total = sum(counter.values())
+        return -sum(c / total * math.log2(c / total) for c in counter.values())
+
+    for instance in (inst, broken):
+        F, p = instance.F, instance.params
+        grid = list(itertools.product(range(F.order), repeat=p.k + p.mu))
+        eye = np.eye(p.n, dtype=np.int64)
+        lifted = [np.hstack([eye, la.expand(F, instance.encode(u[: p.k],
+                                                               force_v=u[p.k:]))])
+                  for u in grid]
+        want = {}
+        for digits in itertools.product(range(p.q), repeat=p.mu * p.n):
+            B = np.array(digits, dtype=np.int64).reshape(p.mu, p.n)
+            if la.rank(F.base, B) < p.mu:
+                continue
+            views = [(u[: p.k], (B @ L % p.q).tobytes()) for u, L in zip(grid, lifted)]
+            joint = Counter(views)
+            given = {}
+            for s, w in views:
+                given.setdefault(s, Counter())[w] += 1
+            same = all(c == given[grid[0][: p.k]] for c in given.values())
+            tap = hex(sum(d * p.q ** i for i, d in enumerate(digits)))
+            want[tap] = 0.0 if same else (entropy(Counter(s for s, _ in views))
+                                          + entropy(Counter(w for _, w in views))
+                                          - entropy(joint))
+        got = dict(secrecy_audit(instance, lifted=True).records)
+        assert got.keys() == want.keys()
+        for tap, leak in want.items():
+            assert (got[tap] == 0.0) == (leak == 0.0)
+            assert got[tap] == pytest.approx(leak, abs=1e-9)
+        assert instance.broken == (max(want.values()) > 0)
 
 
 def test_secrecy_row_space_invariance(inst):
@@ -241,6 +283,37 @@ def test_exemplars_name_cases_decoded_after_later_parts_were_queued(monkeypatch)
         f"A=I E={audit._matrix_id(identity[95 // 8], 2)}",
         f"A#0 E={audit._matrix_id(transfer[102], 2)}",
     ]
+
+
+def _recorded_parts(lengths, tagged):
+    """Parts of the given lengths; row j of part i holds (i, j), and its
+    tag, if any, records the same pair."""
+    for i, k in enumerate(lengths):
+        rows = np.array([(i, j) for j in range(k)], dtype=np.int64).reshape(k, 2)
+        yield [rows, 10 * rows[:, 1]], (lambda j, i=i: (i, j)) if tagged else None
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+@pytest.mark.parametrize("lengths", [
+    lambda size: [],                        # an empty stream
+    lambda size: [size],                    # one part fills a stack exactly
+    lambda size: [1, size - 1, size, 2],    # so does a part after a rest
+    lambda size: [2, 3 * size + 1, 1],      # a long part is cut many times
+    lambda size: [0, 1, 0, 2, 5, 0, 3],     # empty parts among short ones
+], ids=["empty", "exact", "exact-after-rest", "long", "short"])
+@pytest.mark.parametrize("tagged", [True, False])
+def test_restack_makes_exact_stacks_in_case_order(size, lengths, tagged):
+    lengths = lengths(size)
+    stacks = list(audit._restack(_recorded_parts(lengths, tagged), size))
+    total = sum(lengths)
+    assert [len(rows) for (rows, _), _ in stacks] == (
+        [size] * (total // size) + [total % size] * (total % size > 0))
+    cases = [(i, j) for i, k in enumerate(lengths) for j in range(k)]
+    assert [tuple(r) for (rows, _), _ in stacks for r in rows.tolist()] == cases
+    for (rows, tens), tag in stacks:
+        assert (tens == 10 * rows[:, 1]).all()
+        if tagged:
+            assert [tag(j) for j in range(len(rows))] == list(map(tuple, rows.tolist()))
 
 
 def test_reliability_budget_refusal(inst):

@@ -568,6 +568,16 @@ def test_params_refuses_a_wrong_number_of_points(tmp_path, capsys):
         "secnc: rejected: expected 4 evaluation points, got 3\n")
 
 
+@pytest.mark.parametrize("modulus", [[1, 1, 0, 0, 3], [-1, 1, 0, 0, 1]])
+def test_params_refuses_a_modulus_coefficient_outside_gf_q(tmp_path, capsys,
+                                                          modulus):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**CFG, "modulus": modulus}))
+    assert main(["params", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "secnc: rejected: modulus coefficients must be digits 0..1\n")
+
+
 def test_decode_refuses_a_transfer_digit_outside_the_field(cfg, tmp_path, capsys):
     (tmp_path / "y.txt").write_text("1010\n0110\n0001\n1111\n")
     (tmp_path / "A.txt").write_text("4 4\n1000\n0100\n0020\n0001\n")

@@ -151,6 +151,19 @@ def test_field_construction_rejects_bad_modulus():
         ExtField(2, 0)
 
 
+@pytest.mark.parametrize("modulus, message", [
+    ((1, 1.5, 0, 0, 1), "must be integers"),
+    ((1, None, 0, 0, 1), "must be integers"),
+    ((1, 1, 0, 0, 3), "must be digits 0..1"),
+    ((-1, 1, 0, 0, 1), "must be digits 0..1"),
+])
+def test_modulus_coefficients_are_read_as_digits(modulus, message):
+    # x^4 + x + 1 is irreducible: each of these once built it silently
+    with pytest.raises(ParameterError, match=message):
+        ExtField(2, 4, modulus)
+    assert ExtField(2, 4, (1, 1, 0, 0, 1)).modulus == (1, 1, 0, 0, 1)
+
+
 def test_fields_beyond_the_limit_are_refused_before_any_search():
     assert FIELD_LIMIT == 1 << 16
     for build in (lambda: PrimeField(65537),        # the first prime > 2^16
