@@ -43,11 +43,11 @@ at a time, with the stack form of `linalg.vector_rank`.  It is checked
 against the scalar `decode`, which shares no stack code (at q = 2 it
 ranks with `rank_gf2`), and `decode_stack` is checked against
 `decode` directly.  The consistency oracle reduces Y - E for every
-error E with `linalg._rref_stack`; the noncoherent decoder it checks
-walks error spaces with scalar solves.  The oracle reads its observation
-with that decoder's own check, `network._read_lifted`, and it and the
-reliability audit refuse an instance without an outer code with
-`SchemeInstance._require_decodable`.
+error E with `linalg._rref_stack`, as (N, n + m, b) stacks; the
+noncoherent decoder it checks walks error spaces with scalar solves.
+The oracle reads its observation with that decoder's own check,
+`network._read_lifted`, and it and the reliability audit refuse an
+instance without an outer code with `SchemeInstance._require_decodable`.
 
 Entropy unit: bits throughout; one packet is m*log2(q) bits.
 """
@@ -510,8 +510,8 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     blocks of `linalg.iter_rank_blocks`, and reduces the stack of Y - E
     over GF(q) (`linalg._rref_stack`), a chunk of errors at a time.
     Y - E is A [I | Xbar] for a full-column-rank A exactly when its
-    pivots are the n header columns; its payload block is then Xbar,
-    and S is kept when Xbar is a codeword of the cached
+    rows lead at the n header columns, the rest zero; its payload block
+    is then Xbar, and S is kept when Xbar is a codeword of the cached
     `codeword_table`.  Enumerates errors, never candidate error spaces,
     so it stays independent of the search in the efficient decoder.
     """
@@ -524,11 +524,11 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
                  "error-matrix enumeration")
     inst._require_decodable()
     msgs, words = inst.code.codeword_table(budget)
-    header = np.arange(n + m) < n
+    header = np.where(np.arange(N) < n, np.arange(N), n + m)[:, None]
     out = set()
     for Es, _, _ in _grid(la.iter_rank_blocks(q, N, n + m, range(t + 1)), 1):
-        R, pivots, _ = la._rref_stack(F.base, (Y - Es) % q)
-        Xbar = R[(pivots == header).all(axis=1), :n, n:]
+        R, lead, _ = la._rref_stack(F.base, (Y[..., None] - Es.transpose(1, 2, 0)) % q)
+        Xbar = R[:n, n:, (lead == header).all(axis=0)].transpose(2, 0, 1)
         keys = _view_keys(np.concatenate([words, la.contract(F, Xbar)]), F.order)
         where = dict(zip(keys[: len(words)].tolist(), msgs))
         out.update(where[key][: p.k] for key in keys[len(words):].tolist()

@@ -37,7 +37,7 @@ calls mul per entry: GF(q) reduces mod q inline, GF(q^m) gathers
 exp[log f + log y] and sums with XOR in GF(2^m), `_digitwise` at odd q.
 
 Both also supply vector operations on int64 arrays of elements, for the
-stack-shaped kernel `linalg._rref_stack` and the stack decoder:
+batch-last stack kernel `linalg._rref_stack` and the stack decoder:
 vmul, vsub, vneg and vinv (and vfrobenius on GF(q^m)), with numpy
 broadcasting; their inputs must be elements, reduced.  GF(q) reduces mod
 q, as AND and XOR at q = 2 like its rows, and inverts through a table.

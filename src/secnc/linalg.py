@@ -16,8 +16,8 @@ rank, `_rank_gf2_stack`, ranks an (n, B) stack of row bitmasks with the
 batch axis last, so each step is one elementwise pass over the batch; it
 serves `vector_rank` of a stack of GF(2^m) vectors, whose element ints
 already are their expanded rows, and the full-column-rank enumeration at
-q = 2.  Stacks of matrices, as int64 arrays of shape (B, R, C), are
-reduced together by `_rref_stack` with the fields' vector operations.
+q = 2.  Stacks of matrices, int64 (R, C, B) with the batch axis last
+too, are reduced row by row by `_rref_stack` with vector operations.
 Arrays are reduced mod q by one rule, `mod`: & 1 at q = 2, an int64 %
 otherwise, and for a float64 product whose sums stay below 2^53 the
 exact X - q floor(X / q); `span` gathers its block matrix of products
@@ -31,8 +31,8 @@ runs `span`; every enumeration of base-field matrices by rank runs
 It builds the full-column-rank factors C as whole stacks: candidates
 enumerated by index in bounded chunks, kept by their rank (at q = 2 the
 packed stack rank of the columns read from the index bits, at odd q
-`_rref_stack`), each block one broadcast product with the stack of
-every RREF.
+`_rref_stack` of their transposes), each block one broadcast product
+with the stack of every RREF.
 
 The expand/contract pair identifies a length-n column vector over
 GF(q^m) with an n x m matrix over GF(q), row i being the coefficient
@@ -136,36 +136,34 @@ def _rref_in_place(field, M: list, cols: int) -> list[int]:
 
 
 def _rref_stack(field, M):
-    """Reduce every matrix of the (B, R, C) stack M to RREF at once.
+    """Reduce every matrix M[:, :, b] of the (R, C, B) stack M to RREF.
 
-    The entries of M must already be reduced mod q (elements of `field`):
-    the vector operations do not reduce their inputs, and at q = 2 they
-    are AND and XOR.  Returns (reduced stack, pivot mask (B, C), ranks
-    (B,)); matrix b of the result equals what `_rref_in_place` makes of
-    M[b].
+    The entries of M must be elements of `field`, reduced: the vector
+    operations do not reduce their inputs (at q = 2 they are AND and XOR).
+    Row i in turn pivots on its first nonzero column, is scaled to a
+    leading 1 and subtracted from every other row, one pass over the
+    stack; sorting the leads, C for a zero row, then orders the rows.
+    Returns (RREF (R, C, B), leads (R, B), ranks (B,)), as `_rref_in_place`
+    reduces each matrix (the RREF is unique).  Work grows with R, so a
+    caller after ranks alone passes the orientation with fewer rows.
     """
-    M = np.array(M, dtype=np.int64)
-    B, R, C = M.shape
-    pivots = np.zeros((B, C), dtype=bool)
-    r = np.zeros(B, dtype=np.int64)  # the next pivot row of each matrix
-    rows = np.arange(R)
-    for c in range(C):
-        # first row at or below r[b] with a nonzero entry in column c
-        cand = (M[:, :, c] != 0) & (rows >= r[:, None])
-        hit = np.flatnonzero(cand.any(axis=1))
-        if not len(hit):
-            continue
-        top, pr = r[hit], cand[hit].argmax(axis=1)
-        pivot = M[hit, pr]
-        M[hit, pr] = M[hit, top]
-        pivot = field.vmul(field.vinv(pivot[:, c])[:, None], pivot)
-        M[hit, top] = pivot
-        f = M[hit, :, c]
-        f[np.arange(len(hit)), top] = 0
-        M[hit] = field.vsub(M[hit], field.vmul(f[:, :, None], pivot[:, None, :]))
-        pivots[hit, c] = True
-        r[hit] += 1
-    return M, pivots, r
+    M = np.array(M, dtype=np.int64, order="C")
+    R, C, B = M.shape
+    lead = np.empty((R, B), dtype=np.int64)
+    ar, weight = np.arange(B), np.arange(C, 0, -1)[:, None]  # column c weighs C - c
+    for i in range(R):
+        lead[i] = C - ((M[i] != 0) * weight).max(axis=0)
+        c = np.minimum(lead[i], C - 1)
+        pivot = M[i, c, ar]  # 0 in a zero row, which stays zero
+        M[i] = field.vmul(M[i], field.vinv(np.where(pivot != 0, pivot, 1)))
+        if R > 1:  # a single row, scaled, is its own RREF
+            f = M[:, c, ar]  # each row's entry in the pivot column
+            f[i] = 0
+            M = field.vsub(M, field.vmul(f[:, None], M[i]))
+    if R > 1:  # order the rows by their leads
+        order = np.argsort(lead, axis=0)  # zero rows tie, and are equal
+        M, lead = M[order[:, None], np.arange(C)[:, None], ar], lead[order, ar]
+    return M, lead, (lead < C).sum(axis=0)
 
 
 def rref(field, M) -> tuple[list[list[int]], list[int]]:
@@ -188,11 +186,13 @@ def vector_rank(F, v):
     A (B, n) int64 stack of vectors gives the (B,) array of their ranks.
     At q = 2 an element int already is its row bitmask, so both forms
     eliminate the ints with XOR, a stack as its (n, B) transpose in
-    `_rank_gf2_stack`.  At odd q a stack runs `_rref_stack`.
+    `_rank_gf2_stack`.  At odd q a stack runs `_rref_stack` on its
+    expansions, n x m or m x n, whichever has fewer rows.
     """
     if isinstance(v, np.ndarray) and v.ndim == 2:
         if F.q != 2:
-            return _rref_stack(F.base, expand(F, v))[2]
+            E = expand(F, v).transpose((1, 2, 0) if v.shape[1] <= F.m else (2, 1, 0))
+            return _rref_stack(F.base, E)[2]
         return _rank_gf2_stack(np.array(v.T, dtype=np.int64, order="C"))
     if F.q == 2:
         return rank_gf2(v)
@@ -460,23 +460,24 @@ def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
     least a fraction prod_i (1 - q^(i - rows)) >= 0.288.  At q = 2 column
     c is the bit field c of the index, ranked as a row bitmask by
     `_rank_gf2_stack`, and only the kept indices become matrices; at odd q
-    `_rref_stack` ranks the matrices.
+    `_rref_stack` ranks their transposes, of r <= rows rows.
     """
     field = PrimeField(q)
     total = q ** (rows * r)
     if total > 1 << 63:
         raise ParameterError(f"{total} candidate {rows} x {r} matrices exceed int64")
-    weights = q ** np.arange(rows * r - 1, -1, -1, dtype=np.int64)
+    bits = np.arange(rows * r - 1, -1, -1, dtype=np.int64)
     shifts = rows * np.arange(r - 1, -1, -1, dtype=np.int64)[:, None]
     for lo in range(0, total, per):
         idx = np.arange(lo, min(lo + per, total), dtype=np.int64)
         if q == 2:
             idx = idx[_rank_gf2_stack((idx >> shifts) & ((1 << rows) - 1)) == r]
-        Cs = mod(idx[:, None] // weights, q).reshape(-1, r, rows).transpose(0, 2, 1)
-        if q != 2:
-            Cs = Cs[_rref_stack(field, Cs)[2] == r]
-        if len(Cs):
-            yield Cs
+            Ct = ((idx[:, None] >> bits) & 1).reshape(-1, r, rows)
+        else:  # C^T, of r <= rows rows, ranked
+            Ct = mod(idx[:, None] // q ** bits, q).reshape(-1, r, rows)
+            Ct = Ct[_rref_stack(field, Ct.transpose(1, 2, 0))[2] == r]
+        if len(Ct):
+            yield Ct.transpose(0, 2, 1)
 
 
 def iter_rank_blocks(q: int, rows: int, cols: int, ranks):

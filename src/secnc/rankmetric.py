@@ -35,11 +35,11 @@ stack of words with the fields' vector operations and eliminates with
 `linalg._rref_stack`, for the audits, whose stacks span their phases (a
 product with W_t would take ~270 MB for 2^14 words at m = 16); it never
 builds W_t.  It works in the (..., B) layout, the batch axis last: the
-words as (n, B) and every later array (Yf, P, v, nn, f, the residual)
-with B as its trailing axis, so that each step is one elementwise pass
-over the whole batch, not many passes over axes of length t + 1.  Both
-rank the residual with `linalg.vector_rank`, which at q = 2 eliminates
-the element ints as row bitmasks.  The two compute P
+words as (n, B) and every later array (Yf, P, the reduced P_bot, v, nn,
+f, the residual) with B as its trailing axis, so that each step is one
+elementwise pass over the batch, not many passes over axes of length
+t + 1.  Both rank the residual with `linalg.vector_rank`, which at q = 2
+eliminates the element ints as row bitmasks.  The two compute P
 independently, take the same kernel vector and agree row for row, so
 `decode_stack` checks W_t.  Their oracles are independent of the split:
 `audit.brute_force_decode`, a nearest-codeword search over the codebook,
@@ -245,10 +245,10 @@ class GabidulinCode:
         (t + 1, n, B), P = -E Yf as (n, t + 1, B), v as (t + 1, B), and
         nn, f and the residual as (k + t, B), (k, B) and (n, B).  Takes
         the cached E of `decode` and eliminates only the bottom block
-        E_bot Yf, with `linalg._rref_stack` on its (B, n - k - t, t + 1)
-        view, for the same kernel vector v; nn = E_top Yf v.  E Yf is
-        accumulated with vector operations, not taken from W_t (module
-        docstring).
+        E_bot Yf, with `linalg._rref_stack` on the (n - k - t, t + 1, B)
+        block P[k + t:] as it lies, and scatters the same kernel vector v
+        from its rows by their leads; nn = E_top Yf v.  E Yf is accumulated
+        with vector operations, not taken from W_t (module docstring).
         """
         F, n, k = self.F, self.n, self.k
         words = np.asarray(Y)
@@ -277,16 +277,15 @@ class GabidulinCode:
             P = F.vsub(P, F.vmul(E[:, j, None, None], Yf[:, j]))
         # 2. v from the first free column of E_bot Yf, as null_space's first;
         # nn = E_top Yf v = -P_top v
-        R, pivots, rank = la._rref_stack(F, P[k + t:].transpose(2, 0, 1))
-        free = ~pivots
-        ok = free.any(axis=1)
-        first = free.argmax(axis=1)
-        v = np.zeros((t + 1, B), dtype=np.int64)
+        R, lead, _ = la._rref_stack(F, P[k + t:])
+        # the leads rise: the first free column ends the run lead[i] = i
+        head = lead[: t + 1]
+        first = (head == np.arange(len(head))[:, None]).cumprod(axis=0).sum(axis=0)
+        ok = first <= t  # else no column is free
+        v = np.zeros((t + 2, B), dtype=np.int64)  # row t + 1 catches zero rows
         v[first, ar] = 1
-        lead = (R != 0).argmax(axis=2)  # each row's pivot column
-        for i in range(R.shape[1]):
-            live = ar[i < rank]
-            v[lead[live, i], live] = F.vneg(R[live, i, first[live]])
+        v[lead, ar] = F.vneg(R[:, np.minimum(first, t), ar])
+        v = v[: t + 1]
         nn = np.zeros((k + t, B), dtype=np.int64)
         for i in range(t + 1):
             nn = F.vsub(nn, F.vmul(P[: k + t, i], v[i]))

@@ -345,6 +345,33 @@ def test_noncoherent_oracle_matches_decoder(inst):
         assert tuple(S) in oracle
 
 
+def test_noncoherent_oracle_equals_its_definition_at_p0():
+    # P0 = (2,3,3,1,0,1), N = 4: S is explainable when some E of rank <= 1
+    # leaves Y - E = [H | H X] with H of rank n = 3 and X a codeword,
+    # checked pair by pair with the scalar rank; half the observations are
+    # transmissions, half arbitrary, where Y - E may have rank 4
+    p = SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1)
+    inst = build_instance(p)
+    msgs, words = inst.code.codeword_table()
+    Xs = la.expand(inst.F, words)
+    Es = np.concatenate(list(la.iter_rank_blocks(2, 4, 6, range(2))))
+    rng = np.random.default_rng(6)
+    seen = Counter()
+    for trial in range(60):
+        if trial % 2:
+            Y = rng.integers(0, 2, size=(4, 6))
+        else:
+            X = inst.encode([int(rng.integers(0, 8))], rng=rng)
+            Y = transmit_lifted(inst.F, X, sample_realization(p, 4, rng, lifted=True)).Y
+        H, P = (Y[:, :3] - Es[:, :, :3]) % 2, (Y[:, 3:] - Es[:, :, 3:]) % 2
+        full = np.array([la.rank_fq(h, 2) == 3 for h in H])
+        want = {u for u, X in zip(msgs, Xs)
+                if (full & ((H @ X) % 2 == P).all(axis=(1, 2))).any()}
+        assert noncoherent_consistency_oracle(inst, Y) == want
+        seen[len(want)] += 1
+    assert seen[0] and seen[1]
+
+
 def test_noncoherent_oracle_budget(inst):
     Y = np.zeros((5, 8), dtype=np.int64)
     with pytest.raises(BudgetExceededError):

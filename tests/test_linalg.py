@@ -512,11 +512,12 @@ def test_iter_full_col_rank_keeps_its_order_across_chunks(q, rows, r, chunk):
 
 def _kept_by_rref_stack(rows, r):
     """The rows x r candidates over GF(2) in index order that `_rref_stack`
-    ranks r: the filter `_full_col_rank_stacks` runs at odd q."""
+    ranks r: the filter `_full_col_rank_stacks` runs at odd q, on the
+    (r, rows, b) stack of their transposes."""
     w = 2 ** np.arange(rows * r - 1, -1, -1)
     Cs = (np.arange(2 ** (rows * r))[:, None] // w % 2).reshape(-1, r, rows)
     Cs = Cs.transpose(0, 2, 1)
-    return Cs[la._rref_stack(F2, Cs)[2] == r]
+    return Cs[la._rref_stack(F2, Cs.transpose(2, 1, 0))[2] == r]
 
 
 # every rows <= 5 and r <= rows; per = 1 and 3 only while the candidates
@@ -588,30 +589,51 @@ def field_and_stack(draw):
 @given(field_and_stack())
 @settings(max_examples=200, deadline=None)
 def test_rref_stack_equals_rref_in_place_matrix_by_matrix(fs):
+    # the kernel takes the stack batch-last, (R, C, B), matrix b in M[b]
     field, M = fs
     before = M.copy()
-    R, pivots, ranks = la._rref_stack(field, M)
+    R, lead, ranks = la._rref_stack(field, M.transpose(1, 2, 0))
     assert (M == before).all()  # the input is left alone
-    C = M.shape[2]
-    for b in range(len(M)):
-        rows = field.pack(M[b])
-        piv = la._rref_in_place(field, rows, C)
-        assert R[b].tolist() == field.unpack(rows, 0, C)
-        assert np.flatnonzero(pivots[b]).tolist() == piv
+    _assert_rref_stack_is_rref_in_place(field, M, R, lead, ranks)
+
+
+def _assert_rref_stack_is_rref_in_place(field, M, R, lead, ranks):
+    """The (R, C, B) result of `_rref_stack` is, matrix by matrix, what
+    `_rref_in_place` makes of the (B, R, C) stack M: the same rows, the
+    pivots as the leads below the rank and C past it."""
+    B, rows, C = M.shape
+    assert R.shape == (rows, C, B) and lead.shape == (rows, B) and ranks.shape == (B,)
+    for b in range(B):
+        packed = field.pack(M[b])
+        piv = la._rref_in_place(field, packed, C)
+        assert R[:, :, b].tolist() == field.unpack(packed, 0, C)
+        assert lead[:, b].tolist() == piv + [C] * (rows - len(piv))
         assert ranks[b] == len(piv)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("B, rows, C", [(0, 3, 4), (5, 0, 4), (12, 7, 3), (12, 6, 1)])
+def test_rref_stack_of_edge_shapes(field, B, rows, C):
+    # no matrices, matrices with no rows, and tall matrices (R > C) whose
+    # bottom rows copy rows above them, so some stay zero once reduced
+    M = np.random.default_rng(field.order + rows).integers(
+        0, field.order, size=(B, rows, C))
+    M[:, 3:] = M[:, : rows - 3]
+    _assert_rref_stack_is_rref_in_place(field, M, *la._rref_stack(
+        field, M.transpose(1, 2, 0)))
 
 
 def test_rref_stack_of_zero_and_identity_blocks():
     F = ExtField(2, 4)
-    M = np.zeros((3, 3, 4), dtype=np.int64)
-    M[1, :, :3] = np.eye(3, dtype=np.int64) * 7
-    M[2, 0, 3] = 5
-    R, pivots, ranks = la._rref_stack(F, M)
+    M = np.zeros((3, 4, 3), dtype=np.int64)  # (R, C, B)
+    M[:, :3, 1] = np.eye(3, dtype=np.int64) * 7
+    M[0, 3, 2] = 5
+    R, lead, ranks = la._rref_stack(F, M)
     assert ranks.tolist() == [0, 3, 1]
-    assert (R[0] == 0).all()
-    assert R[1, :, :3].tolist() == np.eye(3, dtype=int).tolist()
-    assert pivots.tolist() == [[False] * 4, [True, True, True, False],
-                               [False, False, False, True]]
+    assert (R[:, :, 0] == 0).all()
+    assert R[:, :3, 1].tolist() == np.eye(3, dtype=int).tolist()
+    assert R[:, :, 2].tolist() == [[0, 0, 0, 1], [0] * 4, [0] * 4]
+    assert lead.T.tolist() == [[4, 4, 4], [0, 1, 2], [3, 4, 4]]
 
 
 def test_expand_and_contract_accept_stacks():

@@ -17,8 +17,8 @@ from test_linalg import _rank_matrices
 
 def min_rank_weight(F, rows, budget=DEFAULT_ENUM_BUDGET):
     """Least rank weight of a nonzero vector in the span of `rows`, by
-    enumeration (`linalg._rref_stack` on `linalg.span` chunks) stopping at
-    weight 1; None when the span is zero.
+    enumeration (`linalg._rref_stack` on `linalg.span` chunks, taken
+    batch-last) stopping at weight 1; None when the span is zero.
 
     A nonzero c of GF(q^m) keeps the rank weight (expand(c v) = expand(v) M_c
     with M_c invertible), so only the combinations whose leading nonzero
@@ -31,7 +31,7 @@ def min_rank_weight(F, rows, budget=DEFAULT_ENUM_BUDGET):
     for j in range(K):
         for lo in range(Q ** j, 2 * Q ** j, _SPAN_CHUNK):
             _, E = la.span(F, rows, np.arange(lo, min(lo + _SPAN_CHUNK, 2 * Q ** j)))
-            r = la._rref_stack(F.base, E)[2]
+            r = la._rref_stack(F.base, E.transpose(1, 2, 0))[2]
             r = r[r > 0]
             if len(r) and (best is None or r.min() < best):
                 best = int(r.min())
@@ -388,6 +388,19 @@ def test_decode_stack_on_the_whole_p0_reliability_grid():
     words = [[a ^ b for a, b in zip(code.encode([u]), la.contract(F, E))]
              for E in _rank_matrices(2, 3, 3, range(2)) for u in range(8)]
     assert len(words) == 400
+    _assert_stack_matches_scalar(code, words, 1)
+    assert code.decode_stack(words, 1)[0].all()
+
+
+def test_decode_stack_on_a_whole_odd_characteristic_grid():
+    # the same over GF(3^3): every codeword of the [3, 1] code plus every
+    # rank-<= 1 error, row by row, so the elimination's odd-q path meets
+    # every error the radius admits
+    F = ExtField(3, 3)
+    code = GabidulinCode(F, 3, 1)
+    words = [[F.add(a, b) for a, b in zip(code.encode([u]), la.contract(F, E))]
+             for E in _rank_matrices(3, 3, 3, range(2)) for u in range(27)]
+    assert len(words) == 27 * 339
     _assert_stack_matches_scalar(code, words, 1)
     assert code.decode_stack(words, 1)[0].all()
 
