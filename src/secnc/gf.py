@@ -24,12 +24,12 @@ b and no product tests for zero.  inv, pow and frobenius scale a log
 rather than add two, so they keep their zero case.
 
 Both fields supply the rows of the `linalg` elimination kernel: their
-row form, made from a 2-D int64 array by pack and read back by unpack
-(a column range) and column (one column's entries), and the row
-operations scale_row and sub_scaled_row (dst - f*src) on that form.
-GF(2) packs a row into one Python int, bit c holding column c, for any
-width, so its row operations are a XOR; GF(q^m) and odd GF(q) keep a
-list of entries per row.  GF(q) also reads a column range of each row
+row form, made from a 2-D int64 array by pack (GF(q) reduces it mod q)
+and read back by unpack (a column range) and column (one column's
+entries), and the row operations scale_row and sub_scaled_row
+(dst - f*src) on that form.  GF(2) packs a row into one Python int, bit
+c holding column c, for any width, so its row operations are a XOR;
+GF(q^m) and odd GF(q) keep a list of entries per row.  GF(q) also reads a column range of each row
 as one GF(q^m) element, contract (a shift and a mask at GF(2)), for the
 packets a left inverse un-mixes.  They also supply the inner product
 dot of `linalg.matvec` and `linalg.matmul`, on lists.  None of these
@@ -49,7 +49,9 @@ powers.  All are built on first use, never by the constructor.  Every
 GF(q^m) sum, scalar or vector, is one rule, `ExtField._digitwise`: XOR
 when q = 2, else digit-wise mod q in one pass over the m base-q digits.
 Vector operations carry other names than the scalar operations so that
-counts of those stay counts of scalar calls.
+counts of those stay counts of scalar calls.  What both fields do alike
+is defined once, in their base `_Field`: div, the list row form, vneg,
+vinv (a gather from the field's `_inv_table`) and elements.
 """
 
 from __future__ import annotations
@@ -185,7 +187,37 @@ def format_digits(digits, q: int) -> str:
 # Fields
 # ----------------------------------------------------------------------
 
-class PrimeField:
+class _Field:
+    """The methods both fields share (module docstring)."""
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def pack(self, A) -> list[list[int]]:
+        """The rows of the 2-D int64 array A in this field's row form."""
+        return A.tolist()
+
+    def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
+        """Columns lo..hi-1 of rows in the row form, a list per row."""
+        return [row[lo:hi] for row in rows]
+
+    def column(self, rows, c: int) -> list[int]:
+        """Column c of rows in the row form, one entry per row."""
+        return [row[c] for row in rows]
+
+    def vneg(self, a):
+        return self.vsub(0, a)
+
+    def vinv(self, a):
+        if not np.all(a):
+            raise ZeroDivisionError("0 has no inverse")
+        return self._inv_table[a]
+
+    def elements(self):
+        return range(self.order)
+
+
+class PrimeField(_Field):
     """GF(q) for prime q.  Elements are ints in [0, q)."""
 
     def __init__(self, q: int):
@@ -212,31 +244,26 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, -1, self.q)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         return pow(a, e, self.q) if e >= 0 else pow(self.inv(a), -e, self.q)
 
-    # -- rows of the elimination kernel (see the module docstring) -------
+    # -- rows of the elimination kernel: bitmasks at GF(2) ----------------
 
     def pack(self, A):
-        """The rows of the 2-D int64 array A in this field's row form."""
+        """The rows of A, reduced mod q, in the row form."""
         if self.q != 2:
-            return A.tolist()
-        bits = np.packbits(A, axis=1, bitorder="little").tolist()
+            return super().pack(A % self.q)
+        bits = np.packbits(A & 1, axis=1, bitorder="little").tolist()
         return [int.from_bytes(row, "little") for row in bits]
 
     def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
-        """Columns lo..hi-1 of rows in the row form, a list per row."""
         if self.q != 2:
-            return [row[lo:hi] for row in rows]
+            return super().unpack(rows, lo, hi)
         return [[(row >> c) & 1 for c in range(lo, hi)] for row in rows]
 
     def column(self, rows, c: int) -> list[int]:
-        """Column c of rows in the row form, one entry per row."""
         if self.q != 2:
-            return [row[c] for row in rows]
+            return super().column(rows, c)
         return [(row >> c) & 1 for row in rows]
 
     def contract(self, rows, lo: int, hi: int) -> list[int]:
@@ -274,21 +301,11 @@ class PrimeField:
     def vsub(self, a, b):
         return a ^ b if self.q == 2 else (a - b) % self.q
 
-    def vneg(self, a):
-        return self.vsub(0, a)
-
     @cached_property
-    def _vector_inv(self):
+    def _inv_table(self):
+        """inv[a] = a^-1, inv[0] = 0; built on first use."""
         q = self.q
         return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
-
-    def vinv(self, a):
-        if not np.all(a):
-            raise ZeroDivisionError("0 has no inverse")
-        return self._vector_inv[a]
-
-    def elements(self):
-        return range(self.q)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.q == self.q
@@ -300,7 +317,7 @@ class PrimeField:
         return f"PrimeField({self.q})"
 
 
-class ExtField:
+class ExtField(_Field):
     """GF(q^m) with a fixed monic irreducible modulus over prime GF(q).
 
     Immutable after construction; safe to share across workers.
@@ -440,9 +457,6 @@ class ExtField:
         n1 = self.order - 1
         return self._exp[(n1 - self._log[a]) % n1]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -459,15 +473,6 @@ class ExtField:
         return self._exp[(self._log[a] * pow(self.q, i, n1)) % n1]
 
     # -- rows of the elimination kernel (see the module docstring) -------
-
-    def pack(self, A) -> list[list[int]]:
-        return A.tolist()
-
-    def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
-        return [row[lo:hi] for row in rows]
-
-    def column(self, rows, c: int) -> list[int]:
-        return [row[c] for row in rows]
 
     def scale_row(self, s: int, row) -> list[int]:
         exp, log, ls = self._exp, self._log, self._log[s]
@@ -528,20 +533,12 @@ class ExtField:
         exp, log = self._vector_tables
         return exp[log[a] + log[b]]
 
-    def vinv(self, a):
-        if not np.all(a):
-            raise ZeroDivisionError("0 has no inverse")
-        return self._inv_table[a]
-
     def vfrobenius(self, a, i):
         """a^(q^i) entrywise; i an int or an int array broadcast against a."""
         return self._frobenius_table[np.asarray(i) % self.m, a]
 
     def vsub(self, a, b):
         return self._digitwise(a, b, -1)
-
-    def vneg(self, a):
-        return self.vsub(0, a)
 
     # -- row-vector view -------------------------------------------------
 
@@ -572,11 +569,6 @@ class ExtField:
 
     def parse_element(self, text: str) -> int:
         return self.from_row(parse_digits(text, self.q))
-
-    # -- enumeration -----------------------------------------------------
-
-    def elements(self):
-        return range(self.order)
 
     def __eq__(self, other):
         return (

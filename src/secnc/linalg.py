@@ -1,15 +1,19 @@
 """Matrix algebra over GF(q) and GF(q^m).
 
-Matrices over the base field are numpy integer arrays (entries reduced
-mod q); matrices over the extension field are lists of lists of packed
-field elements.  Every elimination runs one kernel, `_rref_in_place`,
-written against the field protocol of `gf` (inv, the row operations
-scale_row / sub_scaled_row and the row form: pack, unpack, column).
-A row is the field's: a Python-int bitmask at GF(2), bit c holding
-column c, so a row operation is one XOR at any width; a list of
-entries in every other field.  Callers pack an int64 matrix, run the
-kernel, and unpack only the columns and rows they return; `left_inverse`
-of a transfer A beside its observation Y reduces [A | Y] and reads the
+Matrices over the base field are numpy integer arrays, those over the
+extension field lists of lists of packed field elements; entries that
+are not integers are refused, as `scheme._mod_q` refuses them, and
+GF(q)'s pack reduces the rest mod q.  `rank`, `row_reduce_transform`,
+`left_inverse`, `rref_solve` (of one vector) and `kernel_vector` each
+pack an int64 matrix, run one kernel, `_rref_in_place`, written against
+the field protocol of `gf` (inv, the row operations scale_row /
+sub_scaled_row and the row form: pack, unpack, column), and read only
+the columns and rows they return.  A row is the field's: a Python-int
+bitmask at GF(2), bit c holding column c, so a row operation is one XOR
+at any width; a list of entries in every other field.  `kernel_vector`
+takes the one kernel vector of both Gabidulin decoders, with a 1 in the
+first free column, the first c whose pivot is not c.  `left_inverse` of
+a transfer A beside its observation Y reduces [A | Y] and reads the
 un-mixed packets straight from the rows (the base field's `contract`).
 GF(2) ranks take the packed rows to `rank_gf2`.  One packed GF(2) stack
 rank, `_rank_gf2_stack`, ranks an (n, B) stack of row bitmasks with the
@@ -24,10 +28,9 @@ exact X - q floor(X / q); `span` gathers its block matrix of products
 g x^i with one `vmul` and takes its product in float64, one BLAS call.
 Every product runs the field-supplied inner product `dot`: `matvec` one
 per row, base-field maps applied to packets included, and `matmul` one
-per entry.  Every
-enumeration of GF(q^m)-combinations of rows (codebooks, audit payloads)
-runs `span`; every enumeration of base-field matrices by rank runs
-`iter_rank_blocks`, which the audits consume as int64 blocks.
+per entry.  Every enumeration of GF(q^m)-combinations of rows (codebooks,
+audit payloads) runs `span`; every enumeration of base-field matrices by
+rank runs `iter_rank_blocks`, which the audits consume as int64 blocks.
 It builds the full-column-rank factors C as whole stacks: candidates
 enumerated by index in bounded chunks, kept by their rank (at q = 2 the
 packed stack rank of the columns read from the index bits, at odd q
@@ -91,8 +94,12 @@ def mod(X, q: int) -> np.ndarray:
 
 
 def _int_matrix(M) -> np.ndarray:
-    """M as a 2-D int64 array; [] is the 0 x 0 matrix."""
-    A = np.asarray(M, dtype=np.int64)
+    """M as a 2-D int64 array; [] is the 0 x 0 matrix.  Entries that are not
+    integers are refused, as `scheme._mod_q` refuses them."""
+    A = np.asarray(M)
+    if A.size and A.dtype.kind not in "biu":
+        raise ParameterError("matrix entries must be integers")
+    A = A.astype(np.int64, copy=False)
     return A.reshape(0, 0) if A.ndim == 1 and not A.size else A
 
 
@@ -166,13 +173,6 @@ def _rref_stack(field, M):
     return M, lead, (lead < C).sum(axis=0)
 
 
-def rref(field, M) -> tuple[list[list[int]], list[int]]:
-    A = _int_matrix(M)
-    R = field.pack(A)
-    pivots = _rref_in_place(field, R, A.shape[1])
-    return field.unpack(R, 0, A.shape[1]), pivots
-
-
 def rank(field, M) -> int:
     A = _int_matrix(M)
     if field.order == 2:  # GF(2^1) has the elements of GF(2)
@@ -230,30 +230,27 @@ def row_reduce_transform(field, M) -> tuple[list[list[int]], list[list[int]], li
     return field.unpack(aug, cols, cols + rows), field.unpack(aug, 0, cols), pivots
 
 
-def rref_solve(field, A, Y):
-    """Solve A X = Y for the unique X, Y a vector or a matrix.
+def rref_solve(field, A, y) -> list[int]:
+    """Solve A x = y for the unique vector x.
 
     Raises InconsistentSystemError when no solution exists and
     UnderdeterminedSystemError when there are many.
     """
     A = _int_matrix(A)
-    Y = np.asarray(Y, dtype=np.int64)
+    y = _int_matrix(y).reshape(-1, 1)
     rows, cols = A.shape
-    if len(Y) != rows:
-        raise ParameterError(f"rhs has {len(Y)} rows, expected {rows}")
-    aug = np.concatenate([A, Y[:, None] if Y.ndim == 1 else Y], axis=1)
-    width = aug.shape[1]
-    aug = field.pack(aug)
+    if len(y) != rows:
+        raise ParameterError(f"rhs has {len(y)} rows, expected {rows}")
+    aug = field.pack(np.concatenate([A, y], axis=1))
     pivots = _rref_in_place(field, aug, cols)
-    # the rows past the rank are zero in A: Y must be zero there too
-    if any(map(any, field.unpack(aug[len(pivots):], cols, width))):
-        raise InconsistentSystemError("A X = Y has no solution")
+    # the rows past the rank are zero in A: y must be zero there too
+    if any(field.column(aug[len(pivots):], cols)):
+        raise InconsistentSystemError("A x = y has no solution")
     if len(pivots) < cols:
         raise UnderdeterminedSystemError(
             f"solution space has dimension {cols - len(pivots)}"
         )
-    X = field.unpack(aug[:cols], cols, width)  # the pivots are 0..cols-1
-    return [row[0] for row in X] if Y.ndim == 1 else X
+    return field.column(aug[:cols], cols)  # the pivots are 0..cols-1
 
 
 def left_inverse(field, A, Y=None):
@@ -281,26 +278,22 @@ def left_inverse(field, A, Y=None):
     return field.contract(aug[:cols], cols, cols + B.shape[1])
 
 
-def null_space(field, A) -> list[list[int]]:
-    """Basis of the right kernel of A, one vector per free column."""
-    A = _int_matrix(A)
-    R, pivots = rref(field, A)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = field.neg(R[r][f])
-        basis.append(v)
-    return basis
-
-
 def kernel_vector(field, A):
-    """One nonzero kernel vector, or None when the kernel is trivial."""
-    basis = null_space(field, A)
-    return basis[0] if basis else None
+    """The kernel vector of A with a 1 in its first free column, the first c
+    with pivots[c] != c (else the rank), 0 in the later ones and minus that
+    column at the pivots; None when A has full column rank."""
+    A = _int_matrix(A)
+    cols = A.shape[1]
+    R = field.pack(A)
+    pivots = _rref_in_place(field, R, cols)
+    free = next((c for c, p in enumerate(pivots) if p != c), len(pivots))
+    if free == cols:
+        return None
+    v = [0] * cols
+    v[free] = 1
+    for p, x in zip(pivots, field.column(R, free)):
+        v[p] = field.neg(x)
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +318,6 @@ def matvec(field, A, v) -> list[int]:
     """
     if isinstance(A, np.ndarray):
         A = A.tolist()
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
     cols = len(A[0]) if A else 0
     if cols != len(v):
         raise ParameterError(f"cannot multiply {len(A)}x{cols} by {len(v)}x1")
@@ -351,7 +342,7 @@ def contract(F, M):
     M = np.asarray(M)
     if M.ndim < 2 or M.shape[-1] != F.m:
         raise ParameterError(f"expected an n x {F.m} matrix, got shape {M.shape}")
-    if ((M < 0) | (M >= F.q)).any():
+    if (M.size and M.dtype.kind not in "biu") or ((M < 0) | (M >= F.q)).any():
         raise ParameterError(f"entries must be digits of GF({F.q})")
     x = M.astype(np.int64) @ F.q ** np.arange(F.m, dtype=np.int64)
     return x.tolist() if M.ndim == 2 else x

@@ -12,8 +12,8 @@ Y_p = Y_h Xbar + D Z' with rank(D Z') <= rank(D) <= t, so the decoder
 never needs to learn A itself.  One `lift` makes [I | Xbar] from digits,
 for one payload or a stack, and serves `transmit_lifted` and both
 audits; one reader, `_read_lifted`, checks a lifted observation for the
-decoder and its consistency oracle alike.  Matrices read from outside,
-(A, D, Z, B) and the observations, go through `scheme._mod_q`.
+decoder and its consistency oracle alike.  From outside, (A, D, Z, B)
+and the observations are read by `scheme._mod_q`, payloads as elements.
 
 Realizations are drawn at random (`sample_realization`).  The exhaustive
 checks of both decoders, every (S, V) against every error of rank <= t,
@@ -107,7 +107,7 @@ def _send(real: ChannelRealization, M) -> TransmissionResult:
 
 def transmit(F: ExtField, X, real: ChannelRealization) -> TransmissionResult:
     """Destination and eavesdropper views of one payload transmission."""
-    return _send(real, la.expand(F, X))
+    return _send(real, la.expand(F, F.elements_of(X, "payload entries")))
 
 
 def lift(Xbar) -> np.ndarray:
@@ -119,7 +119,7 @@ def lift(Xbar) -> np.ndarray:
 
 def transmit_lifted(F: ExtField, X, real: ChannelRealization) -> TransmissionResult:
     """The views of one transmission of [I | X]."""
-    return _send(real, lift(la.expand(F, X)))
+    return _send(real, lift(la.expand(F, F.elements_of(X, "payload entries"))))
 
 
 def sample_realization(params, N: int, rng, *, lifted: bool = False,

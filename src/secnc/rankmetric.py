@@ -23,14 +23,16 @@ E with E M = [I; 0] (M has full column rank) into E_bot Yf v = 0 and
 nn = E_top Yf v; the kernels correspond one to one.  E depends only on
 t, so each code reduces M once per radius (`linalg.row_reduce_transform`)
 and caches E.  Both decoders then eliminate only the
-(n - k - t) x (t + 1) block P_bot of P = E Yf and take its first kernel
-vector: a null-space basis vector, with a 1 in its free column, so V is
-never zero (`_divide_left` needs it nonzero), and e_0 when P_bot has no
-rows (k + t = n).  P is GF(q)-linear in y, as Frobenius is, so
-`decode` caches, from its first call at a radius, the base-field matrix
-W_t of y -> P:
-it gets P of one word as one float64 product expand(y) W_t mod q, then
-uses scalar field operations.  `decode_stack` accumulates P for a (B, n)
+(n - k - t) x (t + 1) block P_bot of P = E Yf and take its kernel vector
+by one rule: 1 in the first free column, the first c whose pivot is not
+c, 0 in the later ones, and minus that column at the pivots
+(`linalg.kernel_vector`; `decode_stack` reads the pivots from the leads
+of `linalg._rref_stack`).  So V is never zero (`_divide_left` needs it
+nonzero), and it is e_0 when P_bot has no rows (k + t = n).  P is
+GF(q)-linear in y, as Frobenius is, so `decode` caches, from its first
+call at a radius, the base-field matrix W_t of y -> P: it gets P of one
+word as one float64 product expand(y) W_t mod q, then uses scalar field
+operations.  `decode_stack` accumulates P for a (B, n)
 stack of words with the fields' vector operations and eliminates with
 `linalg._rref_stack`, for the audits, whose stacks span their phases (a
 product with W_t would take ~270 MB for 2^14 words at m = 16); it never
@@ -182,8 +184,7 @@ class GabidulinCode:
 
         Returns a failure outcome when no codeword lies within rank
         distance t of y.  P = E Yf is one base-field product expand(y) W_t
-        (module docstring); v is the first kernel vector of P_bot and
-        nn = P_top v.
+        (module docstring); v is P_bot's kernel vector and nn = P_top v.
         """
         F, n, k = self.F, self.n, self.k
         y = F.elements_of(y, "received word entries")
@@ -197,7 +198,7 @@ class GabidulinCode:
         if v is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
         u = self._divide_left(v, la.matvec(F, P[: k + t], v))
-        c = self.encode(u)
+        c = la.matvec(F, self._Gt, u)
         residual = [F.sub(a, b) for a, b in zip(y, c)]
         r = la.vector_rank(F, residual)
         if r > t:
@@ -275,7 +276,7 @@ class GabidulinCode:
         P = np.zeros((n, t + 1, B), dtype=np.int64)
         for j in range(n):
             P = F.vsub(P, F.vmul(E[:, j, None, None], Yf[:, j]))
-        # 2. v from the first free column of E_bot Yf, as null_space's first;
+        # 2. v from the first free column of E_bot Yf, as kernel_vector's;
         # nn = E_top Yf v = -P_top v
         R, lead, _ = la._rref_stack(F, P[k + t:])
         # the leads rise: the first free column ends the run lead[i] = i
@@ -311,7 +312,7 @@ class GabidulinCode:
 
     def _divide_left(self, v, nn):
         """f of q-degree < k from the top k coefficients of V o f = N, for
-        a nonzero V: a kernel basis vector, with a 1 in its free column.
+        a nonzero V: the kernel vector, with a 1 in its first free column.
         Exact whenever a codeword lies within the radius; otherwise
         decode's re-encode check rejects f."""
         F = self.F

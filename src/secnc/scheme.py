@@ -156,7 +156,7 @@ class SchemeInstance:
         if N >= p.n:
             out = self.code.decode(la.left_inverse(F.base, A, Y), p.t)
         elif N == p.n - 2 * p.t:
-            g = la.matvec(F, la.to_lists(A), self.code.g)
+            g = la.matvec(F, A, self.code.g)
             try:  # the points A g are independent iff A has full row rank
                 seen = GabidulinCode(F, N, p.k + p.mu, g=g)
             except ParameterError:

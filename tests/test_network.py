@@ -117,7 +117,7 @@ def test_lift_clean_channel_row_reduces_to_lifted_matrix(inst):
                                   np.zeros((0, 8), dtype=int),
                                   np.zeros((0, 4), dtype=int))
         res = transmit_lifted(F, X, real)
-        R, _ = la.rref(F.base, res.Y)
+        _, R, _ = la.row_reduce_transform(F.base, res.Y)
         assert np.array_equal(np.array(R), lift(la.expand(F, X)))
 
 
@@ -282,6 +282,21 @@ def test_transmit_shape_mismatches(inst):
         transmit(inst.F, X[:3], clean_realization(4, cols=4))
     with pytest.raises(ParameterError):
         transmit_lifted(inst.F, X, clean_realization(4, cols=4))  # Z too narrow
+
+
+@pytest.mark.parametrize("send", [transmit, transmit_lifted],
+                         ids=["transmit", "lifted"])
+def test_transmit_reads_the_payload_as_elements(inst, send):
+    # as encode reads a message: 1.5 is not sent as 1, 17 is not an element
+    # of GF(2^4), -1 is not sent as 15, and None raises no bare TypeError
+    real = clean_realization(4, cols=8 if send is transmit_lifted else 4)
+    assert (send(inst.F, [1, 0, 0, 0], real).Y[0] != 0).any()
+    for X, reason in [([1.5, 0, 0, 0], "payload entries must be integers"),
+                      ([None, 0, 0, 0], "payload entries must be integers"),
+                      ([17, 0, 0, 0], r"17 is not an element of GF\(2\^4\)"),
+                      ([-1, 0, 0, 0], r"-1 is not an element of GF\(2\^4\)")]:
+        with pytest.raises(ParameterError, match=f"^{reason}$"):
+            send(inst.F, X, real)
 
 
 def test_realization_reads_its_matrices_as_the_decoders_do():

@@ -86,8 +86,15 @@ def test_encode_frozen_and_matches_direct_sum(F16, code42):
     assert list(c) == manual
 
 
+def _parity_check(F, G):
+    """H with H c = 0 for every codeword c = G^T u: the rows of E past the
+    rank, for E G^T in RREF."""
+    E, _, pivots = la.row_reduce_transform(F, la.transpose(G))
+    return E[len(pivots):]
+
+
 def test_parity_check_annihilates_code(F16, code42):
-    H = la.null_space(F16, code42.generator_matrix())
+    H = _parity_check(F16, code42.generator_matrix())
     assert la.dims(H)[0] == 2
     for u in [(0, 0), (1, 0), (5, 11), (15, 15)]:
         c = code42.encode(u)
@@ -95,7 +102,7 @@ def test_parity_check_annihilates_code(F16, code42):
 
 
 def test_contains_rejects_non_codeword(F16, code42):
-    H = la.null_space(F16, code42.generator_matrix())
+    H = _parity_check(F16, code42.generator_matrix())
     c = code42.encode((3, 7))
     c[0] ^= 1
     assert any(la.matvec(F16, H, c))
@@ -523,7 +530,7 @@ def _full_system(code, y, t):
 
 def _interpolation_kernel(code, y, t):
     """The full system's (kernel dimension, first free column)."""
-    _, pivots = la.rref(code.F, _full_system(code, y, t))
+    _, _, pivots = la.row_reduce_transform(code.F, _full_system(code, y, t))
     free = [c for c in range(2 * t + code.k + 1) if c not in pivots]
     return len(free), free[0] if free else None
 

@@ -45,7 +45,8 @@ def _complete_transform(F, G0, n):
     # a column of [G0^T | I] is a pivot exactly when it is independent of
     # the columns before it, so the pivots past k0 are the greedy picks
     eye = np.eye(n, dtype=int).tolist()
-    _, pivots = la.rref(F, [col + e for col, e in zip(la.transpose(G0), eye)])
+    _, _, pivots = la.row_reduce_transform(
+        F, [col + e for col, e in zip(la.transpose(G0), eye)])
     if pivots[:k0] != list(range(k0)):
         raise ParameterError("generator rows are linearly dependent")
     Tt = [eye[p - k0] for p in pivots[k0:]] + [list(r) for r in G0]
