@@ -63,7 +63,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import linalg as la
-from .errors import ParameterError, check_budget
+from .errors import ParameterError, check_budget, read_count
 from .network import (_read_lifted, candidate_spaces, lift, noncoherent_decode,
                       sample_realization, transmit, transmit_lifted)
 from .rankmetric import (DECODE_FAILURE, DEFAULT_ENUM_BUDGET, DecodeOutcome,
@@ -223,17 +223,14 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
     """
     p = inst.params
     q = p.q
-    rows = p.mu if tap_rows is None else tap_rows
-    if rows < 0 or rows > p.n:
-        raise ParameterError(f"tap rows must be in 0..{p.n}")
+    rows = read_count(p.mu if tap_rows is None else tap_rows, "tap_rows", 0, p.n)
     n_pairs = inst.F.order ** (p.k + p.mu)
     if mode == "exhaustive":
         n_taps = la.count_rank_exactly(q, rows, p.n, rows)
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
-        if samples < 1:
-            raise ParameterError(f"samples must be >= 1, got {samples}")
+        samples = read_count(samples, "samples", 1)
         n_taps = samples if rows else 1
     else:
         raise ParameterError(f"unknown audit mode {mode!r}")
@@ -312,11 +309,9 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     p = inst.params
     F = inst.F
     q, n, m, t = p.q, p.n, p.m, p.t
-    N = n + t if N is None else N
+    N = read_count(n + t if N is None else N, "N", n)
     cols = n + m if lifted else m
     inst._require_decodable()
-    if N < n:
-        raise ParameterError(f"N = {N} must be at least n = {n}")
     exemplars = []
     rank_counts = Counter()
     failures = 0
@@ -352,9 +347,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     # each mode refuses what it must, then defines parts(): ((Y, S), tag)
     # in enumeration order, drawing from rng only as the cases are decoded
     if mode == "exhaustive":
-        if random_transfers < 0:
-            raise ParameterError(
-                f"random_transfers must be >= 0, got {random_transfers}")
+        random_transfers = read_count(random_transfers, "random_transfers")
         n_pairs = F.order ** (p.k + p.mu)
         check_budget(n_pairs * la.count_rank_at_most(q, n, cols, t) * cost(n)
                      + random_transfers * la.count_rank_at_most(q, N, cols, t)
@@ -393,8 +386,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
     elif mode == "sampled":
         if rng is None:
             raise ParameterError("sampled mode needs an rng")
-        if trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {trials}")
+        trials = read_count(trials, "trials", 1)
         check_budget(trials * cost(N), budget, "reliability trials", unit)
         if not lifted:
             check_budget(N * (n + m), budget, "one trial's un-mix", "entries")
@@ -491,9 +483,9 @@ def brute_force_decode(code: GabidulinCode, y, t: int,
     algebraic decoder is measured against.
     """
     F = code.F
-    y = np.array(F.elements_of(y, "received word entries"), dtype=np.int64)
-    if len(y) != code.n:
-        raise ParameterError(f"received word length {len(y)} != n = {code.n}")
+    y = F.read(y, "received word")
+    if y.shape != (code.n,):
+        raise ParameterError(f"received word of shape {y.shape}, expected ({code.n},)")
     msgs, words = code.codeword_table(budget)
     out = set()
     for lo in range(0, len(msgs), _CHUNK):

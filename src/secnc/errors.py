@@ -1,8 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule that reads a count."""
+
+from operator import index
 
 
 class ParameterError(ValueError):
-    """A caller-supplied value violates a documented precondition."""
+    """A caller-supplied value violates a documented precondition: every
+    refusal of a caller value, the linear-algebra ones below included."""
 
 
 class ValidationError(ParameterError):
@@ -18,15 +21,15 @@ class ValidationError(ParameterError):
         self.reason = reason
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(ParameterError):
     """Matrix has no (left) inverse of the requested kind."""
 
 
-class InconsistentSystemError(ValueError):
+class InconsistentSystemError(ParameterError):
     """Linear system has no solution."""
 
 
-class UnderdeterminedSystemError(ValueError):
+class UnderdeterminedSystemError(ParameterError):
     """Linear system has more than one solution."""
 
 
@@ -52,3 +55,16 @@ def check_budget(needed: int, budget: int, what: str, unit: str = "cases"):
     """Refuse, before any work, a request that needs more than `budget`."""
     if needed > budget:
         raise BudgetExceededError(needed, budget, what, unit)
+
+
+def read_count(value, name: str, low: int | None = 0, high: int | None = None) -> int:
+    """The count `value` as an int in low..high (a bound of None is open),
+    else a ParameterError: a float or None is refused, not truncated."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ParameterError(f"{name} = {value} must be {bounds}")
+    return value

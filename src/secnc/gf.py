@@ -23,15 +23,20 @@ holds 4(order-1)+1 entries, so exp[log a + log b] is a*b for every a and
 b and no product tests for zero.  inv, pow and frobenius scale a log
 rather than add two, so they keep their zero case.
 
-Both fields supply the rows of the `linalg` elimination kernel: their
-row form, made from a 2-D int64 array by pack (GF(q) reduces it mod q)
-and read back by unpack (a column range) and column (one column's
-entries), and the row operations scale_row and sub_scaled_row
-(dst - f*src) on that form.  GF(2) packs a row into one Python int, bit
-c holding column c, for any width, so its row operations are a XOR;
-GF(q^m) and odd GF(q) keep a list of entries per row.  GF(q) also reads a column range of each row
-as one GF(q^m) element, contract (a shift and a mask at GF(2)), for the
-packets a left inverse un-mixes.  They also supply the inner product
+Each field reads a caller's values itself, arrays with read and lists
+with elements_of: ragged rows and entries that are not integers are
+refused with a ParameterError, then GF(q) takes the rest mod q and
+GF(q^m) refuses a non-element with check's message.  numpy holds an int
+past int64 as a float64 or an object array, which read takes entry by
+entry.  Both fields supply the rows of the `linalg` elimination kernel:
+their row form, made from a 2-D int64 array of elements by pack and read
+back by unpack (a column range) and column (one column's entries), and
+the row operations scale_row and sub_scaled_row (dst - f*src) on that
+form.  GF(2) packs a row into one Python int, bit c holding column c,
+for any width, so its row operations are a XOR; GF(q^m) and odd GF(q)
+keep a list of entries per row.  GF(q) also reads a column range of each
+row as one GF(q^m) element, contract (a shift and a mask at GF(2)), for
+the packets a left inverse un-mixes.  They also supply the inner product
 dot of `linalg.matvec` and `linalg.matmul`, on lists.  None of these
 calls mul per entry: GF(q) reduces mod q inline, GF(q^m) gathers
 exp[log f + log y] and sums with XOR in GF(2^m), `_digitwise` at odd q.
@@ -50,8 +55,9 @@ GF(q^m) sum, scalar or vector, is one rule, `ExtField._digitwise`: XOR
 when q = 2, else digit-wise mod q in one pass over the m base-q digits.
 Vector operations carry other names than the scalar operations so that
 counts of those stay counts of scalar calls.  What both fields do alike
-is defined once, in their base `_Field`: div, the list row form, vneg,
-vinv (a gather from the field's `_inv_table`) and elements.
+is defined once, in their base `_Field`: read and elements_of up to the
+field's own rules, div, the list row form, vneg, vinv (a gather from the
+field's `_inv_table`) and elements.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, read_count
 
 # Largest field order a field may be built with, and so the largest
 # exp/log table.  Larger orders are refused before the primality test
@@ -96,13 +102,14 @@ DEFAULT_MODULI_GF2 = {
 }
 
 
-def _check_order(q: int, m: int = 1) -> None:
-    """Refuse GF(q^m) when q^m > FIELD_LIMIT, without computing a huge q^m."""
-    if q < 2 or m < 1:
-        return  # rejected by the caller's own checks
-    if q > FIELD_LIMIT or m >= FIELD_LIMIT.bit_length() or q ** m > FIELD_LIMIT:
+def _read_order(q, m=1) -> tuple[int, int]:
+    """q and m >= 1 read as counts; GF(q^m) refused when q^m > FIELD_LIMIT,
+    without computing a huge q^m.  q < 2 is left to the caller's is_prime."""
+    q, m = read_count(q, "q", None), read_count(m, "m", 1)
+    if q > 1 and q ** min(m, FIELD_LIMIT.bit_length()) > FIELD_LIMIT:
         raise ParameterError(
             f"field GF({q}^{m}) exceeds the largest supported order {FIELD_LIMIT}")
+    return q, m
 
 
 def is_prime(n: int) -> bool:
@@ -190,11 +197,31 @@ def format_digits(digits, q: int) -> str:
 class _Field:
     """The methods both fields share (module docstring)."""
 
+    def read(self, M, name: str) -> np.ndarray:
+        """The caller's array M as an int64 array of elements: ragged rows and
+        entries that are not integers are refused, the rest read by the
+        field's rule for arrays, `_elements`, or entry by entry, `_element`."""
+        try:
+            A = np.asarray(M)
+        except ValueError:
+            raise ParameterError(f"{name} has rows of unequal lengths") from None
+        if A.size and A.dtype.kind not in "biu":  # a float, None, or a big int
+            flat = np.asarray(M, dtype=object).ravel()
+            A = np.array(self.elements_of(flat, f"{name} entries")).reshape(A.shape)
+        return self._elements(A)
+
+    def elements_of(self, xs, what: str) -> list[int]:
+        """The list xs as elements; a float, say, is refused, not truncated."""
+        try:
+            return [self._element(index(x)) for x in xs]
+        except TypeError:
+            raise ParameterError(f"{what} must be integers") from None
+
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pack(self, A) -> list[list[int]]:
-        """The rows of the 2-D int64 array A in this field's row form."""
+        """The rows of the 2-D int64 array A of elements in the row form."""
         return A.tolist()
 
     def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
@@ -221,7 +248,7 @@ class PrimeField(_Field):
     """GF(q) for prime q.  Elements are ints in [0, q)."""
 
     def __init__(self, q: int):
-        _check_order(q)
+        q, _ = _read_order(q)
         if not is_prime(q):
             raise ParameterError(f"base field order {q} is not prime")
         self.q = q
@@ -247,13 +274,21 @@ class PrimeField(_Field):
     def pow(self, a, e):
         return pow(a, e, self.q) if e >= 0 else pow(self.inv(a), -e, self.q)
 
+    # -- a caller's values, taken mod q -----------------------------------
+
+    def _element(self, a: int) -> int:
+        return a % self.q
+
+    def _elements(self, A):
+        A = A.astype(np.int64, copy=False)
+        return A & 1 if self.q == 2 else A % self.q
+
     # -- rows of the elimination kernel: bitmasks at GF(2) ----------------
 
     def pack(self, A):
-        """The rows of A, reduced mod q, in the row form."""
         if self.q != 2:
-            return super().pack(A % self.q)
-        bits = np.packbits(A & 1, axis=1, bitorder="little").tolist()
+            return super().pack(A)
+        bits = np.packbits(A, axis=1, bitorder="little").tolist()
         return [int.from_bytes(row, "little") for row in bits]
 
     def unpack(self, rows, lo: int, hi: int) -> list[list[int]]:
@@ -324,11 +359,9 @@ class ExtField(_Field):
     """
 
     def __init__(self, q: int, m: int, modulus=None):
-        _check_order(q, m)
+        q, m = _read_order(q, m)
         if not is_prime(q):
             raise ParameterError(f"base field order {q} is not prime")
-        if m < 1:
-            raise ParameterError(f"extension degree must be >= 1, got {m}")
         if modulus is None:
             modulus = find_irreducible(q, m)
         try:  # digits, refused rather than truncated or reduced
@@ -418,15 +451,14 @@ class ExtField(_Field):
             raise ParameterError(f"{a} is not an element of GF({self.q}^{self.m})")
         return a
 
-    def elements_of(self, xs, what: str) -> list[int]:
-        """The entries of xs as elements: `check` refuses one out of range,
-        and one that is not an integer (a float, say) is refused rather
-        than truncated, by the "{what} must be integers" rule of
-        `scheme._mod_q`."""
-        try:
-            return [self.check(index(x)) for x in xs]
-        except TypeError:
-            raise ParameterError(f"{what} must be integers") from None
+    _element = check  # a caller's value: refused unless an element
+
+    def _elements(self, A):
+        E = A.astype(np.int64, copy=False)
+        # one reduction: a negative entry is 2^64 - |x| as uint64
+        if E.size and E.view(np.uint64).max() >= self.order:
+            self.check(int(A[(A < 0) | (A >= self.order)][0]))
+        return E
 
     def _digitwise(self, a, b, s: int):
         """a + s*b for s = +-1, coefficient by coefficient: XOR when q = 2,

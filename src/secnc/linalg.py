@@ -1,9 +1,9 @@
 """Matrix algebra over GF(q) and GF(q^m).
 
 Matrices over the base field are numpy integer arrays, those over the
-extension field lists of lists of packed field elements; entries that
-are not integers are refused, as `scheme._mod_q` refuses them, and
-GF(q)'s pack reduces the rest mod q.  `rank`, `row_reduce_transform`,
+extension field lists of lists of packed field elements, each read by
+its field (`gf`'s read: mod q, or refused unless elements of GF(q^m),
+as `contract` refuses non-digits).  `rank`, `row_reduce_transform`,
 `left_inverse`, `rref_solve` (of one vector) and `kernel_vector` each
 pack an int64 matrix, run one kernel, `_rref_in_place`, written against
 the field protocol of `gf` (inv, the row operations scale_row /
@@ -55,6 +55,7 @@ from .errors import (
     ParameterError,
     SingularMatrixError,
     UnderdeterminedSystemError,
+    read_count,
 )
 from .gf import PrimeField
 
@@ -93,13 +94,9 @@ def mod(X, q: int) -> np.ndarray:
     return X & 1 if q == 2 else X % q
 
 
-def _int_matrix(M) -> np.ndarray:
-    """M as a 2-D int64 array; [] is the 0 x 0 matrix.  Entries that are not
-    integers are refused, as `scheme._mod_q` refuses them."""
-    A = np.asarray(M)
-    if A.size and A.dtype.kind not in "biu":
-        raise ParameterError("matrix entries must be integers")
-    A = A.astype(np.int64, copy=False)
+def _int_matrix(field, M) -> np.ndarray:
+    """M as an int64 array of elements (`field.read`); [] is the 0 x 0 matrix."""
+    A = field.read(M, "matrix")
     return A.reshape(0, 0) if A.ndim == 1 and not A.size else A
 
 
@@ -174,7 +171,7 @@ def _rref_stack(field, M):
 
 
 def rank(field, M) -> int:
-    A = _int_matrix(M)
+    A = _int_matrix(field, M)
     if field.order == 2:  # GF(2^1) has the elements of GF(2)
         return rank_gf2(_GF2.pack(A))
     return len(_rref_in_place(field, field.pack(A), A.shape[1]))
@@ -224,7 +221,7 @@ def _reduce_beside(field, A: np.ndarray, B: np.ndarray):
 
 def row_reduce_transform(field, M) -> tuple[list[list[int]], list[list[int]], list[int]]:
     """Returns (E, R, pivots) with E square invertible and E @ M = R in RREF."""
-    A = _int_matrix(M)
+    A = _int_matrix(field, M)
     rows, cols = A.shape
     aug, pivots = _reduce_beside(field, A, np.eye(rows, dtype=np.int64))
     return field.unpack(aug, cols, cols + rows), field.unpack(aug, 0, cols), pivots
@@ -236,8 +233,8 @@ def rref_solve(field, A, y) -> list[int]:
     Raises InconsistentSystemError when no solution exists and
     UnderdeterminedSystemError when there are many.
     """
-    A = _int_matrix(A)
-    y = _int_matrix(y).reshape(-1, 1)
+    A = _int_matrix(field, A)
+    y = _int_matrix(field, y).reshape(-1, 1)
     rows, cols = A.shape
     if len(y) != rows:
         raise ParameterError(f"rhs has {len(y)} rows, expected {rows}")
@@ -261,11 +258,11 @@ def left_inverse(field, A, Y=None):
     n elements of GF(q^m) (`field.contract`): [A | Y] is reduced in place
     of [A | I_N], to the same pivots and E, with no N x N block.
     """
-    A = _int_matrix(A)
+    A = _int_matrix(field, A)
     rows, cols = A.shape
     if rows < cols:
         raise ParameterError("left inverse requires rows >= cols")
-    B = np.eye(rows, dtype=np.int64) if Y is None else _int_matrix(Y)
+    B = np.eye(rows, dtype=np.int64) if Y is None else _int_matrix(field, Y)
     if len(B) != rows:
         raise ParameterError(f"rhs has {len(B)} rows, expected {rows}")
     aug, pivots = _reduce_beside(field, A, B)
@@ -282,7 +279,7 @@ def kernel_vector(field, A):
     """The kernel vector of A with a 1 in its first free column, the first c
     with pivots[c] != c (else the rank), 0 in the later ones and minus that
     column at the pivots; None when A has full column rank."""
-    A = _int_matrix(A)
+    A = _int_matrix(field, A)
     cols = A.shape[1]
     R = field.pack(A)
     pivots = _rref_in_place(field, R, cols)
@@ -339,13 +336,13 @@ def expand(F, v) -> np.ndarray:
 def contract(F, M):
     """The inverse of expand: a list for one n x m matrix, an int64 array
     (..., n) for a stack (..., n, m).  Exact in int64: q^m <= FIELD_LIMIT."""
-    M = np.asarray(M)
-    if M.ndim < 2 or M.shape[-1] != F.m:
-        raise ParameterError(f"expected an n x {F.m} matrix, got shape {M.shape}")
-    if (M.size and M.dtype.kind not in "biu") or ((M < 0) | (M >= F.q)).any():
+    D = F.base.read(M, "digit matrix")
+    if D.ndim < 2 or D.shape[-1] != F.m:
+        raise ParameterError(f"expected an n x {F.m} matrix, got shape {D.shape}")
+    if (D != M).any():  # read reduced a digit out of range
         raise ParameterError(f"entries must be digits of GF({F.q})")
-    x = M.astype(np.int64) @ F.q ** np.arange(F.m, dtype=np.int64)
-    return x.tolist() if M.ndim == 2 else x
+    x = D @ F.q ** np.arange(F.m, dtype=np.int64)
+    return x.tolist() if D.ndim == 2 else x
 
 
 def span(F, rows, idx):
@@ -409,8 +406,7 @@ def random_matrix(field, rows: int, cols: int, rng) -> np.ndarray:
 
 def random_full_rank(field, rows: int, cols: int, rng) -> np.ndarray:
     """Rejection-sample a matrix of rank min(rows, cols)."""
-    if rows < 1 or cols < 1:
-        raise ParameterError("dimensions must be >= 1")
+    rows, cols = read_count(rows, "rows", 1), read_count(cols, "cols", 1)
     target = min(rows, cols)
     while True:
         M = random_matrix(field, rows, cols, rng)

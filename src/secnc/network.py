@@ -13,7 +13,7 @@ never needs to learn A itself.  One `lift` makes [I | Xbar] from digits,
 for one payload or a stack, and serves `transmit_lifted` and both
 audits; one reader, `_read_lifted`, checks a lifted observation for the
 decoder and its consistency oracle alike.  From outside, (A, D, Z, B)
-and the observations are read by `scheme._mod_q`, payloads as elements.
+and the observations are read by the base field (`gf`'s read, mod q).
 
 Realizations are drawn at random (`sample_realization`).  The exhaustive
 checks of both decoders, every (S, V) against every error of rank <= t,
@@ -32,10 +32,11 @@ from .errors import (
     ParameterError,
     UnderdeterminedSystemError,
     check_budget,
+    read_count,
 )
 from .gf import ExtField, PrimeField
 from .rankmetric import DEFAULT_ENUM_BUDGET, DecodeOutcome
-from .scheme import SchemeInstance, _mod_q
+from .scheme import SchemeInstance
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,16 @@ class ChannelRealization:
     B: np.ndarray
 
     def __post_init__(self):
+        field = PrimeField(self.q)
         for name in ("A", "D", "Z", "B"):
-            M = _mod_q(getattr(self, name), self.q, name)
+            M = field.read(getattr(self, name), name)
             object.__setattr__(self, name, M)
             if M.ndim != 2:
                 raise ParameterError(f"{name} must be a matrix")
         N, n = self.A.shape
         if n < 1 or N < n:
             raise ParameterError(f"transfer matrix {N} x {n} cannot have rank {n}")
-        if la.rank_fq(self.A, self.q) != n:
+        if la.rank(field, self.A) != n:
             raise ParameterError("transfer matrix A must have full column rank")
         if self.D.shape[0] != N:
             raise ParameterError(
@@ -122,23 +124,17 @@ def transmit_lifted(F: ExtField, X, real: ChannelRealization) -> TransmissionRes
     return _send(real, lift(la.expand(F, F.elements_of(X, "payload entries"))))
 
 
-def sample_realization(params, N: int, rng, *, lifted: bool = False,
-                       num_errors: int | None = None) -> ChannelRealization:
-    """Draw A full-rank N x n, D, Z uniform with num_errors (default t)
-    injected packets, and B full-rank mu x n."""
-    q, n, m = params.q, params.n, params.m
+def sample_realization(params, N: int, rng, *,
+                       lifted: bool = False) -> ChannelRealization:
+    """Draw A full-rank N x n, D, Z uniform with t injected packets, and B
+    full-rank mu x n."""
+    q, n, m, t = params.q, params.n, params.m, params.t
     cols = n + m if lifted else m
-    if N < n:
-        raise ParameterError(f"N = {N} must be at least n = {n}")
+    N = read_count(N, "N", n)
     field = PrimeField(q)
-    tp = params.t if num_errors is None else num_errors
-    if tp < 0:
-        raise ParameterError(f"num_errors = {tp} must be >= 0")
-    if tp > params.t:
-        raise ParameterError(f"num_errors = {tp} exceeds t = {params.t}")
     A = la.random_full_rank(field, N, n, rng)
-    D = la.random_matrix(field, N, tp, rng)
-    Z = la.random_matrix(field, tp, cols, rng)
+    D = la.random_matrix(field, N, t, rng)
+    Z = la.random_matrix(field, t, cols, rng)
     B = (
         la.random_full_rank(field, params.mu, n, rng)
         if params.mu
@@ -160,7 +156,7 @@ def candidate_spaces(q: int, N: int, t: int) -> int:
 def _read_lifted(inst: SchemeInstance, Y) -> np.ndarray:
     """The lifted observation Y mod q, N x (n + m) with N >= n."""
     p = inst.params
-    Y = _mod_q(Y, p.q, "lifted observation")
+    Y = inst.F.base.read(Y, "lifted observation")
     if Y.ndim != 2 or Y.shape[1] != p.n + p.m:
         raise ParameterError(f"lifted observation must have {p.n + p.m} columns")
     if Y.shape[0] < p.n:
@@ -213,5 +209,5 @@ def noncoherent_decode(inst: SchemeInstance, Y) -> DecodeOutcome:
         )
     (S, u), = found.items()
     Xbar = la.expand(F, la.matvec(F, G0t, list(u)))
-    err = la.rank_fq(la.mod(Yp - Yh @ Xbar, q), q)
+    err = la.rank_fq(Yp - Yh @ Xbar, q)
     return DecodeOutcome.success(S, err)

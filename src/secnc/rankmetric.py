@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import ParameterError, check_budget
+from .errors import ParameterError, check_budget, read_count
 from .gf import ExtField
 
 # Cap on an exhaustive enumeration; callers may raise it.
@@ -118,8 +118,8 @@ class GabidulinCode:
     """
 
     def __init__(self, F: ExtField, n: int, k: int, g=None):
-        if n < 1 or not 0 < k <= n:
-            raise ParameterError(f"need 0 < k <= n >= 1, got n={n}, k={k}")
+        n = read_count(n, "n", 1)
+        k = read_count(k, "k", 1, n)
         if F.m < n:
             raise ParameterError(
                 f"Gabidulin construction needs m >= n, got m={F.m}, n={n}"
@@ -190,7 +190,7 @@ class GabidulinCode:
         y = F.elements_of(y, "received word entries")
         if len(y) != n:
             raise ParameterError(f"received word length {len(y)} != n = {n}")
-        self._check_radius(t)
+        t = read_count(t, "t", 0, (n - k) // 2)
         W = self._w_t(t)
         D = la.mod(la.expand(F, y).reshape(-1) @ W, F.q)  # E Yf's digits
         P = D.reshape(n, t + 1, F.m) @ F.q ** np.arange(F.m)
@@ -204,13 +204,6 @@ class GabidulinCode:
         if r > t:
             return DecodeOutcome.failure(DECODE_FAILURE)
         return DecodeOutcome.success(u, r)
-
-    def _check_radius(self, t: int) -> None:
-        if t < 0 or 2 * t > self.n - self.k:
-            raise ParameterError(
-                f"t = {t} exceeds the unique-decoding radius (2t <= n-k = "
-                f"{self.n - self.k})"
-            )
 
     def _split(self, t: int):
         """E, int64, cached per t: E M = [I; 0] for the n x (k + t) Moore
@@ -239,7 +232,7 @@ class GabidulinCode:
 
         Returns (ok, messages, error_ranks): bool (B,), int64 (B, k) and
         int64 (B,) arrays; a row that fails has a zero message and error
-        rank -1.  Entries must be integers, as `decode` requires.
+        rank -1.  Y is read by the field (`gf`'s read), with `decode`'s refusals.
 
         Works on the (..., B) layout, the batch axis last, so that every
         step is one elementwise pass over B: Y as (n, B), Yf as
@@ -252,21 +245,12 @@ class GabidulinCode:
         with vector operations, not taken from W_t (module docstring).
         """
         F, n, k = self.F, self.n, self.k
-        words = np.asarray(Y)
+        words = F.read(Y, "received word")
         if words.ndim != 2 or words.shape[1] != n:
             raise ParameterError(f"expected received words of length n = {n}, "
                                  f"got an array of shape {words.shape}")
-        self._check_radius(t)
-        if words.dtype.kind not in "biu":
-            # read from Y word by word, as decode reads one: numpy holds a
-            # Python int past int64 as a float or an object, and a float
-            # is refused, not truncated by the int64 cast
-            words = np.array([F.elements_of(y, "received word entries") for y in Y],
-                             dtype=np.int64).reshape(-1, n)
-        bad = (words < 0) | (words >= F.order)
-        if bad.any():
-            F.check(int(words[bad][0]))  # the scalar decoder's refusal
-        Y = np.array(words.T, dtype=np.int64, order="C")
+        t = read_count(t, "t", 0, (n - k) // 2)
+        Y = np.array(words.T, order="C")
         B = Y.shape[1]
         moore = np.array(self.moore[:k], dtype=np.int64)
         ar = np.arange(B)

@@ -19,10 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg as la
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, read_count
 from .gf import ExtField
 from .rankmetric import DecodeOutcome, GabidulinCode
 
@@ -43,15 +41,15 @@ class SchemeParams:
     def validate(self) -> None:
         """Reject invalid parameters with a named reason.
 
-        Raises ValidationError with reason "shape" (nonsense sizes),
-        "packet_length" (m < n), or "rate_bound" (k outside
-        1..n-2t-mu).
+        Raises ValidationError with reason "shape" (a field that is not an
+        integer, or n < 1, t < 0 or mu < 0, as `read_count` reads counts),
+        "packet_length" (m < n), or "rate_bound" (k outside 1..n-2t-mu).
         """
-        if self.n < 1 or self.t < 0 or self.mu < 0:
-            raise ValidationError(
-                "shape", f"need n >= 1, t >= 0, mu >= 0, got "
-                f"n={self.n}, t={self.t}, mu={self.mu}"
-            )
+        try:
+            for name, low in dict(q=None, m=None, n=1, t=0, mu=0, k=None).items():
+                read_count(getattr(self, name), name, low)
+        except ParameterError as e:
+            raise ValidationError("shape", str(e)) from None
         if self.m < self.n:
             raise ValidationError(
                 "packet_length",
@@ -74,18 +72,6 @@ class SchemeParams:
     @property
     def rate_bits(self) -> float:
         return self.k * self.m * math.log2(self.q)
-
-
-def _mod_q(M, q: int, what: str):
-    """M as an int64 array of its entries mod q; ragged rows and entries
-    that are not integers are refused."""
-    try:
-        M = np.asarray(M)
-    except ValueError:
-        raise ParameterError(f"{what} has rows of unequal lengths") from None
-    if M.size and M.dtype.kind not in "biu":
-        raise ParameterError(f"{what} entries must be integers")
-    return la.mod(M.astype(np.int64, copy=False), q)
 
 
 class SchemeInstance:
@@ -142,12 +128,12 @@ class SchemeInstance:
         (A g)_i^(q^l), the Moore matrix of the points A g (D. Silva and
         F. R. Kschischang, arXiv:0809.3546), and Y is decoded at radius 0
         in the Gabidulin code at those points.  Any other N is refused.
-        Entries of A and Y are taken mod q.
+        A and Y are read by the base field (`gf`'s read): entries mod q.
         """
         self._require_decodable()
         p, F = self.params, self.F
-        A = _mod_q(A, p.q, "transfer matrix")
-        Y = _mod_q(Y, p.q, "observation")
+        A = F.base.read(A, "transfer matrix")
+        Y = F.base.read(Y, "observation")
         if A.ndim != 2 or A.shape[1] != p.n:
             raise ParameterError(f"transfer matrix must have {p.n} columns")
         N = A.shape[0]

@@ -146,8 +146,7 @@ def test_criterion_7_noncoherent_trials_and_oracle(report):
     for trial in range(1000):
         S = [int(v) for v in rng.integers(0, 16, size=1)]
         X = inst.encode(S, rng=rng)
-        real = sample_realization(p, p.n, rng, lifted=True,
-                                  num_errors=1)
+        real = sample_realization(p, p.n, rng, lifted=True)
         Y = transmit_lifted(inst.F, X, real).Y
         out = noncoherent_decode(inst, Y)
         assert out.ok and out.message == tuple(S), trial

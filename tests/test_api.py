@@ -11,6 +11,12 @@ import secnc
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Private names a module imports from another on purpose: (module, name).
+PRIVATE_IMPORTS_ON_PURPOSE = {
+    ("audit", "_read_lifted"):
+        "the lifted reader the decoder and its consistency oracle share",
+}
+
 # Functions kept without a caller in src/secnc or demos/.
 UNCALLED_ON_PURPOSE = {
     "error": "argparse calls the parser's error hook",
@@ -91,3 +97,16 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def test_no_private_name_is_imported_across_modules():
+    # a private name is its module's own decision: another module that
+    # imports one (`from .x import _name`) reads a caller's value, say,
+    # by a second policy of its own
+    found = set()
+    for path in sorted((ROOT / "src" / "secnc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {(path.stem, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found == set(PRIVATE_IMPORTS_ON_PURPOSE)

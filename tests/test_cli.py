@@ -11,6 +11,8 @@ import pytest
 from secnc import fileio
 from secnc import linalg as la
 from secnc.cli import build_parser, main
+from secnc.errors import (InconsistentSystemError, ParameterError, SingularMatrixError,
+                          UnderdeterminedSystemError)
 from secnc.network import sample_realization, transmit_lifted
 from secnc.scheme import build_instance
 
@@ -170,6 +172,11 @@ def test_decode_rank_deficient_transfer_is_rejected(cfg, tmp_path, capsys):
                  "--transfer", apath]) == 2
     err = capsys.readouterr().err
     assert "secnc: rejected:" in err and "Traceback" not in err
+    # main maps it by its base class: every linalg refusal is a
+    # ParameterError, and still a ValueError
+    for exc in (SingularMatrixError, InconsistentSystemError,
+                UnderdeterminedSystemError):
+        assert issubclass(exc, ParameterError) and issubclass(exc, ValueError)
 
 
 def test_decode_erasure_path(cfg, msg, tmp_path, capsys):

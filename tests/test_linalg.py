@@ -157,7 +157,7 @@ def test_kernel_vector_has_a_one_in_the_first_free_column(field, data):
 
 
 def test_base_field_entries_are_reduced_mod_q():
-    # as scheme._mod_q reads them: 2 is 0 in GF(2), 3 is 0 in GF(3)
+    # as PrimeField.read reads them: 2 is 0 in GF(2), 3 is 0 in GF(3)
     assert la.rank(F2, [[2, 0]]) == 0
     assert la.rank(F3, [[3, 1]]) == 1
     with pytest.raises(SingularMatrixError):
@@ -824,7 +824,7 @@ def test_matmul_is_the_matvec_of_each_column():
     (lambda: la.contract(F8, [[1, 0, 2]]), r"entries must be digits of GF\(2\)"),
     (lambda: la.contract(F8, [[1, 0, -1]]), r"entries must be digits of GF\(2\)"),
     (lambda: la.contract(ExtField(2, 4), np.array([[0.5, 0, 0, 0]])),
-     r"entries must be digits of GF\(2\)"),
+     "digit matrix entries must be integers"),
     (lambda: la.rank_fq(np.array([[1.9, 0], [0, 1]]), 2),
      "matrix entries must be integers"),
     (lambda: la.rank(F3, [[None, 1]]), "matrix entries must be integers"),

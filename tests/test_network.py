@@ -323,20 +323,16 @@ def test_realization_reads_its_matrices_as_the_decoders_do():
     (lambda: ChannelRealization(2, np.eye(4, dtype=np.int64), np.zeros((4, 0)),
                                 np.zeros((0, 4)), np.zeros(4, dtype=np.int64)),
      "B must be a matrix"),
-    (lambda: sample_realization(PARAMS, 5, np.random.default_rng(0),
-                                num_errors=-1),
-     "num_errors = -1 must be >= 0"),
-    (lambda: sample_realization(PARAMS, 5, np.random.default_rng(0),
-                                num_errors=2),
-     "num_errors = 2 exceeds t = 1"),
-], ids=["short-transfer", "flat-taps", "negative-errors", "too-many-errors"])
+], ids=["short-transfer", "flat-taps"])
 def test_channel_refusals(build, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         build()
 
 
 def test_sample_realization_admits_no_errors():
-    real = sample_realization(PARAMS, 5, np.random.default_rng(0), num_errors=0)
+    # at t = 0 the adversary injects nothing
+    real = sample_realization(SchemeParams(2, 4, 4, 0, 1, 1), 5,
+                              np.random.default_rng(0))
     assert real.D.shape == (5, 0) and real.Z.shape == (0, 4)
     assert not real.effective_error().any()
 
