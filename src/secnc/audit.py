@@ -20,7 +20,7 @@ exhaustive check of both decoders, and its sampled mode, which
 `secnc simulate` runs, is the one engine of random trials.  Every mode
 produces received words in enumeration order, its errors as int64
 blocks from `linalg.iter_rank_blocks`; the random transfers replay one
-error grid, built once per call when it fits a stack.  Coherent words
+error grid, built once per process when it fits a stack.  Coherent words
 are un-mixed with a left inverse of their transfer, computed once per
 transfer, and queued: `GabidulinCode.decode_stack` takes them _CHUNK
 cases at a time, one stack spanning the identity phase, random
@@ -30,8 +30,9 @@ report for each case comes out in the same order.  Lifted words
 [I | X] + E, errors on all n + m columns, go as received to
 `network.noncoherent_decode`, and a failure's exemplar names that
 decoder's reason.  Both audits take their payloads G0^T u over the
-(S, V) grid from one `linalg.span`; the reliability audit lifts them
-with `network.lift`, the one lift, as a transmission is.
+(S, V) grid from the instance's `payload_table`, one `linalg.span`
+kept while it fits a stack; the reliability audit lifts them with
+`network.lift`, the one lift, as a transmission is.
 
 Brute-force oracles (nearest codeword; explanation consistency for
 lifted transmissions) anchor the efficient decoders: the oracles share
@@ -194,15 +195,6 @@ class ReliabilityReport:
 # Secrecy
 # ----------------------------------------------------------------------
 
-def _payload_table(inst: SchemeInstance):
-    """All q^(m(k+mu)) payload expansions G0^T u, indexed by the (S, V) grid
-    in itertools.product order, and the S of each as an int64 (pairs, k)
-    array; one `linalg.span`."""
-    p = inst.params
-    U, payloads = la.span(inst.F, inst.G0, np.arange(inst.F.order ** (p.k + p.mu)))
-    return payloads, U[:, : p.k]
-
-
 def _view_keys(views, q: int):
     """One int64 per view, equal exactly when the views are equal."""
     flat = views.reshape(len(views), -1)
@@ -238,7 +230,7 @@ def secrecy_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, *,
 
     # a lifted tap B sees [B | BX]: with B fixed that splits the (S, V) grid
     # exactly as BX does, so lifted taps are read on the payload
-    payloads, s_index = _payload_table(inst)
+    payloads, s_index = inst.payload_table()
     if mode == "exhaustive" or not rows:  # rows = 0 is the one rank-0 block
         blocks = la.iter_rank_blocks(q, rows, p.n, [rows])
     else:
@@ -358,30 +350,25 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             raise ParameterError("the random-transfer phase needs an rng")
 
         def parts():
-            payloads, msgs = _payload_table(inst)
+            payloads, msgs = inst.payload_table()
             if lifted:
                 payloads = lift(payloads)
             for Es, e, w in _grid(la.iter_rank_blocks(q, n, cols, range(t + 1)),
                                   n_pairs):
                 yield ((la.mod(payloads[w] + Es[e], q), msgs[w]),
                        lambda i, Es=Es, e=e: f"A=I E={_matrix_id(Es[e[i]], q)}")
-            def transfer_grid():
-                return _grid(la.iter_rank_blocks(q, N, cols, range(t + 1)), 1)
-            # every transfer replays one error grid, built once when it fits
-            # a stack and again for each transfer when it does not
-            kept = (list(transfer_grid()) if random_transfers and
-                    la.count_rank_at_most(q, N, cols, t) <= _CHUNK else None)
             for j in range(random_transfers):
                 A = la.random_full_rank(F.base, N, n, rng)
                 uidx = int(rng.integers(0, len(payloads)))
                 Aplus = None if lifted else np.array(la.left_inverse(F.base, A),
                                                      dtype=np.int64)
                 X = A @ payloads[uidx]
-                for Es, e, _ in kept or transfer_grid():
+                # each block of errors is one part; _restack cuts the stacks
+                for Es in la.iter_rank_blocks(q, N, cols, range(t + 1)):
                     Y = la.mod(X + Es, q)
                     if not lifted:
                         Y = la.mod(Aplus @ Y, q)
-                    yield ((Y, msgs[[uidx] * len(e)]),
+                    yield ((Y, msgs[[uidx] * len(Es)]),
                            lambda i, Es=Es, j=j: f"A#{j} E={_matrix_id(Es[i], q)}")
     elif mode == "sampled":
         if rng is None:

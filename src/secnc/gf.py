@@ -584,15 +584,16 @@ class ExtField(_Field):
         return tuple(out)
 
     def from_row(self, digits) -> int:
-        if len(digits) != self.m:
-            raise ParameterError(f"expected {self.m} digits, got {len(digits)}")
-        out = 0
-        for d in reversed(list(digits)):
-            d = int(d)
-            if not 0 <= d < self.q:
-                raise ParameterError(f"digit {d} out of range for GF({self.q})")
-            out = out * self.q + d
-        return out
+        """The element of the m base-q digits, lowest degree first, read by
+        the base field (a float is refused, not truncated) and refused
+        unless digits."""
+        D = self.base.read(digits, "digits")
+        if D.shape != (self.m,):
+            raise ParameterError(f"expected {self.m} digits, got shape {D.shape}")
+        for d, x in zip(D.tolist(), digits):
+            if d != x:  # read reduced a digit out of range
+                raise ParameterError(f"digit {x} out of range for GF({self.q})")
+        return int(D @ self.q ** np.arange(self.m, dtype=np.int64))
 
     # -- element text form: m base-q digits, lowest degree first ---------
 

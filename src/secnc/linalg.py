@@ -3,7 +3,9 @@
 Matrices over the base field are numpy integer arrays, those over the
 extension field lists of lists of packed field elements, each read by
 its field (`gf`'s read: mod q, or refused unless elements of GF(q^m),
-as `contract` refuses non-digits).  `rank`, `row_reduce_transform`,
+as `contract` refuses non-digits); `matmul` and `span` read theirs too,
+while `matvec`, `vector_rank` and `expand`, on the per-case decode path,
+take elements as given.  `rank`, `row_reduce_transform`,
 `left_inverse`, `rref_solve` (of one vector) and `kernel_vector` each
 pack an int64 matrix, run one kernel, `_rref_in_place`, written against
 the field protocol of `gf` (inv, the row operations scale_row /
@@ -31,7 +33,10 @@ per row, base-field maps applied to packets included, and `matmul` one
 per entry.  Every enumeration of GF(q^m)-combinations of rows (codebooks,
 audit payloads) runs `span`; every enumeration of base-field matrices by
 rank runs `iter_rank_blocks`, which the audits consume as int64 blocks.
-It builds the full-column-rank factors C as whole stacks: candidates
+It keeps every enumeration of at most _ENUM_CHUNK matrices it has made,
+as one read-only block, so an audit's fixed error and tap grids are
+built once per process; a larger enumeration streams.  It
+builds the full-column-rank factors C as whole stacks: candidates
 enumerated by index in bounded chunks, kept by their rank (at q = 2 the
 packed stack rank of the columns read from the index bits, at odd q
 `_rref_stack` of their transposes), each block one broadcast product
@@ -70,11 +75,6 @@ def to_lists(M) -> list[list[int]]:
 
 def transpose(M) -> list[list[int]]:
     return [list(col) for col in zip(*to_lists(M))]
-
-
-def dims(M) -> tuple[int, int]:
-    M = list(M)
-    return (len(M), len(M[0]) if M else 0)
 
 
 def mod(X, q: int) -> np.ndarray:
@@ -298,14 +298,13 @@ def kernel_vector(field, A):
 # ----------------------------------------------------------------------
 
 def matmul(field, A, B) -> list[list[int]]:
-    A = to_lists(A)
-    B = to_lists(B)
-    ra, ca = dims(A)
-    rb, cb = dims(B)
-    if ca != rb:
-        raise ParameterError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    dot, cols = field.dot, transpose(B)
-    return [[dot(row, col) for col in cols] for row in A]
+    """A B over `field`, one `field.dot` per entry; A and B read by the field."""
+    A, B = _int_matrix(field, A), _int_matrix(field, B)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != len(B):
+        ra, rb = ("x".join(map(str, M.shape)) for M in (A, B))
+        raise ParameterError(f"cannot multiply {ra} by {rb}")
+    dot, cols = field.dot, B.T.tolist()
+    return [[dot(row, col) for col in cols] for row in A.tolist()]
 
 
 def matvec(field, A, v) -> list[int]:
@@ -352,15 +351,16 @@ def span(F, rows, idx):
 
     One product over GF(q): expand(g u) = expand(u) M_g, where row i of
     M_g expands g x^i, so expand(U . rows) is expand(U) times the block
-    matrix of the M_g for the entries g of rows.
+    matrix of the M_g for the entries g of rows, read by `F.read`.
     """
-    rows = to_lists(rows)
-    K, n = dims(rows)
+    rows = _int_matrix(F, rows)
+    if rows.ndim != 2:
+        raise ParameterError(f"rows must be a matrix, got shape {rows.shape}")
+    K, n = rows.shape
     idx = np.asarray(idx, dtype=np.int64)
     U = idx[:, None] // F.order ** np.arange(K - 1, -1, -1, dtype=np.int64) % F.order
     basis = F.q ** np.arange(F.m, dtype=np.int64)
-    W = expand(F, F.vmul(np.array(rows, dtype=np.int64).reshape(K, 1, n),
-                         basis[:, None]))  # (K, m, n): g x^i
+    W = expand(F, F.vmul(rows.reshape(K, 1, n), basis[:, None]))  # (K, m, n): g x^i
     # one float64 product, exact: its sums stay <= K m (q - 1)^2 < 2^53,
     # as int64 indices the order^K messages, so K m log2 q < 63
     E = (expand(F, U).reshape(len(U), K * F.m).astype(np.float64)
@@ -467,16 +467,38 @@ def _full_col_rank_stacks(q: int, rows: int, r: int, per: int):
             yield Ct.transpose(0, 2, 1)
 
 
+# Every enumeration of at most _ENUM_CHUNK matrices that `iter_rank_blocks`
+# has made, as one read-only block, by (q, rows, cols, ranks).
+_RANK_BLOCKS: dict = {}
+
+
 def iter_rank_blocks(q: int, rows: int, cols: int, ranks):
     """All rows x cols matrices whose rank is in `ranks`, each exactly once,
     as int64 blocks (b, rows, cols): rank by rank in the order given.
 
     Every rank-r matrix factors uniquely as C @ R with C full column
-    rank and R in RREF with full row rank.  A block is one broadcast
-    product of a stack of C's, from `_full_col_rank_stacks`, with the
-    stack of every R, C-major; it holds at most max(1, _ENUM_CHUNK // #R)
-    C's.  Ranks above min(rows, cols) have no matrices.
+    rank and R in RREF with full row rank, and ranks above min(rows,
+    cols) have no matrices.  An enumeration of at most _ENUM_CHUNK
+    matrices in all is built once per process and kept as one read-only
+    block (none when it is empty).  A larger one streams, built afresh on
+    every call and never kept: each block is one broadcast product of a
+    stack of C's, from `_full_col_rank_stacks`, with the stack of every
+    R, C-major, and holds at most max(1, _ENUM_CHUNK // #R) C's.
     """
+    ranks = tuple(ranks)
+    if sum(count_rank_exactly(q, rows, cols, r) for r in ranks) > _ENUM_CHUNK:
+        return _rank_blocks(q, rows, cols, ranks)
+    key = (q, rows, cols, ranks)
+    if key not in _RANK_BLOCKS:
+        blocks = list(_rank_blocks(q, rows, cols, ranks))
+        _RANK_BLOCKS[key] = (np.concatenate(blocks),) if blocks else ()
+        for block in _RANK_BLOCKS[key]:
+            block.setflags(write=False)
+    return iter(_RANK_BLOCKS[key])
+
+
+def _rank_blocks(q: int, rows: int, cols: int, ranks):
+    """The blocks of `iter_rank_blocks`, built as they are drawn."""
     for r in ranks:
         if r == 0:
             yield np.zeros((1, rows, cols), dtype=np.int64)

@@ -19,10 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg as la
 from .errors import ParameterError, ValidationError, read_count
 from .gf import ExtField
 from .rankmetric import DecodeOutcome, GabidulinCode
+
+# The most (S, V) pairs a payload table holds and stays kept: one of the
+# audits' stacks.
+_TABLE_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,9 @@ class SchemeInstance:
 
     Immutable after construction.  `broken` marks the deliberately
     non-MRD negative-control variant, on which only encoding (and hence
-    the secrecy audit) is meaningful.
+    the secrecy audit) is meaningful.  The one thing it caches is its
+    payload table (`payload_table`), built on first use and read-only,
+    when it has at most _TABLE_LIMIT pairs.
     """
 
     def __init__(self, params: SchemeParams, F: ExtField, code, G0,
@@ -90,6 +98,28 @@ class SchemeInstance:
         self.G0 = [list(r) for r in G0]
         self.broken = broken
         self._G0t = la.transpose(self.G0)
+        self._payloads = None
+
+    def payload_table(self):
+        """All q^(m(k+mu)) payload expansions G0^T u, a (pairs, n, m) stack
+        indexed by the (S, V) grid in itertools.product order, and the S of
+        each as an int64 (pairs, k) array; one `linalg.span`, both arrays
+        read-only.
+
+        Kept from the first call when it has at most _TABLE_LIMIT pairs; a
+        larger one is built on every call, so its size is the caller's to
+        bound (the audits check their budgets first).
+        """
+        if self._payloads is not None:
+            return self._payloads
+        p = self.params
+        U, payloads = la.span(self.F, self.G0, np.arange(self.F.order ** (p.k + p.mu)))
+        table = (payloads, U[:, : p.k])
+        for a in table:
+            a.setflags(write=False)
+        if len(U) <= _TABLE_LIMIT:
+            self._payloads = table
+        return table
 
     # -- encoding ---------------------------------------------------------
 

@@ -3,12 +3,14 @@
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from secnc import audit
 from secnc import linalg as la
+from secnc import scheme
 from secnc.audit import (
     brute_force_decode,
     entropy_of_distribution,
@@ -26,6 +28,10 @@ from secnc.network import (
 from secnc.rankmetric import GabidulinCode
 from secnc.scheme import SchemeParams, build_broken_instance, build_instance
 from test_linalg import _rank_matrices
+
+DATA = Path(__file__).parent / "data" / "audit_reports"
+P0 = SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1)
+P1 = SchemeParams(q=2, m=4, n=4, t=1, mu=1, k=1)
 
 
 @pytest.fixture(scope="module")
@@ -157,9 +163,9 @@ def test_secrecy_row_space_invariance(inst):
         # single-tap audit by reusing the internals: restrict to fixed B
         from collections import Counter
 
-        from secnc.audit import _payload_table, mutual_information_from_joint
+        from secnc.audit import mutual_information_from_joint
 
-        payloads, s_index = _payload_table(big)
+        payloads, s_index = big.payload_table()
         joint = Counter()
         for i, S in enumerate(s_index):
             W = (B @ payloads[i]) % 2
@@ -182,6 +188,43 @@ def test_secrecy_budget_refusal(inst):
         secrecy_audit(inst, budget=100)
     assert ei.value.needed == 256 * 15
     assert "raise the budget" in str(ei.value)
+
+
+def test_payload_table_is_kept_read_only_up_to_a_stack(monkeypatch):
+    # refused by its budget, an audit builds no table
+    p1 = build_instance(P1)
+    with pytest.raises(BudgetExceededError):
+        secrecy_audit(p1, budget=100)
+    assert p1._payloads is None
+    table = p1.payload_table()
+    assert p1.payload_table() is table
+    U, payloads = la.span(p1.F, p1.G0, np.arange(256))
+    assert (table[0] == payloads).all() and (table[1] == U[:, :1]).all()
+    for a in table:
+        with pytest.raises(ValueError):
+            a[0] = 1
+    # past the bound, each call builds the table afresh
+    monkeypatch.setattr(scheme, "_TABLE_LIMIT", 255)
+    fresh = build_instance(P1)
+    first, second = fresh.payload_table(), fresh.payload_table()
+    assert first is not second and fresh._payloads is None
+    assert all((a == b).all() for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("golden, params, run", [
+    ("secrecy_p1_exhaustive", P1, lambda inst: secrecy_audit(inst)),
+    ("reliability_p1_exhaustive", P1,
+     lambda inst: reliability_audit(inst, rng=np.random.default_rng(4),
+                                    random_transfers=2)),
+    ("reliability_p0_lifted", P0,
+     lambda inst: reliability_audit(inst, rng=np.random.default_rng(4),
+                                    random_transfers=2, lifted=True)),
+], ids=["secrecy-p1", "reliability-p1", "reliability-p0-lifted"])
+def test_an_audit_run_twice_prints_its_golden_report(golden, params, run):
+    # the second run reads the payload table and rank blocks the first kept
+    inst = build_instance(params)
+    want = (DATA / f"{golden}.txt").read_text()
+    assert [run(inst).text() for _ in range(2)] == [want, want]
 
 
 def test_secrecy_rejects_bad_args(inst):
@@ -238,22 +281,24 @@ def test_coherent_cases_share_decode_stack_calls_across_phases(monkeypatch, chun
     assert rep.cases == sum(calls) and rep.failures == 0
 
 
-@pytest.mark.parametrize("chunk, builds", [(audit._CHUNK, 1), (100, 3)])
+@pytest.mark.parametrize("chunk, builds", [(la._ENUM_CHUNK, 1), (100, 3)])
 def test_random_transfers_share_one_error_grid(monkeypatch, chunk, builds):
-    # at P0 the 106 errors of a 4 x 3 transfer fit one stack of 2^14 cases
-    # and are enumerated once for all 3 transfers; past a 100-case stack
-    # each transfer enumerates them again, and the report is the same
+    # at P0 the 106 errors of a 4 x 3 transfer fit the rank blocks' memo
+    # and are enumerated once for all 3 transfers; past a memo of 100
+    # matrices each transfer enumerates them again, and the report is the
+    # same (the 50 errors of the identity phase are kept either way)
     built = []
-    iter_rank_blocks = la.iter_rank_blocks
+    rank_blocks = la._rank_blocks
 
     def counted(q, rows, cols, ranks):
         built.append(rows)
-        return iter_rank_blocks(q, rows, cols, ranks)
+        return rank_blocks(q, rows, cols, ranks)
 
-    p0 = build_instance(SchemeParams(q=2, m=3, n=3, t=1, mu=0, k=1))
+    p0 = build_instance(P0)
     want = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=3)
-    monkeypatch.setattr(la, "iter_rank_blocks", counted)
-    monkeypatch.setattr(audit, "_CHUNK", chunk)
+    monkeypatch.setattr(la, "_RANK_BLOCKS", {})
+    monkeypatch.setattr(la, "_rank_blocks", counted)
+    monkeypatch.setattr(la, "_ENUM_CHUNK", chunk)
     rep = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=3)
     assert built == [3] + [4] * builds
     assert rep == want and rep.cases == 400 + 3 * 106

@@ -100,6 +100,8 @@ def test_row_vector_roundtrip(f8):
         f8.from_row((1, 1))
     with pytest.raises(ParameterError):
         f8.from_row((1, 2, 0))
+    with pytest.raises(ParameterError, match="must be integers"):
+        f8.from_row([1.5, 0, 0])  # refused, not truncated to 1
 
 
 def test_element_text_form(f8):

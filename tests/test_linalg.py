@@ -669,13 +669,43 @@ def test_expand_and_contract_accept_stacks():
     (3, 2, 3, 2),
 ])
 def test_iter_rank_exactly_is_the_c_times_r_product_in_order(q, rows, cols, r):
-    rrefs = list(la.iter_rref_full_row_rank(q, r, cols))
-    want = [[[sum(C[i][k] * R[k][j] for k in range(r)) % q for j in range(cols)]
-             for i in range(rows)]
-            for C in _full_col_rank(q, rows, r) for R in rrefs]
     got = _rank_matrices(q, rows, cols, [r])
-    assert got == want
+    assert got == _c_times_r(q, rows, cols, [r])
     assert all(type(x) is int for M in got for row in M for x in row)
+
+
+def _c_times_r(q, rows, cols, ranks):
+    """Every C R, rank by rank, C-major, each product summed entry by entry:
+    the order `iter_rank_blocks` gives its matrices in."""
+    return [[[sum(C[i][k] * R[k][j] for k in range(r)) % q for j in range(cols)]
+             for i in range(rows)]
+            for r in ranks for C in _full_col_rank(q, rows, r)
+            for R in la.iter_rref_full_row_rank(q, r, cols)]
+
+
+@pytest.mark.parametrize("q, rows, cols, ranks", [
+    (2, 3, 3, (0, 1)), (3, 2, 3, (2, 1)), (2, 4, 3, (1, 2)),
+])
+@pytest.mark.parametrize("over", [0, 1])
+def test_rank_blocks_are_kept_up_to_the_chunk(monkeypatch, q, rows, cols, ranks, over):
+    # an enumeration of exactly _ENUM_CHUNK matrices is built once and kept
+    # read-only; one of _ENUM_CHUNK + 1 is built on every call, never kept
+    want = _c_times_r(q, rows, cols, ranks)
+    memo = {}
+    monkeypatch.setattr(la, "_RANK_BLOCKS", memo)
+    monkeypatch.setattr(la, "_ENUM_CHUNK", len(want) - over)
+    first, second = (list(la.iter_rank_blocks(q, rows, cols, ranks)) for _ in range(2))
+    for blocks in (first, second):
+        assert np.concatenate(blocks).tolist() == want
+    if over:
+        assert memo == {}
+        assert all(a is not b for a, b in zip(first, second))
+    else:
+        assert list(memo) == [(q, rows, cols, ranks)]
+        assert all(a is b for a, b in zip(first, second))
+        for block in first:
+            with pytest.raises(ValueError):
+                block[0, 0, 0] = 1
 
 
 def _span_oracle(F, rows, i):
@@ -831,8 +861,17 @@ def test_matmul_is_the_matvec_of_each_column():
     (lambda: la.row_reduce_transform(F8, [[0.5, 1]]), "matrix entries must be integers"),
     (lambda: la.matvec(F8, [[1, 0, 1], [0, 1, 1]], [1, 2]),
      "cannot multiply 2x3 by 2x1"),
+    (lambda: la.matmul(F8, [[1, 0, 1]], [[1, 0, 1]]), "cannot multiply 1x3 by 1x3"),
+    (lambda: la.matmul(ExtField(2, 4), [[99, 1]], [[1], [1]]),
+     r"99 is not an element of GF\(2\^4\)"),
+    (lambda: la.matmul(F8, [[1, 2]], [[0.5], [1]]), "matrix entries must be integers"),
+    (lambda: la.span(ExtField(2, 4), [[99, 1]], [0, 1, 2]),
+     r"99 is not an element of GF\(2\^4\)"),
+    (lambda: la.span(F8, [[1, 2.5]], [0]), "matrix entries must be integers"),
 ], ids=["rref-solve-rows", "contract-digit-2", "contract-negative",
-        "contract-float", "rank-float", "rank-none", "transform-float", "matvec"])
+        "contract-float", "rank-float", "rank-none", "transform-float", "matvec",
+        "matmul-shape", "matmul-element", "matmul-float", "span-element",
+        "span-float"])
 def test_linalg_refusals(run, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         run()
