@@ -5,7 +5,7 @@ Subpackages:
     linalg      matrices over both fields, expansion, rank enumeration
     rankmetric  Gabidulin codes: encode, rank-error decoding
     scheme      combined secrecy + error-correction layer; one decoder
-                for a known transfer, of errors or of erasures
+                for a known transfer of any rank, errors and erasures
     network     adversarial channel model and noncoherent lifting
     audit       exhaustive secrecy and reliability verification
     cli         command line front end

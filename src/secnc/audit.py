@@ -447,11 +447,11 @@ def _join(held):
 
 
 def _grid(blocks, n_words: int):
-    """The (error, word) grid, error-major, in chunks of at most _CHUNK
-    cases: (Es, e, w), e and w indexing the errors Es and the words.
-    `blocks` yields the errors as (b, rows, cols) arrays."""
-    per = max(1, _CHUNK // n_words)
-    for (Es,), _ in _restack((([Es], None) for Es in blocks), per):
+    """The (error, word) grid, error-major, a block of errors at a time in
+    chunks of at most _CHUNK cases: (Es, e, w), e and w indexing the errors
+    Es and the words.  `blocks` yields the errors as (b, rows, cols) arrays;
+    regrouping the chunks into stacks is the caller's (`_restack`)."""
+    for Es in blocks:
         for lo in range(0, len(Es) * n_words, _CHUNK):
             e, w = np.divmod(np.arange(lo, min(lo + _CHUNK, len(Es) * n_words)),
                              n_words)
@@ -505,8 +505,8 @@ def noncoherent_consistency_oracle(inst: SchemeInstance, Y,
     msgs, words = inst.code.codeword_table(budget)
     header = np.where(np.arange(N) < n, np.arange(N), n + m)[:, None]
     out = set()
-    for Es, _, _ in _grid(la.iter_rank_blocks(q, N, n + m, range(t + 1)), 1):
-        R, lead, _ = la._rref_stack(F.base, (Y[..., None] - Es.transpose(1, 2, 0)) % q)
+    for Es, e, _ in _grid(la.iter_rank_blocks(q, N, n + m, range(t + 1)), 1):
+        R, lead, _ = la._rref_stack(F.base, (Y[..., None] - Es[e].transpose(1, 2, 0)) % q)
         Xbar = R[:n, n:, (lead == header).all(axis=0)].transpose(2, 0, 1)
         keys = _view_keys(np.concatenate([words, la.contract(F, Xbar)]), F.order)
         where = dict(zip(keys[: len(words)].tolist(), msgs))

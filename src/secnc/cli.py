@@ -236,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--payload", required=True,
                     help="packet lines; a 'rows cols' matrix for --noncoherent")
     sp.add_argument("--transfer", default=None,
-                    help="transfer matrix file (default identity): N >= n "
-                         "rows of rank n, or n - 2t rows of full rank, whose "
-                         "lost dimensions are decoded as erasures")
+                    help="transfer matrix file (default identity), N x n of "
+                         "any rank n - rho: decodes when 2 rank(DZ) + rho <= 2t, "
+                         "the rho lost dimensions as erasures")
     sp.add_argument("--noncoherent", action="store_true",
                     help="decode a lifted observation without the transfer")
     sp.add_argument("--out", default=None, help="message path (default stdout)")

@@ -261,7 +261,7 @@ def left_inverse(field, A, Y=None):
     A = _int_matrix(field, A)
     rows, cols = A.shape
     if rows < cols:
-        raise ParameterError("left inverse requires rows >= cols")
+        raise SingularMatrixError("left inverse requires rows >= cols")
     B = np.eye(rows, dtype=np.int64) if Y is None else _int_matrix(field, Y)
     if len(B) != rows:
         raise ParameterError(f"rhs has {len(B)} rows, expected {rows}")

@@ -1,7 +1,7 @@
 """The adversarial linear network channel and the noncoherent lifting.
 
 A destination observes Y = A expand(X) + D Z: A is the network's
-transfer matrix (full column rank n for a feasible code), D routes up
+transfer matrix (rank n, or n - rho with rho lost dimensions), D routes up
 to t injected packets Z, and an eavesdropper with mu taps sees
 W = B expand(X).  Nothing is stochastic beyond the caller's sampling
 choices; transmission itself is exact matrix arithmetic over GF(q).
@@ -43,9 +43,10 @@ from .scheme import SchemeInstance
 class ChannelRealization:
     """One concrete (A, D, Z, B) draw from the adversary's quantifiers.
 
-    Shapes: A is N x n with rank n, D is N x t', Z is t' x c (c = m, or
-    n + m for lifted transmissions), B is mu' x n.  t' and mu' are the
-    number of links the adversary actually uses, at most t and mu.
+    Shapes: A is N x n of any rank (n - rank(A) lost dimensions are
+    erasures), D is N x t', Z is t' x c (c = m, or n + m for lifted
+    transmissions), B is mu' x n.  t' and mu' are the number of links the
+    adversary actually uses, at most t and mu.
     """
 
     q: int
@@ -62,10 +63,8 @@ class ChannelRealization:
             if M.ndim != 2:
                 raise ParameterError(f"{name} must be a matrix")
         N, n = self.A.shape
-        if n < 1 or N < n:
-            raise ParameterError(f"transfer matrix {N} x {n} cannot have rank {n}")
-        if la.rank(field, self.A) != n:
-            raise ParameterError("transfer matrix A must have full column rank")
+        if n < 1:
+            raise ParameterError(f"transfer matrix {N} x {n} has no columns")
         if self.D.shape[0] != N:
             raise ParameterError(
                 f"D has {self.D.shape[0]} rows, expected N = {N}"

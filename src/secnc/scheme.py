@@ -5,9 +5,9 @@ fresh uniform randomness, and sends X = G0^T [S; V], where G0 generates
 an [n, k+mu] Gabidulin code.  The last mu rows of G0 generate an
 [n, mu] MRD code, which is what makes every mu-link eavesdropper's view
 statistically independent of S; the outer code's distance
-n-(k+mu)+1 >= 2t+1 is what lets the receiver correct t injected
-packets.  Parameters are accepted exactly when 0 < k <= n - 2t - mu
-and m >= n.
+n-(k+mu)+1 >= 2t+1 is what lets the receiver correct injections of rank
+tau and rho lost dimensions of the transfer when 2 tau + rho <= 2t.
+Parameters are accepted exactly when 0 < k <= n - 2t - mu and m >= n.
 
 Secrecy holds only if V is drawn uniformly and never reused: two
 transmissions sharing V (or a biased V) leak, and no audit here will
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .errors import ParameterError, ValidationError, read_count
+from .errors import ParameterError, SingularMatrixError, ValidationError, read_count
 from .gf import ExtField
 from .rankmetric import DecodeOutcome, GabidulinCode
 
@@ -148,17 +148,18 @@ class SchemeInstance:
     def coherent_decode(self, Y, A) -> DecodeOutcome:
         """Recover S from Y = A expand(X) + D Z when the transfer A is known.
 
-        A's row count N chooses the decode.  When N >= n (A of rank n), a
-        left inverse of A turns the channel into expand(X) plus an error of
-        rank <= rank(D Z) <= t, which one Gabidulin decode removes.  Expansion
-        commutes with base-field maps, so the un-mix is one elimination of
-        [A | Y] over GF(q) that yields the n packets (`linalg.left_inverse`).
-        When N = n - 2t (A of full row rank, no error), the 2t lost
-        dimensions are erasures: Frobenius is GF(q)-linear, so (A G0^T)_il =
-        (A g)_i^(q^l), the Moore matrix of the points A g (D. Silva and
-        F. R. Kschischang, arXiv:0809.3546), and Y is decoded at radius 0
-        in the Gabidulin code at those points.  Any other N is refused.
-        A and Y are read by the base field (`gf`'s read): entries mod q.
+        Decodes whenever 2 rank(D Z) + rho <= 2t, rho = n - rank(A), at any
+        row count N.  At rho = 0 one elimination of [A | Y] over GF(q)
+        un-mixes the n packets (`linalg.left_inverse`: expansion commutes
+        with base-field maps), leaving expand(X) plus an error of rank <=
+        rank(D Z) <= t for one Gabidulin decode.  Else the rho lost
+        dimensions are erasures: with E A = R in RREF, the top n - rho rows
+        of E Y are R' expand(X) plus an error of rank <= rank(D Z), and
+        R' G0^T is the Moore matrix of the points R' g, as Frobenius is
+        GF(q)-linear (D. Silva and F. R. Kschischang, arXiv:0809.3546); they
+        are decoded at radius (2t - rho) // 2 in the Gabidulin code at those
+        points, of distance >= 2t - rho + 1.  rho > 2t is refused.  A and Y
+        are read by the base field (`gf`'s read): entries mod q.
         """
         self._require_decodable()
         p, F = self.params, self.F
@@ -169,20 +170,17 @@ class SchemeInstance:
         N = A.shape[0]
         if Y.shape != (N, p.m):
             raise ParameterError(f"observation must be {N} x {p.m}, got {Y.shape}")
-        if N >= p.n:
+        try:
             out = self.code.decode(la.left_inverse(F.base, A, Y), p.t)
-        elif N == p.n - 2 * p.t:
-            g = la.matvec(F, A, self.code.g)
-            try:  # the points A g are independent iff A has full row rank
-                seen = GabidulinCode(F, N, p.k + p.mu, g=g)
-            except ParameterError:
-                raise ParameterError(
-                    "an erasure transfer must have full row rank") from None
-            out = seen.decode(la.contract(F, Y), 0)
-        else:
-            raise ParameterError(
-                f"transfer matrix has {N} rows; need at least n = {p.n}, or "
-                f"n - 2t = {p.n - 2 * p.t} for erasures")
+        except SingularMatrixError:
+            E, R, pivots = la.row_reduce_transform(F.base, A)
+            r = len(pivots)
+            if p.n - r > 2 * p.t:
+                raise SingularMatrixError(f"transfer matrix has rank {r} < "
+                                          f"n - 2t = {p.n - 2 * p.t}") from None
+            seen = GabidulinCode(F, r, p.k + p.mu, g=la.matvec(F, R[:r], self.code.g))
+            EY = la.mod(np.array(E[:r], dtype=np.int64) @ Y, p.q)
+            out = seen.decode(la.contract(F, EY), (2 * p.t - p.n + r) // 2)
         if not out.ok:
             return out
         return DecodeOutcome.success(out.message[: p.k], out.error_rank)

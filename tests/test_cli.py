@@ -163,15 +163,34 @@ def test_decode_with_explicit_transfer(cfg, msg, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decode_rank_3_transfer_decodes(cfg, msg, tmp_path, capsys):
+    # a 4 x 4 transfer of rank 3: rho = 1 <= 2t, one erasure
+    payload = str(tmp_path / "x.txt")
+    assert main(["encode", "--config", cfg, "--message", msg,
+                 "--seed", "5", "--out", payload]) == 0
+    inst = build_instance(fileio.read_config(cfg)[0])
+    A = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
+    y = la.matvec(inst.F, A, fileio.read_packets(payload, inst.F))
+    ypath, apath = str(tmp_path / "y.txt"), str(tmp_path / "A.txt")
+    fileio.write_packets(ypath, y, inst.F)
+    fileio.write_matrix(apath, A, 2)
+    capsys.readouterr()
+    assert main(["decode", "--config", cfg, "--payload", ypath,
+                 "--transfer", apath]) == 0
+    assert fileio.strip_lines(capsys.readouterr().out) == ["1010"]
+
+
 def test_decode_rank_deficient_transfer_is_rejected(cfg, tmp_path, capsys):
+    # rank 1: rho = 3 > 2t = 2 lost dimensions
     ypath, apath = str(tmp_path / "y.txt"), str(tmp_path / "A.txt")
     (tmp_path / "y.txt").write_text("1010\n0110\n0001\n1111\n")
-    A = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]  # rank 3
+    A = [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
     fileio.write_matrix(apath, A, 2)
     assert main(["decode", "--config", cfg, "--payload", ypath,
                  "--transfer", apath]) == 2
     err = capsys.readouterr().err
-    assert "secnc: rejected:" in err and "Traceback" not in err
+    assert "secnc: rejected: transfer matrix has rank 1 < n - 2t = 2" in err
+    assert "Traceback" not in err
     # main maps it by its base class: every linalg refusal is a
     # ParameterError, and still a ValueError
     for exc in (SingularMatrixError, InconsistentSystemError,

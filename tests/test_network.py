@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from secnc import linalg as la
 from secnc.audit import noncoherent_consistency_oracle
-from secnc.errors import ParameterError
+from secnc.errors import ParameterError, SingularMatrixError
 from secnc.network import (
     ChannelRealization,
     lift,
@@ -63,10 +63,9 @@ def test_effective_error_rank_bound(inst):
 
 def test_realization_validation():
     I4 = np.eye(4, dtype=np.int64)
-    with pytest.raises(ParameterError):
-        ChannelRealization(2, np.zeros((4, 4), dtype=int), I4[:, :0],
-                           np.zeros((0, 4), dtype=int),
-                           np.zeros((0, 4), dtype=int))
+    with pytest.raises(ParameterError, match="^transfer matrix 4 x 0 has no columns$"):
+        ChannelRealization(2, I4[:, :0], I4[:, :0], np.zeros((0, 0), dtype=int),
+                           np.zeros((0, 0), dtype=int))
     with pytest.raises(ParameterError):  # D rows != N
         ChannelRealization(2, I4, np.zeros((3, 1), dtype=int),
                            np.zeros((1, 4), dtype=int),
@@ -315,15 +314,31 @@ def test_realization_reads_its_matrices_as_the_decoders_do():
     assert real.A.tolist() == [[1, 0], [0, 2], [1, 1]]
 
 
+@pytest.mark.parametrize("A, decodes", [(np.eye(3, 4, dtype=np.int64), True),
+                                         (np.zeros((4, 4), dtype=np.int64), False)],
+                         ids=["short-transfer", "zero-transfer"])
+def test_a_channel_of_any_rank_transmits(inst, A, decodes):
+    # a rank-deficient A is an erasure channel: it transmits, and
+    # coherent_decode decodes its clean output at rho = n - rank(A) <= 2t and
+    # refuses it past 2t (here rho = 1 and 4, t = 1)
+    real = ChannelRealization(2, A, np.zeros((len(A), 0), dtype=np.int64),
+                              np.zeros((0, 4), dtype=np.int64),
+                              np.eye(1, 4, dtype=np.int64))
+    X = inst.encode([6], force_v=[3])
+    Y = transmit(inst.F, X, real).Y
+    assert (Y == A @ la.expand(inst.F, X) % 2).all()
+    if decodes:
+        assert inst.coherent_decode(Y, A).message == (6,)
+    else:
+        with pytest.raises(SingularMatrixError, match="has rank 0 < n - 2t = 2"):
+            inst.coherent_decode(Y, A)
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda: ChannelRealization(2, np.eye(3, 4, dtype=np.int64),
-                                np.zeros((3, 0)), np.zeros((0, 4)),
-                                np.zeros((0, 4))),
-     r"transfer matrix 3 x 4 cannot have rank 4"),
     (lambda: ChannelRealization(2, np.eye(4, dtype=np.int64), np.zeros((4, 0)),
                                 np.zeros((0, 4)), np.zeros(4, dtype=np.int64)),
      "B must be a matrix"),
-], ids=["short-transfer", "flat-taps"])
+], ids=["flat-taps"])
 def test_channel_refusals(build, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         build()

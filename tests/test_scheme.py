@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from secnc import linalg as la
 from secnc.errors import (BudgetExceededError, InconsistentSystemError,
-                          ParameterError, ValidationError)
+                          ParameterError, SingularMatrixError, ValidationError)
 from secnc.gf import ExtField
 from secnc.rankmetric import DECODE_FAILURE, DEFAULT_ENUM_BUDGET
 from secnc.scheme import SchemeParams, build_broken_instance, build_instance
@@ -286,8 +286,9 @@ def test_erasure_takes_transfer_entries_mod_q(params, entries):
 
 
 # ----------------------------------------------------------------------
-# The transfer's row count N chooses the decode: N >= n errors, N = n - 2t
-# erasures, anything else refused
+# The transfer's rank n - rho chooses the decode, at any row count N:
+# rho = 0 the left inverse, 0 < rho <= 2t errors and erasures at radius
+# (2t - rho) // 2, rho > 2t refused
 # ----------------------------------------------------------------------
 
 def _count_left_inverses(monkeypatch):
@@ -300,6 +301,14 @@ def _count_left_inverses(monkeypatch):
 
     monkeypatch.setattr(la, "left_inverse", counted)
     return calls
+
+
+def _of_rank(field, rows, cols, r, rng):
+    """A random rows x cols matrix of rank r, as C R with C and R of rank r."""
+    if r == 0:
+        return np.zeros((rows, cols), dtype=np.int64)
+    C = la.random_full_rank(field, rows, r, rng)
+    return la.mod(C @ la.random_full_rank(field, r, cols, rng), field.q)
 
 
 def test_a_square_transfer_at_t0_takes_the_left_inverse(monkeypatch):
@@ -317,55 +326,147 @@ def test_a_square_transfer_at_t0_takes_the_left_inverse(monkeypatch):
 
 
 def test_n_minus_2t_rows_decode_as_erasures(inst, monkeypatch):
+    # the left inverse is tried once and refuses the short transfer
     calls = _count_left_inverses(monkeypatch)
     X = np.array(la.expand(inst.F, inst.encode([11], force_v=[6])))
     Ap = np.array([[1, 1, 0, 0], [0, 0, 1, 1]])
     out = inst.coherent_decode((Ap @ X) % 2, Ap)
     assert out.ok and out.message == (11,) and out.error_rank == 0
-    assert calls == []
+    assert calls == [2]
 
 
-@pytest.mark.parametrize("Ap, match", [
-    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], "has 3 rows; need at least n = 4, "
-                                                 "or n - 2t = 2 for erasures"),
-    ([[1, 0, 0, 0]], "has 1 rows; need at least n = 4"),
-    ([[1, 1, 0, 0], [1, 1, 0, 0]], "^an erasure transfer must have full row rank$"),
-    ([[0, 1, 1, 0], [0, 0, 0, 0]], "^an erasure transfer must have full row rank$"),
-], ids=["between", "fewer", "repeated-row", "zero-row"])
-def test_other_transfer_shapes_are_refused(inst, Ap, match):
+def test_a_transfer_between_n_minus_2t_and_n_rows_decodes(inst):
+    # 3 rows of rank 3 at n = 4, t = 1: one erasure, radius 0
+    X = np.array(la.expand(inst.F, inst.encode([7], force_v=[12])))
+    Ap = np.eye(3, 4, dtype=np.int64)
+    out = inst.coherent_decode((Ap @ X) % 2, Ap)
+    assert out.ok and out.message == (7,) and out.error_rank == 0
+
+
+@pytest.mark.parametrize("Ap", [
+    [[1, 0, 0, 0]],
+    [[1, 1, 0, 0], [1, 1, 0, 0]],
+    [[0, 1, 1, 0], [0, 0, 0, 0]],
+], ids=["fewer", "repeated-row", "zero-row"])
+def test_other_transfer_shapes_are_refused(inst, Ap):
+    # rank 1 at n = 4, t = 1: rho = 3 > 2t
     Y = np.zeros((len(Ap), 4), dtype=np.int64)
-    with pytest.raises(ParameterError, match=match):
+    with pytest.raises(SingularMatrixError, match="^transfer matrix has rank 1 < "
+                                                  "n - 2t = 2$"):
         inst.coherent_decode(Y, Ap)
+
+
+@pytest.mark.parametrize("params, N", [((2, 4, 4, 1, 1, 1), 5), ((2, 8, 8, 2, 2, 2), 10),
+                                       ((3, 4, 4, 1, 1, 1), 5), ((5, 3, 3, 1, 0, 1), 4),
+                                       ((2, 5, 5, 2, 0, 1), 6)], ids=str)
+def test_every_rho_up_to_2t_decodes_and_past_2t_is_refused(params, N):
+    # N x n transfers of every rank n - rho, rho = 0..2t, each with an
+    # injection D Z of rank (2t - rho) // 2, the most the promise
+    # 2 rank(D Z) + rho <= 2t allows, decode to S; rank n - 2t - 1 is refused
+    i = build_instance(SchemeParams(*params))
+    F, p = i.F, i.params
+    rng = np.random.default_rng(N + sum(params))
+    for rho in range(2 * p.t + 1):
+        tau = (2 * p.t - rho) // 2
+        for _ in range(60):
+            S = rng.integers(0, F.order, size=p.k).tolist()
+            A = _of_rank(F.base, N, p.n, p.n - rho, rng)
+            DZ = _of_rank(F.base, N, p.m, tau, rng)
+            Y = la.mod(A @ la.expand(F, i.encode(S, rng=rng)) + DZ, p.q)
+            out = i.coherent_decode(Y, A)
+            assert out.ok and out.message == tuple(S) and out.error_rank <= tau
+    A = _of_rank(F.base, N, p.n, p.n - 2 * p.t - 1, rng)
+    with pytest.raises(SingularMatrixError, match=f"has rank {p.n - 2 * p.t - 1} <"):
+        i.coherent_decode(np.zeros((N, p.m), dtype=np.int64), A)
 
 
 @pytest.mark.parametrize("params", [(2, 4, 4, 1, 1, 1), (3, 4, 4, 1, 0, 1),
                                     (2, 5, 5, 1, 1, 1), (5, 3, 3, 1, 0, 1)], ids=str)
 def test_erasure_decode_equals_the_linear_solve_at_rho_2t(params):
     # the scheme against A' G0^T u = y' solved over GF(q^m): clean, corrupted
-    # and random observations through random full-rank (n - 2t) x n A'; at
-    # k + mu = n - 2t the code seen through A' is all of GF(q^m)^(n - 2t)
+    # and random observations through random full-rank (n - rho) x n A', at
+    # every rho whose radius (2t - rho) // 2 is 0: rho = 2t and 2t - 1; at
+    # k + mu = n - 2t the code seen at rho = 2t is all of GF(q^m)^(n - 2t)
     i = build_instance(SchemeParams(*params))
     F, p = i.F, i.params
-    N = p.n - 2 * p.t
     rng = np.random.default_rng(sum(params))
+    for rho in (2 * p.t - 1, 2 * p.t):
+        N = p.n - rho
+        outcomes = set()
+        for _ in range(30):
+            Ap = la.random_full_rank(F.base, N, p.n, rng)
+            S = rng.integers(0, F.order, size=p.k).tolist()
+            y = la.matvec(F, Ap, i.encode(S, rng=rng))
+            bad = y[:]
+            bad[0] = F.add(bad[0], int(rng.integers(1, F.order)))
+            noise = rng.integers(0, F.order, size=N).tolist()
+            for word in (y, bad, noise):
+                out = i.coherent_decode(la.expand(F, word), Ap)
+                try:
+                    u = la.rref_solve(F, la.matmul(F, Ap, i._G0t), word)
+                    want = (True, tuple(u[: p.k]), 0, "")
+                except InconsistentSystemError:
+                    want = (False, None, None, DECODE_FAILURE)
+                assert (out.ok, out.message, out.error_rank, out.reason) == want
+                outcomes.add(out.ok)
+        assert outcomes == ({True, False} if p.k + p.mu < N else {True})
+
+
+def test_errors_and_erasures_match_brute_force_on_the_seen_code():
+    # P4 = (2,5,5,2,0,1), rho = 1: radius 1 on the 4 kept dimensions.  A = C R
+    # with C invertible 4 x 4, so C^-1 Y = R expand(X) + C^-1 E; the seen
+    # code, built here at the points R g and checked to be R G0^T, is searched
+    # whole by brute force for every clean, injected or random observation
+    # (with more rows than rank a random E also meets the left null space of
+    # A, which either projection drops differently; the sweep above covers
+    # N = 6 inside the promise)
+    from secnc.audit import brute_force_decode
+    from secnc.rankmetric import GabidulinCode
+
+    i = build_instance(SchemeParams(q=2, m=5, n=5, t=2, mu=0, k=1))
+    F = i.F
+    rng = np.random.default_rng(67)
     outcomes = set()
-    for _ in range(30):
-        Ap = la.random_full_rank(F.base, N, p.n, rng)
-        S = rng.integers(0, F.order, size=p.k).tolist()
-        y = la.matvec(F, Ap, i.encode(S, rng=rng))
-        bad = y[:]
-        bad[0] = F.add(bad[0], int(rng.integers(1, F.order)))
-        noise = rng.integers(0, F.order, size=N).tolist()
-        for word in (y, bad, noise):
-            out = i.coherent_decode(la.expand(F, word), Ap)
-            try:
-                u = la.rref_solve(F, la.matmul(F, Ap, i._G0t), word)
-                want = (True, tuple(u[: p.k]), 0, "")
-            except InconsistentSystemError:
-                want = (False, None, None, DECODE_FAILURE)
-            assert (out.ok, out.message, out.error_rank, out.reason) == want
-            outcomes.add(out.ok)
-    assert outcomes == ({True, False} if p.k + p.mu < N else {True})
+    for trial in range(40):
+        C = la.random_full_rank(F.base, 4, 4, rng)
+        R = la.random_full_rank(F.base, 4, 5, rng)
+        seen = GabidulinCode(F, 4, 1, g=la.matvec(F, R, i.code.g))
+        assert all(seen.encode([x]) == la.matvec(F, R, i.encode([x], force_v=[]))
+                   for x in (1, 2, 29))
+        A = la.mod(C @ R, 2)
+        S = [int(rng.integers(0, F.order))]
+        X = la.expand(F, i.encode(S, force_v=[]))
+        E = (_of_rank(F.base, 4, 5, trial % 3, rng) if trial % 4
+             else rng.integers(0, 2, size=(4, 5)))  # clean, injected or random
+        Y = la.mod(A @ X + E, 2)
+        out = i.coherent_decode(Y, A)
+        Cinv = np.array(la.left_inverse(F.base, C))
+        oracle = brute_force_decode(seen, la.contract(F, la.mod(Cinv @ Y, 2)), 1)
+        assert len(oracle) <= 1
+        assert (out.ok, out.message) == ((True, oracle.pop()) if oracle
+                                         else (False, None))
+        outcomes.add(out.ok)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("params", [(2, 4, 4, 1, 1, 1), (3, 4, 4, 1, 1, 1),
+                                    (2, 5, 5, 2, 0, 1)], ids=str)
+def test_the_decode_depends_on_the_row_space_of_the_transfer_alone(params):
+    # another basis P A' of the row space of a full-row-rank A', with P Y,
+    # gives the same outcome at every rho = 0..2t, failures included
+    i = build_instance(SchemeParams(*params))
+    F, p = i.F, i.params
+    rng = np.random.default_rng(71 + sum(params))
+    for rho in range(2 * p.t + 1):
+        N = p.n - rho
+        for trial in range(20):
+            Ap = la.random_full_rank(F.base, N, p.n, rng)
+            P = la.random_full_rank(F.base, N, N, rng)
+            X = la.expand(F, i.encode(rng.integers(0, F.order, size=p.k).tolist(),
+                                      rng=rng))
+            Y = la.mod(Ap @ X + _of_rank(F.base, N, p.m, trial % 3, rng), p.q)
+            out = i.coherent_decode(Y, Ap)
+            assert i.coherent_decode(la.mod(P @ Y, p.q), la.mod(P @ Ap, p.q)) == out
 
 
 def test_degenerate_mu_zero():
