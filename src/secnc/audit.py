@@ -21,12 +21,15 @@ exhaustive check of both decoders, and its sampled mode, which
 produces received words in enumeration order, its errors as int64
 blocks from `linalg.iter_rank_blocks`; the random transfers replay one
 error grid, built once per process when it fits a stack.  Coherent words
-are un-mixed with a left inverse of their transfer, computed once per
-transfer, and queued: `GabidulinCode.decode_stack` takes them _CHUNK
-cases at a time, one stack spanning the identity phase, random
-transfers and sampled trials alike (`_restack` holds parts whole and
-cuts the one that fills a stack), and the scalar `coherent_decode`'s
-report for each case comes out in the same order.  Lifted words
+are un-mixed by a left inverse of their transfer: a sampled trial by
+`linalg.left_inverse` of [A | Y], the decoder's own rho = 0 un-mix, and
+a random transfer by the top n rows of the E of one
+`linalg.row_reduce_transform`, computed once per transfer.  They are
+queued: `GabidulinCode.decode_stack` takes them _CHUNK cases at a time,
+one stack spanning the identity phase, random transfers and sampled
+trials alike (`_restack` holds parts whole and cuts the one that fills
+a stack), and the scalar `coherent_decode`'s report for each case comes
+out in the same order.  Lifted words
 [I | X] + E, errors on all n + m columns, go as received to
 `network.noncoherent_decode`, and a failure's exemplar names that
 decoder's reason.  Both audits take their payloads G0^T u over the
@@ -360,8 +363,8 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
             for j in range(random_transfers):
                 A = la.random_full_rank(F.base, N, n, rng)
                 uidx = int(rng.integers(0, len(payloads)))
-                Aplus = None if lifted else np.array(la.left_inverse(F.base, A),
-                                                     dtype=np.int64)
+                Aplus = None if lifted else np.array(  # Aplus A = I_n
+                    la.row_reduce_transform(F.base, A)[0][:n], dtype=np.int64)
                 X = A @ payloads[uidx]
                 # each block of errors is one part; _restack cuts the stacks
                 for Es in la.iter_rank_blocks(q, N, cols, range(t + 1)):

@@ -15,8 +15,9 @@ bitmask at GF(2), bit c holding column c, so a row operation is one XOR
 at any width; a list of entries in every other field.  `kernel_vector`
 takes the one kernel vector of both Gabidulin decoders, with a 1 in the
 first free column, the first c whose pivot is not c.  `left_inverse` of
-a transfer A beside its observation Y reduces [A | Y] and reads the
-un-mixed packets straight from the rows (the base field's `contract`).
+a transfer A beside its observation Y, its one form, reduces [A | Y] and
+reads the un-mixed packets straight from the rows (the base field's
+`contract`); the matrix is the top rows of `row_reduce_transform`'s E.
 GF(2) ranks take the packed rows to `rank_gf2`.  One packed GF(2) stack
 rank, `_rank_gf2_stack`, ranks an (n, B) stack of row bitmasks with the
 batch axis last, so each step is one elementwise pass over the batch; it
@@ -250,29 +251,23 @@ def rref_solve(field, A, y) -> list[int]:
     return field.column(aug[:cols], cols)  # the pivots are 0..cols-1
 
 
-def left_inverse(field, A, Y=None):
-    """For A of shape N x n with full column rank, a B with B @ A = I_n:
-    the first n rows of E of `row_reduce_transform`, the only rows unpacked.
+def left_inverse(field, A, Y) -> list[int]:
+    """B Y for A, N x n with full column rank, and Y, N x m, over the prime
+    field `field`, where B A = I_n: n elements of GF(q^m) (`field.contract`).
 
-    Given Y, N x m over the prime field `field`, returns B @ Y instead, as
-    n elements of GF(q^m) (`field.contract`): [A | Y] is reduced in place
-    of [A | I_N], to the same pivots and E, with no N x N block.
+    [A | Y] is reduced pivoting in A, so B is the first n rows of E of
+    `row_reduce_transform`, and no N x N block is built.
     """
-    A = _int_matrix(field, A)
+    A, Y = _int_matrix(field, A), _int_matrix(field, Y)
     rows, cols = A.shape
     if rows < cols:
         raise SingularMatrixError("left inverse requires rows >= cols")
-    B = np.eye(rows, dtype=np.int64) if Y is None else _int_matrix(field, Y)
-    if len(B) != rows:
-        raise ParameterError(f"rhs has {len(B)} rows, expected {rows}")
-    aug, pivots = _reduce_beside(field, A, B)
+    if len(Y) != rows:
+        raise ParameterError(f"rhs has {len(Y)} rows, expected {rows}")
+    aug, pivots = _reduce_beside(field, A, Y)
     if len(pivots) != cols:
-        raise SingularMatrixError(
-            f"matrix has column rank {len(pivots)} < {cols}"
-        )
-    if Y is None:
-        return field.unpack(aug[:cols], cols, cols + rows)
-    return field.contract(aug[:cols], cols, cols + B.shape[1])
+        raise SingularMatrixError(f"matrix has column rank {len(pivots)} < {cols}")
+    return field.contract(aug[:cols], cols, cols + Y.shape[1])
 
 
 def kernel_vector(field, A):

@@ -149,17 +149,8 @@ class SchemeInstance:
         """Recover S from Y = A expand(X) + D Z when the transfer A is known.
 
         Decodes whenever 2 rank(D Z) + rho <= 2t, rho = n - rank(A), at any
-        row count N.  At rho = 0 one elimination of [A | Y] over GF(q)
-        un-mixes the n packets (`linalg.left_inverse`: expansion commutes
-        with base-field maps), leaving expand(X) plus an error of rank <=
-        rank(D Z) <= t for one Gabidulin decode.  Else the rho lost
-        dimensions are erasures: with E A = R in RREF, the top n - rho rows
-        of E Y are R' expand(X) plus an error of rank <= rank(D Z), and
-        R' G0^T is the Moore matrix of the points R' g, as Frobenius is
-        GF(q)-linear (D. Silva and F. R. Kschischang, arXiv:0809.3546); they
-        are decoded at radius (2t - rho) // 2 in the Gabidulin code at those
-        points, of distance >= 2t - rho + 1.  rho > 2t is refused.  A and Y
-        are read by the base field (`gf`'s read): entries mod q.
+        row count N: `_unmix`, then one Gabidulin decode.  A and Y are read
+        by the base field (`gf`'s read): entries mod q.
         """
         self._require_decodable()
         p, F = self.params, self.F
@@ -170,20 +161,39 @@ class SchemeInstance:
         N = A.shape[0]
         if Y.shape != (N, p.m):
             raise ParameterError(f"observation must be {N} x {p.m}, got {Y.shape}")
-        try:
-            out = self.code.decode(la.left_inverse(F.base, A, Y), p.t)
-        except SingularMatrixError:
-            E, R, pivots = la.row_reduce_transform(F.base, A)
-            r = len(pivots)
-            if p.n - r > 2 * p.t:
-                raise SingularMatrixError(f"transfer matrix has rank {r} < "
-                                          f"n - 2t = {p.n - 2 * p.t}") from None
-            seen = GabidulinCode(F, r, p.k + p.mu, g=la.matvec(F, R[:r], self.code.g))
-            EY = la.mod(np.array(E[:r], dtype=np.int64) @ Y, p.q)
-            out = seen.decode(la.contract(F, EY), (2 * p.t - p.n + r) // 2)
+        word, code, radius = self._unmix(A, Y)
+        out = code.decode(word, radius)
         if not out.ok:
             return out
         return DecodeOutcome.success(out.message[: p.k], out.error_rank)
+
+    def _unmix(self, A, Y):
+        """The front end of a known transfer: (word, code, radius) to decode,
+        for the read N x n transfer A and N x m observation Y.
+
+        At rho = 0 one elimination of [A | Y] over GF(q) un-mixes the n
+        packets (`linalg.left_inverse`: expansion commutes with base-field
+        maps), leaving expand(X) plus an error of rank <= rank(D Z), for the
+        outer code at radius t.  Else the rho lost dimensions are erasures:
+        with E A = R in RREF (`linalg.row_reduce_transform`), the top n - rho
+        rows of E Y are R' expand(X) plus an error of rank <= rank(D Z), and
+        R' G0^T is the Moore matrix of the points R' g, as Frobenius is
+        GF(q)-linear (D. Silva and F. R. Kschischang, arXiv:0809.3546); they
+        go to the Gabidulin code at those points, of distance >= 2t - rho + 1,
+        at radius (2t - rho) // 2.  rho > 2t is refused.
+        """
+        p, F = self.params, self.F
+        try:
+            return la.left_inverse(F.base, A, Y), self.code, p.t
+        except SingularMatrixError:
+            E, R, pivots = la.row_reduce_transform(F.base, A)
+        r = len(pivots)
+        if p.n - r > 2 * p.t:
+            raise SingularMatrixError(f"transfer matrix has rank {r} < "
+                                      f"n - 2t = {p.n - 2 * p.t}")
+        seen = GabidulinCode(F, r, p.k + p.mu, g=la.matvec(F, R[:r], self.code.g))
+        EY = la.mod(np.array(E[:r], dtype=np.int64) @ Y, p.q)
+        return la.contract(F, EY), seen, (2 * p.t - p.n + r) // 2
 
     def __repr__(self):
         p = self.params

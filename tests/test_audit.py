@@ -25,7 +25,7 @@ from secnc.network import (
     sample_realization,
     transmit_lifted,
 )
-from secnc.rankmetric import GabidulinCode
+from secnc.rankmetric import DecodeOutcome, GabidulinCode
 from secnc.scheme import SchemeParams, build_broken_instance, build_instance
 from test_linalg import _rank_matrices
 
@@ -302,6 +302,39 @@ def test_random_transfers_share_one_error_grid(monkeypatch, chunk, builds):
     rep = reliability_audit(p0, rng=np.random.default_rng(4), random_transfers=3)
     assert built == [3] + [4] * builds
     assert rep == want and rep.cases == 400 + 3 * 106
+
+
+@pytest.mark.parametrize("params", [P0, SchemeParams(q=3, m=3, n=3, t=1, mu=0, k=1)],
+                         ids=["p0", "q3"])
+def test_random_transfer_cases_are_the_coherent_decodes_of_the_same_draws(
+        monkeypatch, params):
+    # the phase draws as `random_full_rank` draws, so one seed replays its
+    # transfers and (S, V); each case's outcome (ok, message, error rank) is
+    # the scalar decoder's on the same A and Y
+    inst = build_instance(params)
+    p = inst.params
+    got = []
+    decode_stack = GabidulinCode.decode_stack
+
+    def recorded(self, Y, t):
+        out = decode_stack(self, Y, t)
+        got.append(out)
+        return out
+
+    monkeypatch.setattr(GabidulinCode, "decode_stack", recorded)
+    rep = reliability_audit(inst, rng=np.random.default_rng(12), random_transfers=3)
+    payloads, _ = inst.payload_table()
+    rng, N = np.random.default_rng(12), p.n + p.t
+    outs = []
+    for _ in range(3):
+        A = la.random_full_rank(inst.F.base, N, p.n, rng)
+        X = payloads[int(rng.integers(0, len(payloads)))]
+        outs += [inst.coherent_decode(la.mod(A @ X + E, p.q), A)
+                 for E in _rank_matrices(p.q, N, p.m, range(p.t + 1))]
+    ok, msgs, ranks = (np.concatenate(col)[rep.cases - len(outs):] for col in zip(*got))
+    want = DecodeOutcome.stack(outs, p.k)
+    assert (ok == want[0]).all() and (msgs[:, : p.k] == want[1]).all()
+    assert (ranks == want[2]).all() and set(ranks.tolist()) == {0, 1}
 
 
 def test_exemplars_name_cases_decoded_after_later_parts_were_queued(monkeypatch):

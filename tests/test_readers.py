@@ -32,7 +32,8 @@ def _rng():
     (lambda: la.row_reduce_transform(F16, [[99, 1]]),
      r"99 is not an element of GF\(2\^4\)"),
     (lambda: la.rank(F2, [[1, 0], [1]]), "matrix has rows of unequal lengths"),
-    (lambda: la.left_inverse(F2, [[1, 0], [1]]), "matrix has rows of unequal lengths"),
+    (lambda: la.left_inverse(F2, [[1, 0], [1]], [[0], [0]]),
+     "matrix has rows of unequal lengths"),
     (lambda: INST.code.decode_stack([[0, 0, 0, 0], [0, 0, 0]], 1),
      "received word has rows of unequal lengths"),
     (lambda: reliability_audit(INST, "sampled", _rng(), trials=1.5),

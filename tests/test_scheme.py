@@ -216,7 +216,7 @@ def test_coherent_decode_rejects_bad_transfer(inst):
 
 
 def test_erasure_decode_exhaustive(inst):
-    # all full-rank 2x4 A', all (S, V): 35 * 256 cases
+    # all 210 full-rank 2 x 4 A' (35 row spaces), all 256 (S, V): 53,760 decodes
     F = inst.F
     payloads = {}
     for s in range(16):
@@ -440,8 +440,7 @@ def test_errors_and_erasures_match_brute_force_on_the_seen_code():
              else rng.integers(0, 2, size=(4, 5)))  # clean, injected or random
         Y = la.mod(A @ X + E, 2)
         out = i.coherent_decode(Y, A)
-        Cinv = np.array(la.left_inverse(F.base, C))
-        oracle = brute_force_decode(seen, la.contract(F, la.mod(Cinv @ Y, 2)), 1)
+        oracle = brute_force_decode(seen, la.left_inverse(F.base, C, Y), 1)
         assert len(oracle) <= 1
         assert (out.ok, out.message) == ((True, oracle.pop()) if oracle
                                          else (False, None))
@@ -543,7 +542,7 @@ def test_coherent_decode_matches_brute_force_at_odd_characteristic():
         Z = rng.integers(0, 3, size=(1, 4))
         Y = (A @ la.expand(F, X) + D @ Z) % 3
         out = inst.coherent_decode(Y, A)
-        B = np.array(la.left_inverse(F.base, A))
+        B = np.array(la.row_reduce_transform(F.base, A)[0][:4])
         assert ((B @ A) % 3 == np.eye(4, dtype=np.int64)).all()
         oracle = brute_force_decode(inst.code, la.contract(F, (B @ Y) % 3), 1)
         assert oracle == {(S[0], V[0])}
@@ -568,7 +567,8 @@ def test_coherent_decode_matches_brute_force_at_q5():
         Z = rng.integers(0, 5, size=(1, 3))
         Y = (A @ la.expand(F, X) + D @ Z) % 5
         out = inst.coherent_decode(Y, A)
-        B = np.array(la.left_inverse(F.base, A))
+        B = np.array(la.row_reduce_transform(F.base, A)[0][:3])
+        assert ((B @ A) % 5 == np.eye(3, dtype=np.int64)).all()
         oracle = brute_force_decode(inst.code, la.contract(F, (B @ Y) % 5), 1)
         assert oracle == {tuple(S)}
         assert out.ok and out.message == tuple(S)
@@ -589,7 +589,8 @@ def test_coherent_decode_at_p3_reports_the_unmixed_error_rank():
         links = trial % 3  # 0, 1 or 2 injected packets
         D, Z = rng.integers(0, 2, size=(10, links)), rng.integers(0, 2, size=(links, 8))
         out = inst.coherent_decode((A @ la.expand(F, X) + D @ Z) % 2, A)
-        Aplus = np.array(la.left_inverse(F.base, A))
+        Aplus = np.array(la.row_reduce_transform(F.base, A)[0][:8])
+        assert (Aplus @ A % 2 == np.eye(8, dtype=np.int64)).all()
         assert out.ok and out.message == tuple(S)
         assert out.error_rank == la.vector_rank(F, la.contract(F, Aplus @ D @ Z % 2))
         seen.add(out.error_rank)
