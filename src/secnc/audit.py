@@ -371,7 +371,7 @@ def reliability_audit(inst: SchemeInstance, mode: str = "exhaustive", rng=None, 
                     Y = la.mod(X + Es, q)
                     if not lifted:
                         Y = la.mod(Aplus @ Y, q)
-                    yield ((Y, msgs[[uidx] * len(Es)]),
+                    yield ((Y, np.repeat(msgs[uidx:uidx + 1], len(Es), axis=0)),
                            lambda i, Es=Es, j=j: f"A#{j} E={_matrix_id(Es[i], q)}")
     elif mode == "sampled":
         if rng is None:

@@ -29,16 +29,17 @@ refused with a ParameterError, then GF(q) takes the rest mod q and
 GF(q^m) refuses a non-element with check's message.  numpy holds an int
 past int64 as a float64 or an object array, which read takes entry by
 entry.  Both fields supply the rows of the `linalg` elimination kernel:
-their row form, made from a 2-D int64 array of elements by pack and read
-back by unpack (a column range) and column (one column's entries), and
-the row operations scale_row and sub_scaled_row (dst - f*src) on that
-form.  GF(2) packs a row into one Python int, bit c holding column c,
-for any width, so its row operations are a XOR; GF(q^m) and odd GF(q)
-keep a list of entries per row.  GF(q) also reads a column range of each
-row as one GF(q^m) element, contract (a shift and a mask at GF(2)), for
-the packets a left inverse un-mixes.  They also supply the inner product
-dot of `linalg.matvec` and `linalg.matmul`, on lists.  None of these
-calls mul per entry: GF(q) reduces mod q inline, GF(q^m) gathers
+their row form, made from a 2-D int64 array of elements by pack, read
+back by unpack (a column range), column (one column's entries) and, at
+GF(q), contract (each row's column range as one GF(q^m) element); and
+the kernel's step, eliminate: a column's pivot row swapped up, scaled by
+its entry's inv and cleared from every other row.  GF(2) packs a row
+into one Python int, bit c holding column c, for any width, so its step
+XORs the pivot into each row holding bit c; GF(q^m) and odd GF(q) keep
+a list of entries per row, reworked by scale_row and sub_scaled_row
+(dst - f*src).  They also supply the inner product dot of
+`linalg.matvec` and `linalg.matmul`, on lists.  None of these calls mul
+per entry: GF(q) reduces mod q inline, GF(q^m) gathers
 exp[log f + log y] and sums with XOR in GF(2^m), `_digitwise` at odd q.
 
 Both also supply vector operations on int64 arrays of elements, for the
@@ -56,8 +57,8 @@ when q = 2, else digit-wise mod q in one pass over the m base-q digits.
 Vector operations carry other names than the scalar operations so that
 counts of those stay counts of scalar calls.  What both fields do alike
 is defined once, in their base `_Field`: read and elements_of up to the
-field's own rules, div, the list row form, vneg, vinv (a gather from the
-field's `_inv_table`) and elements.
+field's own rules, div, the list row form and its step, vneg, vinv (a
+gather from the field's `_inv_table`) and elements.
 """
 
 from __future__ import annotations
@@ -230,7 +231,25 @@ class _Field:
 
     def column(self, rows, c: int) -> list[int]:
         """Column c of rows in the row form, one entry per row."""
-        return [row[c] for row in rows]
+        return [x for x, in self.unpack(rows, c, c + 1)]
+
+    def eliminate(self, M: list, r: int, c: int) -> bool:
+        """The kernel's step on list rows M (module docstring): pivot column
+        c at row r; False, M unchanged, when no row at or below r holds it."""
+        col = [row[c] for row in M]  # read once: only row r changes before the f are read
+        for pr in range(r, len(M)):
+            if col[pr]:
+                break
+        else:
+            return False
+        M[r], M[pr] = M[pr], M[r]
+        s = self.inv(col[pr])
+        col[pr], col[r] = col[r], 0  # the pivot row is not eliminated
+        if s != 1:
+            M[r] = self.scale_row(s, M[r])
+        pivot, sub = M[r], self.sub_scaled_row
+        M[:] = [sub(row, f, pivot) if f else row for row, f in zip(M, col)]
+        return True
 
     def vneg(self, a):
         return self.vsub(0, a)
@@ -296,11 +315,6 @@ class PrimeField(_Field):
             return super().unpack(rows, lo, hi)
         return [[(row >> c) & 1 for c in range(lo, hi)] for row in rows]
 
-    def column(self, rows, c: int) -> list[int]:
-        if self.q != 2:
-            return super().column(rows, c)
-        return [(row >> c) & 1 for row in rows]
-
     def contract(self, rows, lo: int, hi: int) -> list[int]:
         """Columns lo..hi-1 of rows in the row form, each row read as one
         base-q number, column lo its lowest digit: the GF(q^(hi-lo))
@@ -311,17 +325,27 @@ class PrimeField(_Field):
         weights = [self.q ** i for i in range(hi - lo)]
         return [sum(d * w for d, w in zip(row[lo:hi], weights)) for row in rows]
 
+    def eliminate(self, M: list, r: int, c: int) -> bool:
+        if self.q != 2:
+            return super().eliminate(M, r, c)
+        bit = 1 << c
+        for pr in range(r, len(M)):
+            if M[pr] & bit:
+                break
+        else:
+            return False
+        self.inv(1)  # the pivot's inverse, as every field's step makes it
+        pivot, M[pr] = M[pr], M[r]  # row r is set to the pivot below
+        M[:] = [row ^ pivot if row & bit else row for row in M]
+        M[r] = pivot
+        return True
+
     def scale_row(self, s, row):
-        q = self.q
-        if q == 2:
-            return row if s else 0
-        return [(s * x) % q for x in row]
+        return [(s * x) % self.q for x in row]
 
     def sub_scaled_row(self, dst, f, src):
         """dst - f * src, entrywise."""
         q = self.q
-        if q == 2:
-            return dst ^ src if f else dst
         return [(x - f * y) % q for x, y in zip(dst, src)]
 
     def dot(self, row, v):
@@ -385,6 +409,7 @@ class ExtField(_Field):
         self.order = q ** m
         self.base = PrimeField(q)
         self._weights = tuple(q ** i for i in range(m))  # of the base-q digits
+        self.digit_weights = np.array(self._weights, dtype=np.int64)  # for arrays
         self._exp, self._log, self.primitive = self._tables()
 
     # -- construction of the tables --------------------------------------
@@ -412,8 +437,7 @@ class ExtField(_Field):
         element is the least c whose cycle holds all order - 1 units, and
         that cycle is exp.  The elements of a shorter cycle lie in a
         proper subgroup, so they are skipped as candidates."""
-        q, m, n1 = self.q, self.m, self.order - 1
-        weights = np.array(self._weights, dtype=np.float64)
+        q, m, n1, weights = self.q, self.m, self.order - 1, self.digit_weights
         # row a holds the digits of a, lowest first; q < 2^16
         digits = np.indices((q,) * m, dtype=np.uint16).T.reshape(-1, m)
         perm = np.empty(self.order, dtype=np.int64)
@@ -593,7 +617,7 @@ class ExtField(_Field):
         for d, x in zip(D.tolist(), digits):
             if d != x:  # read reduced a digit out of range
                 raise ParameterError(f"digit {x} out of range for GF({self.q})")
-        return int(D @ self.q ** np.arange(self.m, dtype=np.int64))
+        return int(D @ self.digit_weights)
 
     # -- element text form: m base-q digits, lowest degree first ---------
 

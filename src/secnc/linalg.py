@@ -5,20 +5,22 @@ extension field lists of lists of packed field elements, each read by
 its field (`gf`'s read: mod q, or refused unless elements of GF(q^m),
 as `contract` refuses non-digits); `matmul` and `span` read theirs too,
 while `matvec`, `vector_rank` and `expand`, on the per-case decode path,
-take elements as given.  `rank`, `row_reduce_transform`,
-`left_inverse`, `rref_solve` (of one vector) and `kernel_vector` each
-pack an int64 matrix, run one kernel, `_rref_in_place`, written against
-the field protocol of `gf` (inv, the row operations scale_row /
-sub_scaled_row and the row form: pack, unpack, column), and read only
+take elements as given, `expand` refusing only entries that are not
+integers or are past 2^63.  `rank`, `row_reduce_transform`, `left_inverse`, `rref_solve`
+(of one vector) and `kernel_vector` each pack an int64 matrix, run one
+kernel, `_rref_in_place`, on the row form of `gf` (pack, unpack, column,
+contract and eliminate, the step that pivots a column), and read only
 the columns and rows they return.  A row is the field's: a Python-int
-bitmask at GF(2), bit c holding column c, so a row operation is one XOR
-at any width; a list of entries in every other field.  `kernel_vector`
-takes the one kernel vector of both Gabidulin decoders, with a 1 in the
-first free column, the first c whose pivot is not c.  `left_inverse` of
-a transfer A beside its observation Y, its one form, reduces [A | Y] and
-reads the un-mixed packets straight from the rows (the base field's
-`contract`); the matrix is the top rows of `row_reduce_transform`'s E.
-GF(2) ranks take the packed rows to `rank_gf2`.  One packed GF(2) stack
+bitmask at GF(2), bit c holding column c, so a step is one XOR per row
+holding the pivot, at any width; a list of entries in every other field.
+`kernel_vector` reads its matrix for `kernel_vector_of_rows`, the one
+kernel vector of both Gabidulin decoders (a 1 in the first free column,
+the first c whose pivot is not c); `GabidulinCode.decode` hands that
+rule its own rows unread.  `left_inverse` of a transfer A beside its
+observation Y, its one form, reduces [A | Y] and reads the un-mixed
+packets straight from the rows (the base field's `contract`); the matrix
+is the top rows of `row_reduce_transform`'s E.  GF(2) ranks take the
+packed rows to `rank_gf2`.  One packed GF(2) stack
 rank, `_rank_gf2_stack`, ranks an (n, B) stack of row bitmasks with the
 batch axis last, so each step is one elementwise pass over the batch; it
 serves `vector_rank` of a stack of GF(2^m) vectors, whose element ints
@@ -102,41 +104,21 @@ def _int_matrix(field, M) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Elimination: one kernel, row operations supplied by the field
+# Elimination: one kernel, its step supplied by the field
 # ----------------------------------------------------------------------
 
 def _rref_in_place(field, M: list, cols: int) -> list[int]:
     """Reduce the rows M, in `field`'s row form (`field.pack`), to RREF,
-    pivoting in their first `cols` columns.
-
-    Row operations apply to whole rows, so columns past `cols` carry
-    along whatever was appended to M.  Returns the pivot column list.
-    """
-    rows = len(M)
-    column, inv = field.column, field.inv
-    scale_row, sub_scaled_row = field.scale_row, field.sub_scaled_row
+    pivoting in their first `cols` columns, one `field.eliminate` step a
+    column.  A step works on whole rows, so columns past `cols` carry
+    along whatever was appended to M.  Returns the pivot column list."""
+    rows, step = len(M), field.eliminate
     pivots = []
-    r = 0
     for c in range(cols):
-        if r == rows:
+        if len(pivots) == rows:
             break
-        col = column(M, c)  # read once: only row r changes before the f are read
-        for pr in range(r, rows):
-            if col[pr]:
-                break
-        else:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        s = inv(col[pr])
-        col[pr], col[r] = col[r], 0  # the pivot row is not eliminated
-        if s != 1:
-            M[r] = scale_row(s, M[r])
-        pivot = M[r]
-        for i, f in enumerate(col):
-            if f:
-                M[i] = sub_scaled_row(M[i], f, pivot)
-        pivots.append(c)
-        r += 1
+        if step(M, len(pivots), c):
+            pivots.append(c)
     return pivots
 
 
@@ -239,8 +221,7 @@ def rref_solve(field, A, y) -> list[int]:
     rows, cols = A.shape
     if len(y) != rows:
         raise ParameterError(f"rhs has {len(y)} rows, expected {rows}")
-    aug = field.pack(np.concatenate([A, y], axis=1))
-    pivots = _rref_in_place(field, aug, cols)
+    aug, pivots = _reduce_beside(field, A, y)
     # the rows past the rank are zero in A: y must be zero there too
     if any(field.column(aug[len(pivots):], cols)):
         raise InconsistentSystemError("A x = y has no solution")
@@ -271,12 +252,16 @@ def left_inverse(field, A, Y) -> list[int]:
 
 
 def kernel_vector(field, A):
-    """The kernel vector of A with a 1 in its first free column, the first c
-    with pivots[c] != c (else the rank), 0 in the later ones and minus that
-    column at the pivots; None when A has full column rank."""
+    """`kernel_vector_of_rows` of the matrix A, read by the field."""
     A = _int_matrix(field, A)
-    cols = A.shape[1]
-    R = field.pack(A)
+    return kernel_vector_of_rows(field, field.pack(A), A.shape[1])
+
+
+def kernel_vector_of_rows(field, R: list, cols: int):
+    """The kernel vector of the rows R, in `field`'s row form, of `cols`
+    columns, taken as given and reduced in place: 1 in the first free
+    column, the first c with pivots[c] != c (else the rank), 0 in the
+    later ones and minus that column at the pivots; None at full rank."""
     pivots = _rref_in_place(field, R, cols)
     free = next((c for c, p in enumerate(pivots) if p != c), len(pivots))
     if free == cols:
@@ -323,8 +308,13 @@ def matvec(field, A, v) -> list[int]:
 def expand(F, v) -> np.ndarray:
     """Column vector over GF(q^m) -> n x m matrix over GF(q); a stack of
     vectors (..., n) -> (..., n, m)."""
-    v = np.asarray(v, dtype=np.int64)
-    return mod(v[..., None] // F.q ** np.arange(F.m, dtype=np.int64), F.q)
+    v = np.asarray(v)
+    if v.size and v.dtype.kind != "i":  # int64, the decoder's, passes at once
+        if v.dtype.kind not in "bu":  # a float, None, or past uint64
+            raise ParameterError("vector entries must be integers")
+        if v.max() > np.iinfo(np.int64).max:  # as int64 it would wrap
+            raise ParameterError("vector entries must be below 2^63")
+    return mod(v.astype(np.int64, copy=False)[..., None] // F.digit_weights, F.q)
 
 
 def contract(F, M):
@@ -335,7 +325,7 @@ def contract(F, M):
         raise ParameterError(f"expected an n x {F.m} matrix, got shape {D.shape}")
     if (D != M).any():  # read reduced a digit out of range
         raise ParameterError(f"entries must be digits of GF({F.q})")
-    x = D @ F.q ** np.arange(F.m, dtype=np.int64)
+    x = D @ F.digit_weights
     return x.tolist() if D.ndim == 2 else x
 
 
@@ -354,8 +344,7 @@ def span(F, rows, idx):
     K, n = rows.shape
     idx = np.asarray(idx, dtype=np.int64)
     U = idx[:, None] // F.order ** np.arange(K - 1, -1, -1, dtype=np.int64) % F.order
-    basis = F.q ** np.arange(F.m, dtype=np.int64)
-    W = expand(F, F.vmul(rows.reshape(K, 1, n), basis[:, None]))  # (K, m, n): g x^i
+    W = expand(F, F.vmul(rows[:, None], F.digit_weights[:, None]))  # (K, m, n): g x^i
     # one float64 product, exact: its sums stay <= K m (q - 1)^2 < 2^53,
     # as int64 indices the order^K messages, so K m log2 q < 63
     E = (expand(F, U).reshape(len(U), K * F.m).astype(np.float64)

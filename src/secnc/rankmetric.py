@@ -26,10 +26,11 @@ and caches E.  Both decoders then eliminate only the
 (n - k - t) x (t + 1) block P_bot of P = E Yf and take its kernel vector
 by one rule: 1 in the first free column, the first c whose pivot is not
 c, 0 in the later ones, and minus that column at the pivots
-(`linalg.kernel_vector`; `decode_stack` reads the pivots from the leads
-of `linalg._rref_stack`).  So V is never zero (`_divide_left` needs it
-nonzero), and it is e_0 when P_bot has no rows (k + t = n).  P is
-GF(q)-linear in y, as Frobenius is, so `decode` caches, from its first
+(`linalg.kernel_vector_of_rows`, on the rows of P that `decode` built;
+`decode_stack` reads the pivots from the leads of `linalg._rref_stack`).
+So V is never zero (`_divide_left` needs it nonzero), and it is e_0
+when P_bot has no rows (k + t = n).  P is GF(q)-linear in y, as
+Frobenius is, so `decode` caches, from its first
 call at a radius, the base-field matrix W_t of y -> P: it gets P of one
 word as one float64 product expand(y) W_t mod q, then uses scalar field
 operations.  `decode_stack` accumulates P for a (B, n)
@@ -193,8 +194,8 @@ class GabidulinCode:
         t = read_count(t, "t", 0, (n - k) // 2)
         W = self._w_t(t)
         D = la.mod(la.expand(F, y).reshape(-1) @ W, F.q)  # E Yf's digits
-        P = D.reshape(n, t + 1, F.m) @ F.q ** np.arange(F.m)
-        v = la.kernel_vector(F, P[k + t:])  # e_0 when P_bot has no rows
+        P = (D.reshape(n, t + 1, F.m) @ F.digit_weights).tolist()  # handed on unread
+        v = la.kernel_vector_of_rows(F, P[k + t:], t + 1)  # e_0 when P_bot has no rows
         if v is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
         u = self._divide_left(v, la.matvec(F, P[: k + t], v))
@@ -222,7 +223,7 @@ class GabidulinCode:
         if t not in self._w:
             F, n, m = self.F, self.n, self.F.m
             E = self._split(t)
-            x = F.vfrobenius(F.q ** np.arange(m)[:, None], np.arange(t + 1))
+            x = F.vfrobenius(F.digit_weights[:, None], np.arange(t + 1))
             W = la.expand(F, F.vmul(E.T[:, None, :, None], x[None, :, None, :]))
             self._w[t] = W.reshape(n * m, -1).astype(np.float64)
         return self._w[t]

@@ -25,6 +25,8 @@ UNCALLED_ON_PURPOSE = {
     "write_packets": "fileio writer, the pair of read_packets",
     "write_matrix": "fileio writer, the pair of read_matrix",
     "pow": "field protocol: every field raises to powers",
+    "kernel_vector": "reads a caller's matrix for kernel_vector_of_rows, whose "
+                     "one caller, the decoder, hands on rows it built",
 }
 
 

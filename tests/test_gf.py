@@ -258,13 +258,20 @@ def test_row_operations_match_scalar_operations(field):
     for _ in range(40):
         dst, src = ([int(x) for x in rng.integers(0, field.order, size=6)]
                     for _ in range(2))
-        # the row operations act on the field's row form
-        pdst, psrc = field.pack(np.array([dst, src], dtype=np.int64))
-        for f in (0, 1, int(rng.integers(1, field.order))):
-            assert field.unpack([field.scale_row(f, psrc)], 0, 6) == [
-                [field.mul(f, y) for y in src]]
-            assert field.unpack([field.sub_scaled_row(pdst, f, psrc)], 0, 6) == [
-                [field.sub(x, field.mul(f, y)) for x, y in zip(dst, src)]]
+        # the elimination step acts on the field's row form: pivoting
+        # column 0 at row 0 swaps up the first row holding it, of entry s,
+        # scales it by inv(s) and clears column 0 from the row of entry f
+        for s in (1, int(rng.integers(1, field.order))):
+            for f in (0, 1, int(rng.integers(1, field.order))):
+                top, low = [s] + src[1:], [f] + dst[1:]
+                M = field.pack(np.array([[0] * 6, top, low], dtype=np.int64))
+                assert field.eliminate(M, 0, 0)
+                pivot = [field.mul(field.inv(s), y) for y in top]
+                want = [pivot, [0] * 6,
+                        [field.sub(x, field.mul(f, y)) for x, y in zip(low, pivot)]]
+                assert field.unpack(M, 0, 6) == want
+                assert not field.eliminate(M, 1, 0)  # no row below holds column 0
+                assert field.unpack(M, 0, 6) == want
         # dot against a sum of mul terms, also for a row of base-field
         # constants, as matvec applies a base-field map to packets
         consts = [int(x) for x in rng.integers(0, field.q, size=6)]

@@ -647,10 +647,12 @@ def _assert_rref_stack_is_rref_in_place(field, M, R, lead, ranks):
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
-@pytest.mark.parametrize("B, rows, C", [(0, 3, 4), (5, 0, 4), (12, 7, 3), (12, 6, 1)])
+@pytest.mark.parametrize("B, rows, C", [(0, 3, 4), (5, 0, 4), (12, 7, 3), (12, 6, 1),
+                                        (3, 72, 70)])
 def test_rref_stack_of_edge_shapes(field, B, rows, C):
     # no matrices, matrices with no rows, and tall matrices (R > C) whose
-    # bottom rows copy rows above them, so some stay zero once reduced
+    # bottom rows copy rows above them, so some stay zero once reduced; at
+    # C = 70 a GF(2) row is a bitmask wider than one int64
     M = np.random.default_rng(field.order + rows).integers(
         0, field.order, size=(B, rows, C))
     M[:, 3:] = M[:, : rows - 3]

@@ -56,14 +56,23 @@ def _rng():
      "t must be an integer, got 0.5"),
     (lambda: build_instance(SchemeParams(2, 4, 4, 0.5, 1, 1)),
      "t must be an integer, got 0.5"),
+    (lambda: la.expand(F16, [1.5]), "vector entries must be integers"),
+    (lambda: la.expand(F16, [None]), "vector entries must be integers"),
+    (lambda: la.expand(F16, [2**63]), "vector entries must be below 2\\^63"),
+    (lambda: la.expand(F16, [2**64]), "vector entries must be integers"),
 ], ids=["rank-16", "rank-negative", "kernel-negative", "transform-99",
         "rank-ragged", "left-inverse-ragged", "decode-stack-ragged", "trials",
         "random-transfers", "audit-N", "tap-rows", "samples", "code-n", "code-k",
         "field-m", "field-q", "realization-N", "random-full-rank-rows", "decode-t",
-        "decode-stack-t", "params-t"])
+        "decode-stack-t", "params-t", "expand-float", "expand-none",
+    "expand-2^63", "expand-2^64"])
 def test_malformed_values_are_refused(run, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         run()
+
+
+def test_expand_takes_an_empty_vector():
+    assert la.expand(F16, []).shape == (0, 4)
 
 
 def test_a_non_integer_parameter_is_a_shape_rejection():
