@@ -8,7 +8,9 @@ the coefficients of a polynomial over GF(q), lowest degree first:
 Arithmetic is done modulo a monic irreducible polynomial of degree m.
 For q = 2 the integer is exactly the coefficient bitmask, so the packed
 value doubles as the row vector of the element under the polynomial
-basis {1, x, ..., x^{m-1}}.
+basis {1, x, ..., x^{m-1}}: a fixed GF(2)-linear map of elements is then
+an XOR of table entries picked by each element's bytes, which
+`linalg.LinearMap` builds on a map's second application.
 
 Every field is table-backed: FIELD_LIMIT bounds the order at 2^16, and
 each GF(q^m) builds exp/log tables keyed by a primitive element at
@@ -21,7 +23,8 @@ powers and the Frobenius map are lookups in those tables.  Zero is a
 table entry: log 0 = 2(order-1) points into a zero tail of exp, which
 holds 4(order-1)+1 entries, so exp[log a + log b] is a*b for every a and
 b and no product tests for zero.  inv, pow and frobenius scale a log
-rather than add two, so they keep their zero case.
+rather than add two, so they keep their zero case; frobenius scales it by
+q^i mod (order - 1), one of m ints each field keeps.
 
 Each field reads a caller's values itself, arrays with read and lists
 with elements_of: ragged rows and entries that are not integers are
@@ -411,6 +414,8 @@ class ExtField(_Field):
         self._weights = tuple(q ** i for i in range(m))  # of the base-q digits
         self.digit_weights = np.array(self._weights, dtype=np.int64)  # for arrays
         self._exp, self._log, self.primitive = self._tables()
+        # q^i mod (order - 1): a^(q^i) scales log a by it, periodic in i with period m
+        self._frobenius_scales = [pow(q, i, self.order - 1) for i in range(m)]
 
     # -- construction of the tables --------------------------------------
 
@@ -526,7 +531,7 @@ class ExtField(_Field):
         if a == 0:
             return 0
         n1 = self.order - 1
-        return self._exp[(self._log[a] * pow(self.q, i, n1)) % n1]
+        return self._exp[(self._log[a] * self._frobenius_scales[i % self.m]) % n1]
 
     # -- rows of the elimination kernel (see the module docstring) -------
 

@@ -4,10 +4,11 @@ Matrices over the base field are numpy integer arrays, those over the
 extension field lists of lists of packed field elements, each read by
 its field (`gf`'s read: mod q, or refused unless elements of GF(q^m),
 as `contract` refuses non-digits); `matmul` and `span` read theirs too,
-while `matvec`, `vector_rank` and `expand`, on the per-case decode path,
-take elements as given, `expand` refusing only entries that are not
-integers or are past 2^63.  `rank`, `row_reduce_transform`, `left_inverse`, `rref_solve`
-(of one vector) and `kernel_vector` each pack an int64 matrix, run one
+while `matvec`, `vector_rank`, `expand` and a `LinearMap`, on the
+per-case path, take elements as given, `expand`
+refusing only entries that are not integers or are past 2^63.  `rank`,
+`row_reduce_transform`, `left_inverse`, `rref_solve` (of one vector)
+and `kernel_vector` each pack an int64 matrix, run one
 kernel, `_rref_in_place`, on the row form of `gf` (pack, unpack, column,
 contract and eliminate, the step that pivots a column), and read only
 the columns and rows they return.  A row is the field's: a Python-int
@@ -29,9 +30,22 @@ q = 2.  Stacks of matrices, int64 (R, C, B) with the batch axis last
 too, are reduced row by row by `_rref_stack` with vector operations.
 Arrays are reduced mod q by one rule, `mod`: & 1 at q = 2, an int64 %
 otherwise, and for a float64 product whose sums stay below 2^53 the
-exact X - q floor(X / q); `span` gathers its block matrix of products
-g x^i with one `vmul` and takes its product in float64, one BLAS call.
-Every product runs the field-supplied inner product `dot`: `matvec` one
+exact X - q floor(X / q).  One builder, `_combination_matrix`, gathers
+the block matrix of products g x^i of a GF(q^m) matrix with one `vmul`:
+`span` takes its product with every message in float64, one BLAS call,
+and a `LinearMap` given the rows takes it as the W of u -> G^T u for one
+message, an encoder.  A `LinearMap` applies a fixed GF(q)-linear map,
+given by its base-field matrix W, to a list of elements: its first
+application is the float64 product expand(x) W mod q (`matvec` for a
+map given by rows, which builds W only on the next); at q = 2 its
+second builds one table per byte of each input element, each entry the
+XOR of the rows of W its bits select, packed as one Python int, and from
+then on the map is one lookup and one XOR per byte and the output the
+int's bytes.  At odd q every application is the float64 product.  The
+second-use rule keeps the table build off a map applied once, such as
+those of the code `scheme` builds for one erasure decode.  `expand` at
+q = 2 unpacks the low bytes of each element into its m bits.  Every
+other product runs the field-supplied inner product `dot`: `matvec` one
 per row, base-field maps applied to packets included, and `matmul` one
 per entry.  Every enumeration of GF(q^m)-combinations of rows (codebooks,
 audit payloads) runs `span`; every enumeration of base-field matrices by
@@ -55,6 +69,7 @@ linear network code.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -301,20 +316,109 @@ def matvec(field, A, v) -> list[int]:
     return [dot(row, v) for row in A]
 
 
+class LinearMap:
+    """A fixed GF(q)-linear map of lists of GF(q^m) elements, given by its
+    base-field matrix W, (a m) x (b m): x of a elements goes to the b
+    elements whose expansion is expand(x) W mod q.  Given instead the
+    a x b matrix rows over GF(q^m), it is u -> rows^T u, an encoder, and W
+    is `_combination_matrix`'s.  x must hold elements of F: at q = 2 they
+    index tables unchecked.  Rows are taken as given.
+
+    It runs the float64 product expand(x) W mod q, exact while the sums
+    a m (q - 1)^2 stay below 2^53, as they do for a <= m at every order up
+    to FIELD_LIMIT; a map given by rows runs `matvec` instead on its first
+    application and builds W on its second.  At q = 2 its second
+    application builds, and every later one reads, one table per chunk of
+    each input element, its low 8 bits and, when m > 8, its high ones:
+    entry v is the XOR of the rows of W that v's bits select, packed as
+    one Python int in which output element l takes bytes l w to
+    l w + w - 1, w = 1 when m <= 8, else 2.
+    Then x W is one lookup and one XOR per chunk, and the outputs are the
+    int's bytes (the method of Four Russians).  A map applied once, such
+    as those of a code built for one decode, builds no tables.
+    """
+
+    def __init__(self, F, W=None, rows=None):
+        self.F = F
+        self._W, self._rows = W, rows  # one of them given
+        self._width = 1 if F.m <= 8 else 2  # bytes per output element
+        self._applied = False
+        self._tables = None
+
+    @cached_property
+    def W(self):
+        """The base-field matrix, float64; a map given by rows builds it here."""
+        if self._W is None:
+            self._W = _combination_matrix(self.F, np.array(self._rows, dtype=np.int64))
+        return np.asarray(self._W, dtype=np.float64)
+
+    def __call__(self, x) -> list[int]:
+        if self._tables is None:
+            F = self.F
+            if self._applied and F.q == 2:
+                self._tables = self._build_tables()
+            elif not self._applied and self._rows is not None:
+                self._applied = True
+                return matvec(F, transpose(self._rows), x)
+            else:
+                self._applied = True
+                # exact integers, few of them: an int64 % takes fewer calls
+                # than mod's float64 rule
+                D = mod((expand(F, x).reshape(-1) @ self.W).astype(np.int64), F.q)
+                return (D.reshape(-1, F.m) @ F.digit_weights).tolist()
+        if self._width == 2:
+            x = [c for a in x for c in (a & 255, a >> 8)]
+        acc = 0
+        for T, c in zip(self._tables, x):
+            acc ^= T[c]
+        out = acc.to_bytes(self._bytes, "little")
+        return list(out) if self._width == 1 else np.frombuffer(out, "<u2").tolist()
+
+    def _build_tables(self):
+        """The tables, one per chunk, in input order."""
+        m = self.F.m
+        self._bytes = self._width * self.W.shape[1] // m  # of the packed output
+        W = self.W.astype(np.uint8).reshape(len(self.W), -1, m)
+        W = np.pad(W, ((0, 0), (0, 0), (0, 8 * self._width - m)))
+        rows, tables = _GF2.pack(W.reshape(len(W), -1)), []
+        for j in range(0, len(rows), m):
+            for s in range(0, m, 8):
+                T = [0]
+                for row in rows[j + s: j + min(s + 8, m)]:
+                    T += [v ^ row for v in T]
+                tables.append(T)
+        return tables
+
+
+def _combination_matrix(F, rows):
+    """The (K m) x (n m) base-field matrix W with expand(u . rows) =
+    expand(u) W for the K x n int64 array rows over GF(q^m): row (i, d)
+    expands g x^d for the entries g of row i."""
+    K, n = rows.shape
+    W = expand(F, F.vmul(rows[:, None], F.digit_weights[:, None]))  # (K, m, n, m)
+    return W.reshape(K * F.m, n * F.m)
+
+
+
 # ----------------------------------------------------------------------
 # The vector <-> matrix identification
 # ----------------------------------------------------------------------
 
 def expand(F, v) -> np.ndarray:
     """Column vector over GF(q^m) -> n x m matrix over GF(q); a stack of
-    vectors (..., n) -> (..., n, m)."""
+    vectors (..., n) -> (..., n, m).  At q = 2 the digits are the low m
+    bits, unpacked from each entry's two low bytes (m <= 16)."""
     v = np.asarray(v)
     if v.size and v.dtype.kind != "i":  # int64, the decoder's, passes at once
         if v.dtype.kind not in "bu":  # a float, None, or past uint64
             raise ParameterError("vector entries must be integers")
         if v.max() > np.iinfo(np.int64).max:  # as int64 it would wrap
             raise ParameterError("vector entries must be below 2^63")
-    return mod(v.astype(np.int64, copy=False)[..., None] // F.digit_weights, F.q)
+    v = v.astype(np.int64, copy=False)[..., None]
+    if F.q == 2:
+        low = v.astype("<u2").view(np.uint8)
+        return np.unpackbits(low, axis=-1, count=F.m, bitorder="little").astype(np.int64)
+    return mod(v // F.digit_weights, F.q)
 
 
 def contract(F, M):
@@ -344,11 +448,10 @@ def span(F, rows, idx):
     K, n = rows.shape
     idx = np.asarray(idx, dtype=np.int64)
     U = idx[:, None] // F.order ** np.arange(K - 1, -1, -1, dtype=np.int64) % F.order
-    W = expand(F, F.vmul(rows[:, None], F.digit_weights[:, None]))  # (K, m, n): g x^i
     # one float64 product, exact: its sums stay <= K m (q - 1)^2 < 2^53,
     # as int64 indices the order^K messages, so K m log2 q < 63
     E = (expand(F, U).reshape(len(U), K * F.m).astype(np.float64)
-         @ W.reshape(K * F.m, n * F.m).astype(np.float64))
+         @ _combination_matrix(F, rows).astype(np.float64))
     return U, mod(E, F.q).reshape(len(U), n, F.m)
 
 

@@ -30,14 +30,19 @@ c, 0 in the later ones, and minus that column at the pivots
 `decode_stack` reads the pivots from the leads of `linalg._rref_stack`).
 So V is never zero (`_divide_left` needs it nonzero), and it is e_0
 when P_bot has no rows (k + t = n).  P is GF(q)-linear in y, as
-Frobenius is, so `decode` caches, from its first
-call at a radius, the base-field matrix W_t of y -> P: it gets P of one
-word as one float64 product expand(y) W_t mod q, then uses scalar field
-operations.  `decode_stack` accumulates P for a (B, n)
-stack of words with the fields' vector operations and eliminates with
-`linalg._rref_stack`, for the audits, whose stacks span their phases (a
-product with W_t would take ~270 MB for 2^14 words at m = 16); it never
-builds W_t.  It works in the (..., B) layout, the batch axis last: the
+Frobenius is, so `decode` caches, from its first call at a radius, the
+`linalg.LinearMap` y -> P of base-field matrix W_t, then uses scalar
+field operations; its re-encode G^T u is the code's `linalg.LinearMap`
+too, which `encode` and a `scheme.SchemeInstance` built on the code
+share.  The first application of y -> P is one float64 product
+expand(y) W_t mod q, that of the re-encode a `matvec`; at q = 2 a map's
+second application builds byte tables and every later one is a lookup
+and an XOR per input byte.  A code built for one decode, as the
+erasure path builds one, so never pays for tables.  `decode_stack`
+accumulates P for a (B, n) stack of words with the fields' vector
+operations and eliminates with `linalg._rref_stack`, for the audits,
+whose stacks span their phases (a product with W_t would take ~270 MB
+for 2^14 words at m = 16); it never builds W_t.  It works in the (..., B) layout, the batch axis last: the
 words as (n, B) and every later array (Yf, P, the reduced P_bot, v, nn,
 f, the residual) with B as its trailing axis, so that each step is one
 elementwise pass over the batch, not many passes over axes of length
@@ -57,6 +62,7 @@ way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,10 +149,9 @@ class GabidulinCode:
         self.moore = [list(g)]
         for _ in range(n - 1):
             self.moore.append([F.frobenius(x) for x in self.moore[-1]])
-        self._Gt = la.transpose(self.moore[:k])
         self._table = None
         self._splits = {}  # t -> E as an int64 array
-        self._w = {}  # t -> W_t, for decode only
+        self._w = {}  # t -> the map y -> E Yf, of matrix W_t, for decode only
 
     def generator_matrix(self) -> list[list[int]]:
         return [row[:] for row in self.moore[: self.k]]
@@ -156,7 +161,12 @@ class GabidulinCode:
         u = self.F.elements_of(u, "message entries")
         if len(u) != self.k:
             raise ParameterError(f"message length {len(u)} != k = {self.k}")
-        return la.matvec(self.F, self._Gt, u)
+        return self._encoder(u)
+
+    @cached_property
+    def _encoder(self):
+        """The map u -> G^T u, for encode and decode's re-encode."""
+        return la.LinearMap(self.F, rows=self.moore[: self.k])
 
     def codeword_table(self, budget: int = DEFAULT_ENUM_BUDGET):
         """The cached full codebook: ([messages], array of codeword symbols),
@@ -184,22 +194,23 @@ class GabidulinCode:
         """Correct up to t rank errors; requires 2t <= n - k.
 
         Returns a failure outcome when no codeword lies within rank
-        distance t of y.  P = E Yf is one base-field product expand(y) W_t
-        (module docstring); v is P_bot's kernel vector and nn = P_top v.
+        distance t of y.  P = E Yf is the cached map of matrix W_t (module
+        docstring); v is P_bot's kernel vector and nn = P_top v.
         """
         F, n, k = self.F, self.n, self.k
-        y = F.elements_of(y, "received word entries")
+        y = F.elements_of(y, "received word entries")  # a table index at q = 2
         if len(y) != n:
             raise ParameterError(f"received word length {len(y)} != n = {n}")
         t = read_count(t, "t", 0, (n - k) // 2)
-        W = self._w_t(t)
-        D = la.mod(la.expand(F, y).reshape(-1) @ W, F.q)  # E Yf's digits
-        P = (D.reshape(n, t + 1, F.m) @ F.digit_weights).tolist()  # handed on unread
+        if t not in self._w:
+            self._w[t] = la.LinearMap(F, self._w_t(t))
+        P = self._w[t](y)  # E Yf, row by row
+        P = [P[i: i + t + 1] for i in range(0, n * (t + 1), t + 1)]  # handed on unread
         v = la.kernel_vector_of_rows(F, P[k + t:], t + 1)  # e_0 when P_bot has no rows
         if v is None:
             return DecodeOutcome.failure(DECODE_FAILURE)
         u = self._divide_left(v, la.matvec(F, P[: k + t], v))
-        c = la.matvec(F, self._Gt, u)
+        c = self._encoder(u)
         residual = [F.sub(a, b) for a, b in zip(y, c)]
         r = la.vector_rank(F, residual)
         if r > t:
@@ -216,17 +227,15 @@ class GabidulinCode:
         return self._splits[t]
 
     def _w_t(self, t: int):
-        """W_t, float64 (n m) x (n (t + 1) m), cached per t.  Row (j, d)
-        expands E_lj (x^d)^(q^i) over (l, i), so expand(y) W_t =
-        expand(E Yf) mod q, exactly: its sums stay below
-        n m (q - 1)^2 <= m^2 (q - 1)^2 < 2^53 when q^m <= FIELD_LIMIT."""
-        if t not in self._w:
-            F, n, m = self.F, self.n, self.F.m
-            E = self._split(t)
-            x = F.vfrobenius(F.digit_weights[:, None], np.arange(t + 1))
-            W = la.expand(F, F.vmul(E.T[:, None, :, None], x[None, :, None, :]))
-            self._w[t] = W.reshape(n * m, -1).astype(np.float64)
-        return self._w[t]
+        """W_t, int64 (n m) x (n (t + 1) m), the base-field matrix of
+        y -> E Yf: row (j, d) expands E_lj (x^d)^(q^i) over (l, i), so
+        expand(y) W_t = expand(E Yf) mod q.  `decode` keeps its
+        `linalg.LinearMap` per t."""
+        F, n, m = self.F, self.n, self.F.m
+        E = self._split(t)
+        x = F.vfrobenius(F.digit_weights[:, None], np.arange(t + 1))
+        W = la.expand(F, F.vmul(E.T[:, None, :, None], x[None, :, None, :]))
+        return W.reshape(n * m, -1)
 
     def decode_stack(self, Y, t: int):
         """`decode` of every row of the (B, n) array Y of received words.

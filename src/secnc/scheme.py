@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,9 +86,10 @@ class SchemeInstance:
 
     Immutable after construction.  `broken` marks the deliberately
     non-MRD negative-control variant, on which only encoding (and hence
-    the secrecy audit) is meaningful.  The one thing it caches is its
-    payload table (`payload_table`), built on first use and read-only,
-    when it has at most _TABLE_LIMIT pairs.
+    the secrecy audit) is meaningful.  It caches its encoder, the
+    `linalg.LinearMap` u -> G0^T u (the outer code's own when G0 is its
+    generator), and its payload table (`payload_table`), built on first
+    use and read-only, when it has at most _TABLE_LIMIT pairs.
     """
 
     def __init__(self, params: SchemeParams, F: ExtField, code, G0,
@@ -137,7 +139,14 @@ class SchemeInstance:
             if rng is None:
                 raise ParameterError("encode needs an rng when V is not forced")
             V = [int(x) for x in rng.integers(0, self.F.order, size=p.mu)]
-        return la.matvec(self.F, self._G0t, S + V)
+        return self._encoder(S + V)
+
+    @cached_property
+    def _encoder(self):
+        """The map u -> G0^T u: the outer code's own when G0 is its generator."""
+        if self.code is not None and self.G0 == self.code.generator_matrix():
+            return self.code._encoder
+        return la.LinearMap(self.F, rows=self.G0)
 
     # -- decoding ---------------------------------------------------------
 

@@ -12,6 +12,7 @@ from secnc.errors import (BudgetExceededError, InconsistentSystemError,
 from secnc.gf import FIELD_LIMIT, ExtField, PrimeField
 from secnc.rankmetric import (_SPAN_CHUNK, DECODE_FAILURE, DEFAULT_ENUM_BUDGET,
                               GabidulinCode)
+from secnc.scheme import SchemeParams, build_broken_instance, build_instance
 from test_linalg import _rank_matrices
 
 
@@ -387,6 +388,40 @@ def test_decode_stack_equals_decode_in_the_largest_binary_field():
         _assert_stack_matches_scalar(code, _received_words(code, t, 12, rng), t)
 
 
+@pytest.mark.parametrize("params", [(2, 3, 3, 1, 0, 1), (2, 8, 8, 2, 2, 2),
+                                    (2, 9, 9, 3, 1, 2), (2, 16, 6, 2, 1, 1),
+                                    (3, 4, 4, 1, 1, 1)], ids=str)
+def test_a_linear_map_agrees_with_matvec_and_the_float64_product(params):
+    # GF(2^9) has a 1-bit chunk and GF(2^16) two byte chunks.  A map's first
+    # application runs the float64 product (an encoder's, matvec), its
+    # second builds W and the q = 2 tables and later ones read them (odd q:
+    # the float64 product): each against matvec for the encoders
+    # (the outer code's G^T, which the instance shares, and a broken
+    # instance's own G0^T) and against expand(y) W_t mod q for y -> E Yf
+    q, m, n, t, mu, k = params
+    inst = build_instance(SchemeParams(*params))
+    code, F = inst.code, inst.F
+    assert inst._encoder is code._encoder
+    W = code._w_t(t).astype(np.float64)
+    maps = [(code._encoder, k + mu, la.transpose(code.moore[: k + mu])),
+            (la.LinearMap(F, code._w_t(t)), n, W)]
+    if mu:
+        broken = build_broken_instance(SchemeParams(*params))
+        assert broken._encoder is not code._encoder
+        maps.append((broken._encoder, k + mu, broken._G0t))
+    rng = np.random.default_rng(sum(params))
+    for f, size, A in maps:
+        for i in range(12):
+            x = rng.integers(0, F.order, size=size).tolist()
+            if A is W:
+                D = la.mod(la.expand(F, x).reshape(-1) @ W, F.q)
+                want = (D.reshape(-1, F.m) @ F.digit_weights).tolist()
+            else:
+                want = la.matvec(F, A, x)
+            assert f(x) == want
+            assert (f._tables is not None) == (q == 2 and i > 0)
+
+
 def test_decode_stack_on_the_whole_p0_reliability_grid():
     # P0 = (q, m, n, t, mu, k) = (2, 3, 3, 1, 0, 1): every codeword of the
     # [3, 1] outer code plus every rank-<= 1 error, row by row
@@ -673,15 +708,23 @@ def test_the_split_of_one_radius_is_not_reused_at_another():
 
 def test_decode_stack_builds_e_and_no_w_t():
     # the audits decode stacks only: they cache E per radius and no W_t;
-    # the first decode at a radius builds W_t from that E
-    code = GabidulinCode(ExtField(2, 6), 6, 2)
-    words = _received_words(code, 2, 40, np.random.default_rng(41))
+    # the first decode at a radius builds W_t from that E and applies its
+    # map once, by the float64 product, and the re-encode's, by matvec, so
+    # it builds no tables; the second decode builds them
+    F = ExtField(2, 6)
+    code, other = GabidulinCode(F, 6, 2), GabidulinCode(F, 6, 2)
+    words = _received_words(other, 2, 40, np.random.default_rng(41))
     for t in (1, 2):
         code.decode_stack(words, t)
     assert set(code._splits) == {1, 2} and not code._w
+    assert code._encoder._tables is None
     E = code._split(2)
-    code.decode(words[0], 2)
+    y, z = [w for w in words if other.decode(w, 2).ok][:2]
+    code.decode(y, 2)
     assert set(code._w) == {2} and code._split(2) is E
+    assert code._w[2]._tables is None and code._encoder._tables is None
+    code.decode(z, 2)
+    assert code._w[2]._tables and code._encoder._tables
     _assert_stack_matches_scalar(code, words, 2)
 
 

@@ -25,6 +25,31 @@ def _rng():
     return np.random.default_rng(0)
 
 
+def _tabled():
+    """INST with each of its maps applied twice: the q = 2 tables exist."""
+    for _ in range(2):
+        INST.code.decode(INST.encode([1], force_v=[2]), 1)
+    assert INST.code._w[1]._tables and INST._encoder._tables
+    return INST
+
+
+# A non-element must be refused before it indexes a table: a list read at
+# -1 wraps, silently.
+NOT_ELEMENTS = [(-1, r"-1 is not an element of GF\(2\^4\)"),
+                (16, r"16 is not an element of GF\(2\^4\)"),
+                (1.5, "{} must be integers"), (None, "{} must be integers")]
+AFTER_TABLES = [
+    (lambda x=x: _tabled().code.decode([0, 0, 0, x], 1),
+     message.format("received word entries"), f"decode-{x}-after-tables")
+    for x, message in NOT_ELEMENTS] + [
+    (lambda x=x: _tabled().code.encode([0, x]),
+     message.format("message entries"), f"code-encode-{x}-after-tables")
+    for x, message in NOT_ELEMENTS] + [
+    (lambda x=x: _tabled().encode([x], force_v=[0]),
+     message.format("message entries"), f"scheme-encode-{x}-after-tables")
+    for x, message in NOT_ELEMENTS]
+
+
 @pytest.mark.parametrize("run, message", [
     (lambda: la.rank(F16, [[16, 1]]), r"16 is not an element of GF\(2\^4\)"),
     (lambda: la.rank(F16, [[-1, 1]]), r"-1 is not an element of GF\(2\^4\)"),
@@ -60,12 +85,12 @@ def _rng():
     (lambda: la.expand(F16, [None]), "vector entries must be integers"),
     (lambda: la.expand(F16, [2**63]), "vector entries must be below 2\\^63"),
     (lambda: la.expand(F16, [2**64]), "vector entries must be integers"),
-], ids=["rank-16", "rank-negative", "kernel-negative", "transform-99",
+] + [case[:2] for case in AFTER_TABLES], ids=["rank-16", "rank-negative", "kernel-negative", "transform-99",
         "rank-ragged", "left-inverse-ragged", "decode-stack-ragged", "trials",
         "random-transfers", "audit-N", "tap-rows", "samples", "code-n", "code-k",
         "field-m", "field-q", "realization-N", "random-full-rank-rows", "decode-t",
         "decode-stack-t", "params-t", "expand-float", "expand-none",
-    "expand-2^63", "expand-2^64"])
+    "expand-2^63", "expand-2^64"] + [case[2] for case in AFTER_TABLES])
 def test_malformed_values_are_refused(run, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         run()
